@@ -280,7 +280,7 @@ func BenchmarkSimulator(b *testing.B) {
 		b.Fatal(err)
 	}
 	p, d := bm.Build()
-	c, err := core.Compile(p, core.Config{Policy: sched.Balanced}, d)
+	c, err := core.Compile(p, core.Config{Policy: sched.Balanced}, d, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func BenchmarkSimulatorPooled(b *testing.B) {
 		b.Fatal(err)
 	}
 	p, d := bm.Build()
-	c, err := core.Compile(p, core.Config{Policy: sched.Balanced}, d)
+	c, err := core.Compile(p, core.Config{Policy: sched.Balanced}, d, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func BenchmarkSimulatorReference(b *testing.B) {
 		b.Fatal(err)
 	}
 	p, d := bm.Build()
-	c, err := core.Compile(p, core.Config{Policy: sched.Balanced}, d)
+	c, err := core.Compile(p, core.Config{Policy: sched.Balanced}, d, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func BenchmarkCompileFullPipeline(b *testing.B) {
 	cfg := core.Config{Policy: sched.Balanced, Unroll: 8, Trace: true, Locality: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Compile(p, cfg, d); err != nil {
+		if _, err := core.Compile(p, cfg, d, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -516,7 +516,7 @@ func BenchmarkAblationLICM(b *testing.B) {
 			p, d := bm.Build()
 			for _, on := range []bool{true, false} {
 				cfg := core.Config{Policy: sched.Balanced, Unroll: 4, LICM: on}
-				c, err := core.Compile(p, cfg, d)
+				c, err := core.Compile(p, cfg, d, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -121,7 +121,7 @@ func main() {
 		"config", "cycles", "instrs", "loadIL", "fixedIL", "fetch", "brStall", "spills", "L1D%", "CPI")
 	mismatched := false
 	for _, cfg := range configs {
-		c, err := core.CompileWithOptions(p, cfg, d, nil, nil, core.Options{Verify: *verifyFlag})
+		c, err := core.Compile(p, cfg, d, core.Options{Verify: *verifyFlag})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bsched: %s: %v\n", cfg.Name(), err)
 			if verify.IsVerification(err) {

@@ -44,7 +44,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		c, err := core.Compile(p, cfg, data)
+		c, err := core.Compile(p, cfg, data, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

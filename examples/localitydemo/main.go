@@ -71,7 +71,7 @@ func main() {
 		{Policy: sched.Balanced},
 		{Policy: sched.Balanced, Locality: true},
 	} {
-		compiled, err := core.Compile(p, cfg, data)
+		compiled, err := core.Compile(p, cfg, data, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -54,7 +54,7 @@ func main() {
 	var cycles [2]int64
 	for pi, policy := range []sched.Policy{sched.Traditional, sched.Balanced} {
 		cfg := core.Config{Policy: policy, Unroll: 4}
-		compiled, err := core.Compile(p, cfg, data)
+		compiled, err := core.Compile(p, cfg, data, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

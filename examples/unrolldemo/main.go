@@ -60,7 +60,7 @@ func main() {
 		{Policy: sched.Balanced, Unroll: 4},
 		{Policy: sched.Balanced, Unroll: 8},
 	} {
-		compiled, err := core.Compile(p, cfg, data)
+		compiled, err := core.Compile(p, cfg, data, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -59,6 +59,18 @@ type Options struct {
 	// fresh-machine runs; the experiment engine passes its per-benchmark
 	// pool here so profiling shares machines with cell execution.
 	Pool *sim.Pool
+	// Profiles, when non-nil, caches the execution-driven edge profile
+	// trace scheduling needs: it is looked up there and collected (then
+	// stored) only on a miss. Profiles depend only on the configuration's
+	// transform prefix, so configurations differing solely in scheduler
+	// policy share one profiling run. The cache must be dedicated to the
+	// (program, data) pair being compiled.
+	Profiles *ProfileCache
+	// Obs, when non-nil, observes the pipeline: every phase runs under a
+	// trace span on its lane, and the phases record their counters into
+	// its registry. Nil tracer/stats inside it disable the corresponding
+	// instrument for free.
+	Obs *obs.Obs
 }
 
 // err returns the context's error, or nil when no context is carried.
@@ -156,10 +168,11 @@ type Compiled struct {
 	Phases PhaseTimes
 }
 
-// Compile runs the configured pipeline on p. The data is needed when
-// trace scheduling is enabled, because trace selection is profile driven —
-// the paper profiles each program on its input before compiling with
-// traces (Section 4.2).
+// Compile runs the configured pipeline on p under opt. The data is
+// needed when trace scheduling is enabled, because trace selection is
+// profile driven — the paper profiles each program on its input before
+// compiling with traces (Section 4.2). Phase wall-clock accumulates into
+// the result's Phases.
 //
 // Immutability contract: Compile never mutates p or data. Every transform
 // (locality, unroll, prefetch) clones before rewriting, and a
@@ -167,35 +180,11 @@ type Compiled struct {
 // built program, its input data and its Reference checksum — may be
 // shared read-only across any number of concurrent Compile calls. The
 // cell-parallel experiment engine (internal/exp) depends on this.
-func Compile(p *hlir.Program, cfg Config, data *Data) (*Compiled, error) {
-	return CompileObserved(p, cfg, data, nil, nil)
-}
-
-// CompileCached is Compile with an optional profile cache: when profiles
-// is non-nil, the execution-driven edge profile trace scheduling needs is
-// looked up there and collected (then stored) only on a miss. Profiles
-// depend only on the configuration's transform prefix, so configurations
-// differing solely in scheduler policy share one profiling run. The cache
-// must be dedicated to this (p, data) pair.
-func CompileCached(p *hlir.Program, cfg Config, data *Data, profiles *ProfileCache) (*Compiled, error) {
-	return CompileObserved(p, cfg, data, profiles, nil)
-}
-
-// CompileObserved is CompileCached with observability: every phase runs
-// under a trace span on ob's lane (also accumulated into out.Phases), and
-// the phases record their counters into ob's registry. A nil ob — or nil
-// tracer/stats inside it — disables the corresponding instrument for free.
-func CompileObserved(p *hlir.Program, cfg Config, data *Data, profiles *ProfileCache, ob *obs.Obs) (*Compiled, error) {
-	return CompileWithOptions(p, cfg, data, profiles, ob, Options{})
-}
-
-// CompileWithOptions is CompileObserved plus pipeline options (invariant
-// verification). It is the only pipeline body; every other Compile
-// variant delegates here.
-func CompileWithOptions(p *hlir.Program, cfg Config, data *Data, profiles *ProfileCache, ob *obs.Obs, opt Options) (*Compiled, error) {
+func Compile(p *hlir.Program, cfg Config, data *Data, opt Options) (*Compiled, error) {
 	if err := faultinject.Hit("core/compile", p.Name); err != nil {
 		return nil, err
 	}
+	ob := opt.Obs
 	st := ob.Stat()
 	prog := p
 	out := &Compiled{Config: cfg}
@@ -296,8 +285,8 @@ func CompileWithOptions(p *hlir.Program, cfg Config, data *Data, profiles *Profi
 		var edges profile.Edges
 		var hit bool
 		var perr error
-		if profiles != nil {
-			edges, hit, perr = profiles.getOrCollect(cfg, collect)
+		if opt.Profiles != nil {
+			edges, hit, perr = opt.Profiles.getOrCollect(cfg, collect)
 		} else {
 			edges, perr = collect()
 		}
@@ -374,28 +363,23 @@ func InitMachine(m *sim.Machine, ids map[*hlir.Array]int, data *Data) {
 // Execute simulates compiled code on the 21164 model with the given
 // inputs, returning the metrics and the output checksum.
 func Execute(c *Compiled, data *Data) (*sim.Metrics, uint64, error) {
-	return ExecuteWidth(c, data, 1)
-}
-
-// ExecuteWidth simulates on a machine issuing up to width instructions per
-// cycle (width 1 is the paper's model; 2 and 4 explore its superscalar
-// future work).
-func ExecuteWidth(c *Compiled, data *Data, width int) (*sim.Metrics, uint64, error) {
-	met, sum, _, err := ExecutePooled(c, data, width, nil, nil)
+	met, sum, _, err := ExecutePooled(c, data, 1, nil, nil)
 	return met, sum, err
 }
 
-// ExecutePooled is ExecuteWidth drawing the simulation machine from pool
-// (nil behaves like ExecuteWidth): a pooled machine is rewound rather
-// than reallocated, so the hot path of the experiment grid runs without
-// rebuilding multi-megabyte memory images. reused reports whether the
-// machine came out of the pool, for the caller's pool-efficiency
-// counters. Pooled and fresh runs are bit-identical. ob, when it carries
-// a worker timeline, gets the pool get/put windows flagged as
-// block-pool so contention on the shared per-benchmark pool is visible
-// on the worker's state lane; nil ob adds a single nil check. ob's Lane
-// doubles as the pool shard hint, giving each engine worker lock and
-// machine affinity with its own shard.
+// ExecutePooled simulates on a machine issuing up to width instructions
+// per cycle (width 1 is the paper's model; 2 and 4 explore its
+// superscalar future work), drawing the machine from pool (nil allocates
+// a fresh one): a pooled machine is rewound rather than reallocated, so
+// the hot path of the experiment grid runs without rebuilding
+// multi-megabyte memory images. reused reports whether the machine came
+// out of the pool, for the caller's pool-efficiency counters. Pooled and
+// fresh runs are bit-identical. ob, when it carries a worker timeline,
+// gets the pool get/put windows flagged as block-pool so contention on
+// the shared per-benchmark pool is visible on the worker's state lane;
+// nil ob adds a single nil check. ob's Lane doubles as the pool shard
+// hint, giving each engine worker lock and machine affinity with its own
+// shard.
 func ExecutePooled(c *Compiled, data *Data, width int, pool *sim.Pool, ob *obs.Obs) (met *sim.Metrics, sum uint64, reused bool, err error) {
 	var m *sim.Machine
 	lane := 0

@@ -64,7 +64,7 @@ func TestCompileDoesNotMutateInput(t *testing.T) {
 		{Policy: sched.Balanced, Unroll: 8, Trace: true, Locality: true},
 		{Policy: sched.Traditional, Unroll: 4},
 	} {
-		if _, err := Compile(p, cfg, d); err != nil {
+		if _, err := Compile(p, cfg, d, Options{}); err != nil {
 			t.Fatalf("%s: %v", cfg.Name(), err)
 		}
 	}
@@ -91,7 +91,7 @@ func TestCompileExecuteMatchesReference(t *testing.T) {
 		{Policy: sched.Balanced, Unroll: 4, Locality: true},
 		{Policy: sched.Balanced, Unroll: 8, Trace: true, Locality: true},
 	} {
-		c, err := Compile(p, cfg, d)
+		c, err := Compile(p, cfg, d, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name(), err)
 		}
@@ -141,7 +141,7 @@ func TestBalancedBeatsTraditionalOnMissHeavyLoop(t *testing.T) {
 	}
 	d := NewData()
 	run := func(policy sched.Policy) int64 {
-		cm, err := Compile(p, Config{Policy: policy}, d)
+		cm, err := Compile(p, Config{Policy: policy}, d, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestExecuteReportsConfigInErrors(t *testing.T) {
 	}
 	d := NewData()
 	d.I[idx] = []int64{1 << 40, 0, 0, 0}
-	c, err := Compile(p, Config{Policy: sched.Balanced}, d)
+	c, err := Compile(p, Config{Policy: sched.Balanced}, d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +212,14 @@ func TestCompileCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := Config{Policy: sched.Balanced, Unroll: 4}
-	if _, err := CompileWithOptions(p, cfg, d, nil, nil, Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+	if _, err := Compile(p, cfg, d, Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled compile returned %v, want context.Canceled", err)
 	}
-	if _, err := CompileWithOptions(p, cfg, d, nil, nil, Options{Ctx: context.Background()}); err != nil {
+	if _, err := Compile(p, cfg, d, Options{Ctx: context.Background()}); err != nil {
 		t.Fatalf("compile with live context failed: %v", err)
 	}
 	// A nil Ctx must stay the fully unchecked fast path.
-	if _, err := CompileWithOptions(p, cfg, d, nil, nil, Options{}); err != nil {
+	if _, err := Compile(p, cfg, d, Options{}); err != nil {
 		t.Fatalf("compile with nil context failed: %v", err)
 	}
 }
@@ -231,7 +231,7 @@ func TestCompileDeadlineNamesError(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	<-ctx.Done()
-	_, err := CompileWithOptions(p, Config{Policy: sched.Balanced}, d, nil, nil, Options{Ctx: ctx})
+	_, err := Compile(p, Config{Policy: sched.Balanced}, d, Options{Ctx: ctx})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired compile returned %v, want context.DeadlineExceeded", err)
 	}

@@ -49,7 +49,7 @@ func TestPipelineFuzz(t *testing.T) {
 			t.Fatalf("trial %d: reference: %v\n%s", trial, err, p)
 		}
 		for _, cfg := range configs {
-			c, err := Compile(p, cfg, d)
+			c, err := Compile(p, cfg, d, Options{})
 			if err != nil {
 				t.Fatalf("trial %d %s: compile: %v\n%s", trial, cfg.Name(), err, p)
 			}
@@ -62,7 +62,7 @@ func TestPipelineFuzz(t *testing.T) {
 			}
 			// Wider issue must not change semantics either.
 			if cfg.Trace {
-				if _, got4, err := ExecuteWidth(c, d, 4); err != nil || got4 != want {
+				if _, got4, _, err := ExecutePooled(c, d, 4, nil, nil); err != nil || got4 != want {
 					t.Fatalf("trial %d %s width 4: err=%v mismatch=%v", trial, cfg.Name(), err, got4 != want)
 				}
 			}

@@ -66,10 +66,3 @@ func (cr *CellRunner) Run(ctx context.Context, bench string, cfg core.Config, op
 	}
 	return res, nil
 }
-
-// RunCell runs one cell on a throwaway runner (the front-end is built and
-// discarded). Callers serving repeated requests should hold a CellRunner
-// instead.
-func RunCell(ctx context.Context, bench string, cfg core.Config, opt Options) (*Result, error) {
-	return NewCellRunner().Run(ctx, bench, cfg, opt)
-}

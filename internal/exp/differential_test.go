@@ -38,7 +38,7 @@ func TestFastCoreMatchesReferenceAcrossBenchmarks(t *testing.T) {
 			}
 			for k := 0; k < perBench; k++ {
 				cfg := cells[(bi*perBench+k*5)%len(cells)]
-				c, err := core.Compile(p, cfg, d)
+				c, err := core.Compile(p, cfg, d, core.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

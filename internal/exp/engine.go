@@ -40,9 +40,10 @@ import (
 //     goroutine, no result channel — and are merged deterministically
 //     (by task index) on the caller's goroutine after the workers join,
 //     so tables are byte-identical at every width by construction;
-//   - the JSONL journal is written by a batched asynchronous writer fed
-//     from a bounded queue, keeping disk latency off the workers' hot
-//     path while preserving the torn-tail/-resume contract;
+//   - each worker appends its finished cell to the JSONL journal itself,
+//     one synchronous whole-line write under a short lock (the "journal"
+//     wait histogram), so every finished cell is on disk when its worker
+//     moves on and a crash can tear only the final line;
 //   - each sim.Pool is sharded per worker lane, so the machine-pool
 //     mutex vanishes from the steady-state path.
 //
@@ -81,8 +82,9 @@ type Options struct {
 	Tracer *obs.Tracer
 	// Contention, when non-nil, enables contention attribution: each
 	// worker records a busy/blocked state timeline (running a cell,
-	// starved for work, blocked on the aggregator, the machine pool or a
-	// front-end build) and every shared resource wraps its blocking
+	// stealing from a sibling's deque, blocked on the machine pool or a
+	// front-end build, merging its results) and every shared resource —
+	// task deques, machine pool, front-ends, journal — wraps its blocking
 	// operation in a named wait histogram. Off (nil) it costs one nil
 	// check per site and zero allocations.
 	Contention *obs.Contention
@@ -247,7 +249,7 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, ob *obs.Obs, opt 
 		runtime.ReadMemStats(&mem0)
 	}
 	ph.set(phaseCompile)
-	c, err := core.CompileWithOptions(p, spec.cfg, d, profiles, ob, core.Options{Verify: opt.Verify, Ctx: ctx, Pool: fe.pool})
+	c, err := core.Compile(p, spec.cfg, d, core.Options{Verify: opt.Verify, Ctx: ctx, Pool: fe.pool, Profiles: profiles, Obs: ob})
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s %s: %w", fe.b.Name, spec.cfg.Name(), err)
 	}
@@ -540,15 +542,14 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 	// reports zero-count series rather than omitting them (absence must
 	// mean "attribution off", never "no waits").
 	taskWait := opt.Contention.Hist("taskqueue")
-	opt.Contention.Hist("aggregator") // retired stage; stays at zero
 	opt.Contention.Hist("pool")
 	opt.Contention.Hist("frontend")
 	stealWait := opt.Contention.Hist("steal")
 	mergeWait := opt.Contention.Hist("merge")
 
-	var jw *journalWriter
+	var jw *Appender
 	if opt.Journal != "" {
-		w, err := openJournal(opt.Journal, opt.Contention.Hist("journal"))
+		w, err := OpenAppender(opt.Journal, opt.Contention.Hist("journal"))
 		if err != nil {
 			return err
 		}
@@ -598,9 +599,9 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 		opt.Progress(done, total, r.bench, r.cfg.Name())
 		progMu.Unlock()
 	}
-	// journal appends a finished live cell to the async writer; called
-	// from workers at completion time so an interrupted run has every
-	// finished cell on disk once the writer drains.
+	// journal appends a finished live cell; called from workers at
+	// completion time so an interrupted run has every finished cell on
+	// disk.
 	journal := func(r *cellResult) {
 		if jw == nil || r.resumed {
 			return
@@ -609,7 +610,7 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 		if r.err != nil {
 			e.Error = r.err.Error()
 		}
-		jw.append(e)
+		jw.Append(e)
 	}
 
 	// Partition cells into journal replays and live work. Replays are
@@ -637,6 +638,10 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 	deques := shardTasks(queue, nw)
 	for w := range deques {
 		deques[w].mu.H = taskWait
+		// Open the lane's timeline now, so a lane with no front-end to
+		// build records the pre-phase as idle rather than leaving it
+		// outside every state.
+		opt.Contention.Lane(w)
 	}
 
 	// Front-end pre-phase: build every live benchmark's front-end in
@@ -765,10 +770,8 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 	if opt.Tracer != nil && opt.Contention != nil {
 		opt.Tracer.AddEvents(opt.Contention.Timelines.Events())
 	}
-	if jw != nil {
-		if err := jw.close(); err != nil {
-			return err
-		}
+	if err := jw.Close(); err != nil {
+		return err
 	}
 	if len(failed) > 0 {
 		sort.Slice(failed, func(a, b int) bool {

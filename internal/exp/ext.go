@@ -26,7 +26,7 @@ import (
 //
 // All three grids execute on the same cell-parallel engine as the main
 // grid (runGrid), so they share its front-end reuse, worker pool,
-// single-writer aggregation and per-cell output-checksum oracle.
+// deterministic merge and per-cell output-checksum oracle.
 
 // ExtResult is one benchmark's cycles per (policy, width) cell.
 type ExtResult struct {

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"io/fs"
@@ -26,112 +28,106 @@ type journalEntry struct {
 	Error  string               `json:"error,omitempty"`
 }
 
-// journalWriter appends entries to the cell journal as cells finish.
-// Writing is asynchronous and batched: workers enqueue finished cells on
-// a buffered channel and a dedicated writer goroutine drains it, packing
-// whatever is queued into one Write call of complete lines — so journal
-// I/O leaves the workers' hot path entirely, and a slow disk shows up as
-// bounded back-pressure on the queue (attributed to the "journal" wait
-// histogram) rather than as a serial stage. The torn-tail contract is
-// unchanged: every Write consists only of whole lines, so a crash can
-// tear at most the final line, which ReadJSONLines already tolerates,
-// and close flushes every enqueued entry before returning — an
-// interrupted-but-drained run journals every cell exactly once. Errors
-// are sticky and surfaced once at close.
-type journalWriter struct {
-	f    *os.File
-	ch   chan journalEntry
-	done chan struct{}
-	// err is written only by the writer goroutine and read after done is
-	// closed, which orders the accesses.
+// Appender appends JSON records to a JSONL journal, one whole line per
+// call. It is the one writer behind every journal in the system — the
+// grid engine's cell journal, bschedd's request journal and the fleet
+// coordinator's cell journal — so they all share ReadJSONLines'
+// crash-tolerance contract. Append is synchronous and safe for concurrent
+// use: the record is marshaled outside the lock and written as a single
+// line under it, so a crash can tear at most the final line and a
+// finished Append is already in the file. Errors are sticky: the first
+// one drops every later record and is returned by Close. A nil *Appender
+// discards everything.
+type Appender struct {
+	mu  obs.TimedMutex
+	f   *os.File
 	err error
-	// wait, when non-nil, records worker time blocked on a full queue.
-	wait *obs.WaitHist
 }
 
-// journalQueueDepth bounds the writer's in-flight entries; a full queue
-// back-pressures workers instead of growing without bound.
-const journalQueueDepth = 256
-
-// journalBatchBytes caps how many marshaled bytes one Write call packs.
-const journalBatchBytes = 1 << 20
-
-func openJournal(path string, wait *obs.WaitHist) (*journalWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// OpenAppender opens path for appending, creating it if needed; an empty
+// path returns a nil (discarding) Appender. A torn final line left by an
+// interrupted writer is truncated back to the last newline first, so the
+// first new record starts a line of its own instead of extending the
+// fragment into a malformed line that would hide every record after it.
+// wait, when non-nil, records time spent blocked on the appender's lock.
+func OpenAppender(path string, wait *obs.WaitHist) (*Appender, error) {
+	if path == "" {
+		return nil, nil
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	w := &journalWriter{
-		f:    f,
-		ch:   make(chan journalEntry, journalQueueDepth),
-		done: make(chan struct{}),
-		wait: wait,
+	if err := trimTornTail(f); err != nil {
+		f.Close()
+		return nil, err
 	}
-	go w.run()
-	return w, nil
+	a := &Appender{f: f}
+	a.mu.H = wait
+	return a, nil
 }
 
-// append enqueues one entry; safe from any worker goroutine. Blocking on
-// a full queue is attributed to the journal wait histogram.
-func (w *journalWriter) append(e journalEntry) {
-	obs.TimedSend(w.ch, e, w.wait)
-}
-
-// run is the writer goroutine: it blocks for the next entry, then
-// opportunistically drains everything else already queued into the same
-// batch before issuing a single Write of complete lines.
-func (w *journalWriter) run() {
-	defer close(w.done)
-	var buf []byte
-	add := func(e journalEntry) {
-		if w.err != nil {
-			return
-		}
-		b, err := json.Marshal(e)
-		if err != nil {
-			w.err = err
-			return
-		}
-		buf = append(buf, b...)
-		buf = append(buf, '\n')
+// trimTornTail truncates f after its last newline (to empty when it has
+// none). Only regular files are trimmed: a journal pointed at a pipe or
+// terminal has no tail to read back.
+func trimTornTail(f *os.File) error {
+	fi, err := f.Stat()
+	if err != nil || !fi.Mode().IsRegular() {
+		return err
 	}
-	flush := func() {
-		if len(buf) > 0 && w.err == nil {
-			if _, err := w.f.Write(buf); err != nil {
-				w.err = err
+	end := fi.Size()
+	buf := make([]byte, 4096)
+	for pos := end; pos > 0; {
+		n := min(pos, int64(len(buf)))
+		pos -= n
+		if _, err := f.ReadAt(buf[:n], pos); err != nil {
+			return err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			if keep := pos + int64(i) + 1; keep < end {
+				return f.Truncate(keep)
 			}
+			return nil
 		}
-		buf = buf[:0]
 	}
-	for e := range w.ch {
-		add(e)
-	batch:
-		for len(buf) < journalBatchBytes {
-			select {
-			case e2, ok := <-w.ch:
-				if !ok {
-					break batch
-				}
-				add(e2)
-			default:
-				break batch
-			}
-		}
-		flush()
+	if end == 0 {
+		return nil
 	}
-	flush()
+	return f.Truncate(0)
 }
 
-// close flushes every enqueued entry, stops the writer goroutine and
-// closes the file, returning the first sticky error.
-func (w *journalWriter) close() error {
-	close(w.ch)
-	<-w.done
-	cerr := w.f.Close()
-	if w.err != nil {
-		return w.err
+// Append writes v as one JSON line. No-op on a nil Appender or after an
+// error.
+func (a *Appender) Append(v any) {
+	if a == nil {
+		return
 	}
-	return cerr
+	b, merr := json.Marshal(v)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.err != nil {
+		return
+	}
+	if merr != nil {
+		a.err = merr
+		return
+	}
+	if _, err := a.f.Write(append(b, '\n')); err != nil {
+		a.err = err
+	}
+}
+
+// Close syncs and closes the file, returning the first sticky error (or
+// the sync or close error).
+func (a *Appender) Close() error {
+	if a == nil {
+		return nil
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	serr := a.f.Sync()
+	cerr := a.f.Close()
+	return cmp.Or(a.err, serr, cerr)
 }
 
 // readJournal loads a cell journal for -resume. A missing file is an

@@ -114,6 +114,39 @@ func TestResumeSurvivesTornTail(t *testing.T) {
 	}
 }
 
+// TestResumeAfterTornTailJournalsNewCells is the regression test for a
+// resumed run appending onto a crash's torn fragment: the first new
+// record would extend the fragment into one malformed line, and the
+// reader, which stops there, would lose every cell the resumed run
+// journaled. The resumed run must leave a journal that reads back whole.
+func TestResumeAfterTornTailJournalsNewCells(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "cells.jsonl")
+	if _, err := RunGrid([]string{"tomcatv"}, Options{Jobs: 4, Journal: journal}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	half := len(Cells()) / 2
+	torn := strings.Join(lines[:half], "") + `{"bench":"tomcatv","config":"BS","met`
+	if err := os.WriteFile(journal, []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := RunGrid([]string{"tomcatv"}, Options{Jobs: 4, Journal: journal, Resume: true}); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := readJournal(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(Cells()) {
+		t.Fatalf("journal reads back %d entries after the resumed run, want %d", len(entries), len(Cells()))
+	}
+}
+
 // TestResumeRequiresJournal pins the option contract: Resume without a
 // journal path is a configuration error, not a silent full re-run.
 func TestResumeRequiresJournal(t *testing.T) {

@@ -16,19 +16,17 @@ import (
 // and decomposes each width's shortfall from ideal speedup into named
 // causes — an Amdahl-style breakdown measured, not inferred. The
 // identity behind it: a worker's wall clock tiles exactly into run /
-// wait-for-work / steal / blocked-on-aggregator / blocked-on-pool /
-// blocked-on-frontend / merge / idle (the timeline recorder enforces
-// coverage), so
+// steal / blocked-on-pool / blocked-on-frontend / merge / idle (the
+// timeline recorder enforces coverage), so
 //
 //	gap(w) = wall(w) − wall(1)/w
 //	       ≈ Σ_states blocked(w)/w + (run(w) − run(1))/w
 //
 // and every term on the right is a named, fixable cause: starvation
-// (task-queue dry, or steal scans under the sharded deques), the
-// retired single aggregator (kept for before/after comparison), pool
-// lock contention, front-end build serialization, the end-of-run merge,
-// or per-cell compute dilation (memory bandwidth, GC — the run state
-// itself getting slower under parallelism). The wait histograms give
+// (steal scans once a worker's own deque runs dry), pool lock
+// contention, front-end build serialization, the end-of-run merge, or
+// per-cell compute dilation (memory bandwidth, GC — the run state itself
+// getting slower under parallelism). The wait histograms give
 // each resource's distribution; the runtime bridge separates our locks
 // from the Go scheduler and GC.
 
@@ -97,26 +95,18 @@ func scaleWidths(max int) []int {
 	return append(out, max)
 }
 
-// attribution keys beyond the raw state names.
-const (
-	attrDilation = "compute-dilation"
-	attrJournal  = "journal"
-)
+// attrDilation is the one attribution key beyond the raw state names.
+const attrDilation = "compute-dilation"
 
 // attributionStates are the worker states that attribute directly (each
-// divided across workers). "block-aggregator" and "wait-work" are
-// retired stages of the old single-aggregator/single-queue engine, kept
-// in the report so before/after comparisons line up; "steal" and
-// "merge" are the sharded engine's replacements.
+// divided across workers).
 var attributionStates = []string{
-	"wait-work", "steal", "block-aggregator", "block-pool",
-	"block-frontend", "merge", "idle",
+	"steal", "block-pool", "block-frontend", "merge", "idle",
 }
 
 // attributionOrder fixes the report's column order.
 var attributionOrder = []string{
-	"wait-work", "steal", "block-aggregator", "block-pool",
-	"block-frontend", "merge", attrJournal, attrDilation, "idle",
+	"steal", "block-pool", "block-frontend", "merge", attrDilation, "idle",
 }
 
 // RunScaleReport measures the grid's parallel scaling over the named
@@ -188,11 +178,6 @@ func RunScaleReport(names []string, opt Options) (*ScaleReport, error) {
 			sw.Attribution[state] = states[state] / float64(jobs)
 		}
 		sw.Attribution[attrDilation] = (states["run"] - baseRun) / float64(jobs)
-		for _, ws := range waits {
-			if ws.Resource == "journal" {
-				sw.Attribution[attrJournal] = ws.Seconds() / float64(jobs)
-			}
-		}
 		for _, v := range sw.Attribution {
 			sw.AttributedSeconds += v
 		}
@@ -288,10 +273,6 @@ func (r *ScaleReport) WriteText(w io.Writer) {
 // attrShort abbreviates attribution keys for column headers.
 func attrShort(k string) string {
 	switch k {
-	case "wait-work":
-		return "starve"
-	case "block-aggregator":
-		return "aggreg"
 	case "block-pool":
 		return "pool"
 	case "block-frontend":

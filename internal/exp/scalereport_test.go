@@ -47,8 +47,8 @@ func TestRunScaleReport(t *testing.T) {
 	}
 
 	for _, sw := range rep.Widths {
-		for _, key := range []string{"wait-work", "block-aggregator", "block-pool",
-			"block-frontend", "compute-dilation", "idle"} {
+		for _, key := range []string{"steal", "block-pool", "block-frontend",
+			"merge", "compute-dilation", "idle"} {
 			if _, ok := sw.Attribution[key]; !ok {
 				t.Errorf("jobs=%d: attribution missing %q", sw.Jobs, key)
 			}
@@ -143,7 +143,7 @@ func TestGridContentionInstruments(t *testing.T) {
 	for _, ws := range c.Waits.Snapshot() {
 		waits[ws.Resource] = true
 	}
-	for _, want := range []string{"taskqueue", "aggregator", "pool", "frontend"} {
+	for _, want := range []string{"taskqueue", "pool", "frontend", "steal", "merge"} {
 		if !waits[want] {
 			t.Errorf("wait histogram %q not registered (got %v)", want, waits)
 		}

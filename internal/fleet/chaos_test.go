@@ -183,7 +183,23 @@ func TestGridSurvivesKillAndJoinMidGrid(t *testing.T) {
 	} else {
 		ksB.armed.Store(true)
 	}
-	addrC, _ := startWorker(t)
+	// The replacement must not take tomcatv over when it joins: if the
+	// join lands before the grid dispatches, an owning replacement would
+	// serve every cell as primary and no failover would ever run.
+	var addrC string
+	for i := 0; addrC == ""; i++ {
+		if i == 20 {
+			t.Fatal("no replacement address that leaves tomcatv with its owner")
+		}
+		addr, _ := startWorker(t)
+		r := newRing()
+		for _, m := range append(c.WorkerAddrs(), addr) {
+			r.add(m, c.cfg.VNodes)
+		}
+		if r.owner("tomcatv") != addr {
+			addrC = addr
+		}
+	}
 	gridDone := make(chan []byte, 1)
 	go func() {
 		_, body := postJSON(t, ts.URL+"/v1/grid", req)

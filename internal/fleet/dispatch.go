@@ -35,16 +35,6 @@ type outcome struct {
 	ctxDead   bool // the attempt died of context cancel/expiry, not the worker
 }
 
-// cellKey identifies one dispatchable cell, matching the worker-side
-// cache key format.
-func cellKey(bench, config string, verify bool) string {
-	k := bench + "|" + config
-	if verify {
-		k += "|verify"
-	}
-	return k
-}
-
 // dispatchResult is a finished cell: its body or failure, plus the
 // attribution the journal records.
 type dispatchResult struct {
@@ -62,7 +52,7 @@ type dispatchResult struct {
 // the cell comes back as a structured degraded failure.
 func (c *Coordinator) dispatchCell(ctx context.Context, id, bench, config string, verify bool, deadlineMS int64) dispatchResult {
 	res := dispatchResult{bench: bench, config: config, verify: verify}
-	key := cellKey(bench, config, verify)
+	key := server.CellKey(bench, config, verify)
 	if body, ok := c.resumed[key]; ok {
 		c.stats.Inc("fleet/resume_hits")
 		c.promote(key, body)

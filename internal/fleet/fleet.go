@@ -61,6 +61,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -189,10 +190,13 @@ func (w *worker) backOff(now time.Time, d time.Duration) {
 type Coordinator struct {
 	cfg     Config
 	members *membership
-	tier    *cacheTier
-	stats   *obs.SyncStats
+	// tier is the shared result cache: every served cell's bytes, keyed
+	// by server.CellKey. The documents are deterministic, so a tier hit
+	// is byte-identical to a cold recompute.
+	tier    *server.LRU
+	stats   *obs.Stats
 	client  *http.Client
-	jnl     *cellJournal
+	jnl     *exp.Appender
 	resumed map[string][]byte
 
 	reqSeq atomic.Uint64
@@ -286,7 +290,7 @@ func New(cfg Config) (*Coordinator, error) {
 		}}
 	}
 
-	jnl, err := openCellJournal(cfg.Journal)
+	jnl, err := exp.OpenAppender(cfg.Journal, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -303,8 +307,8 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:         cfg,
 		members:     newMembership(cfg.VNodes),
-		tier:        newCacheTier(cfg.CacheEntries),
-		stats:       obs.NewSyncStats(),
+		tier:        server.NewLRU(cfg.CacheEntries),
+		stats:       obs.NewStats(),
 		client:      client,
 		jnl:         jnl,
 		resumed:     resumed,
@@ -497,7 +501,7 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 		<-done
 	}
 	c.probeWG.Wait()
-	c.closeJnl.Do(func() { c.jnlErr = c.jnl.close() })
+	c.closeJnl.Do(func() { c.jnlErr = c.jnl.Close() })
 	return c.jnlErr
 }
 

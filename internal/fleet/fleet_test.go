@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -74,7 +76,7 @@ func postJSON(t *testing.T, url string, req any) (*http.Response, []byte) {
 }
 
 func counter(c *Coordinator, name string) int64 {
-	return c.stats.Snapshot().Counters[name]
+	return c.stats.Counter(name)
 }
 
 func TestCompileThroughFleetKeepsAffinity(t *testing.T) {
@@ -341,5 +343,35 @@ func TestCoordinatorBodyLimit(t *testing.T) {
 	}
 	if got := counter(c, "fleet/too_large"); got != 1 {
 		t.Errorf("fleet/too_large = %d, want 1", got)
+	}
+}
+
+// TestWriteFailureRetryAfterRange: the coordinator's transient rejections
+// carry the same jittered Retry-After policy as a worker's (base 1s, so
+// 1 or 2 whole seconds), header and body agree, and concurrent
+// rejections do not all get one value.
+func TestWriteFailureRetryAfterRange(t *testing.T) {
+	c := &Coordinator{cfg: Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}}
+	seen := map[int]bool{}
+	for i := 0; i < 200; i++ {
+		rec := httptest.NewRecorder()
+		c.writeFailure(rec, "r1", http.StatusServiceUnavailable, "draining", "coordinator is draining", "", "", "")
+		secs, err := strconv.Atoi(rec.Header().Get("Retry-After"))
+		if err != nil || secs < 1 || secs > 2 {
+			t.Fatalf("Retry-After = %q, want 1 or 2", rec.Header().Get("Retry-After"))
+		}
+		var eb server.ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.RetryAfterS != secs {
+			t.Fatalf("body retry_after_s = %d (%v), header %d", eb.RetryAfterS, err, secs)
+		}
+		seen[secs] = true
+	}
+	if len(seen) < 2 {
+		t.Errorf("Retry-After took one value 200 times (%v); no jitter", seen)
+	}
+	rec := httptest.NewRecorder()
+	c.writeFailure(rec, "r2", http.StatusBadRequest, "bad_request", "nope", "", "", "")
+	if ra := rec.Header().Get("Retry-After"); ra != "" {
+		t.Errorf("bad_request carries Retry-After %q", ra)
 	}
 }

@@ -79,7 +79,7 @@ func (c *Coordinator) writeFailure(w http.ResponseWriter, id string, status int,
 	}
 	switch kind {
 	case "shed", "draining", "degraded", "worker_unreachable", "no_workers":
-		secs := 1 + int(time.Now().UnixNano()>>10&1) // jittered 1–2s
+		secs := int(server.JitterRetryAfter(time.Second) / time.Second)
 		body.RetryAfterS = secs
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
@@ -114,7 +114,7 @@ func (c *Coordinator) journalCell(id string, dr dispatchResult, dur time.Duratio
 	} else {
 		rec.Body = json.RawMessage(dr.body)
 	}
-	c.jnl.append(rec)
+	c.jnl.Append(rec)
 }
 
 func (c *Coordinator) handleCompile(w http.ResponseWriter, r *http.Request) {
@@ -492,24 +492,33 @@ func (c *Coordinator) handleMembers(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// gauges is the coordinator's point-in-time gauge set — the one list
+// both /metrics and /debug/obs render (per-worker series ride next to it
+// on /metrics, and as the workers section of /debug/obs).
+func (c *Coordinator) gauges() map[string]int64 {
+	draining := int64(0)
+	if c.isDraining() {
+		draining = 1
+	}
+	return map[string]int64{
+		"fleet_workers":         int64(c.members.size()),
+		"fleet_workers_healthy": int64(c.healthyCount()),
+		"fleet_min_workers":     int64(c.cfg.MinWorkers),
+		"fleet_epoch":           int64(c.members.generation()),
+		"fleet_cache_entries":   int64(c.tier.Len()),
+		"draining":              draining,
+	}
+}
+
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := c.stats.Snapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := snap.WritePrometheus(w, c.cfg.MetricsPrefix); err != nil {
 		return
 	}
-	draining := int64(0)
-	if c.isDraining() {
-		draining = 1
-	}
 	now := time.Now()
 	gw := obs.NewGaugeWriter(w)
-	gw.Gauge(c.cfg.MetricsPrefix+"fleet_workers", nil, int64(c.members.size()))
-	gw.Gauge(c.cfg.MetricsPrefix+"fleet_workers_healthy", nil, int64(c.healthyCount()))
-	gw.Gauge(c.cfg.MetricsPrefix+"fleet_min_workers", nil, int64(c.cfg.MinWorkers))
-	gw.Gauge(c.cfg.MetricsPrefix+"fleet_epoch", nil, int64(c.members.generation()))
-	gw.Gauge(c.cfg.MetricsPrefix+"fleet_cache_entries", nil, int64(c.tier.len()))
-	gw.Gauge(c.cfg.MetricsPrefix+"draining", nil, draining)
+	gw.Gauges(c.cfg.MetricsPrefix, c.gauges())
 	for _, wk := range c.members.all() {
 		label := map[string]string{"worker": wk.addr}
 		healthy := int64(0)
@@ -527,32 +536,17 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// debugObsDoc is /debug/obs on the coordinator: the dispatch counter
-// registry, fleet gauges, per-worker status and a runtime sample.
+// debugObsDoc is /debug/obs on the coordinator: the shared daemon
+// section (dispatch counter registry, fleet gauges, runtime sample) plus
+// per-worker status.
 type debugObsDoc struct {
-	Stats   *obs.Snapshot           `json:"stats"`
-	Gauges  map[string]int64        `json:"gauges"`
+	obs.DebugDoc
 	Workers map[string]workerStatus `json:"workers"`
-	Runtime obs.RuntimeSample       `json:"runtime"`
 }
 
 func (c *Coordinator) handleDebugObs(w http.ResponseWriter, r *http.Request) {
-	draining := int64(0)
-	if c.isDraining() {
-		draining = 1
-	}
-	doc := debugObsDoc{
-		Stats: c.stats.Snapshot(),
-		Gauges: map[string]int64{
-			"fleet_workers":         int64(c.members.size()),
-			"fleet_workers_healthy": int64(c.healthyCount()),
-			"fleet_min_workers":     int64(c.cfg.MinWorkers),
-			"fleet_epoch":           int64(c.members.generation()),
-			"fleet_cache_entries":   int64(c.tier.len()),
-			"draining":              draining,
-		},
-		Workers: c.workerStatuses(),
-		Runtime: obs.SampleRuntime(),
-	}
-	writeJSON(w, http.StatusOK, doc)
+	writeJSON(w, http.StatusOK, debugObsDoc{
+		DebugDoc: obs.NewDebugDoc(c.stats, c.gauges()),
+		Workers:  c.workerStatuses(),
+	})
 }

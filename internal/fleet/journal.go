@@ -2,17 +2,14 @@ package fleet
 
 import (
 	"encoding/json"
-	"os"
-	"sync"
 
 	"repro/internal/exp"
+	"repro/internal/server"
 )
 
 // CellRecord is one line of the coordinator's cell journal: a finished
-// cell with the worker that served it. Unlike the single-node journals
-// (which are driven from one goroutine or one request each), the
-// coordinator journal is appended from concurrent dispatch goroutines;
-// the appender serializes writes.
+// cell with the worker that served it, appended through exp.Appender
+// from concurrent dispatch goroutines.
 //
 // Resume correctness across topology changes falls out of the record
 // shape: a completed cell is keyed by (bench, config, verify) only —
@@ -38,63 +35,6 @@ type CellRecord struct {
 	DurationMS int64 `json:"duration_ms"`
 }
 
-// cellJournal appends records as JSONL from concurrent dispatchers.
-// Errors are sticky and surfaced at close. A nil *cellJournal discards.
-type cellJournal struct {
-	mu  sync.Mutex
-	f   *os.File
-	err error
-}
-
-func openCellJournal(path string) (*cellJournal, error) {
-	if path == "" {
-		return nil, nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &cellJournal{f: f}, nil
-}
-
-func (j *cellJournal) append(rec CellRecord) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		j.err = err
-		return
-	}
-	b = append(b, '\n')
-	if _, err := j.f.Write(b); err != nil {
-		j.err = err
-	}
-}
-
-func (j *cellJournal) close() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	serr := j.f.Sync()
-	cerr := j.f.Close()
-	switch {
-	case j.err != nil:
-		return j.err
-	case serr != nil:
-		return serr
-	default:
-		return cerr
-	}
-}
-
 // loadResume reads a cell journal through the shared torn-tail-tolerant
 // reader and returns the completed cells' bodies keyed by cell key. A
 // torn final line (the coordinator died mid-append) silently truncates
@@ -108,7 +48,7 @@ func loadResume(path string) (map[string][]byte, error) {
 	out := make(map[string][]byte, len(recs))
 	for _, r := range recs {
 		if r.Status == "ok" && len(r.Body) > 0 {
-			out[cellKey(r.Bench, r.Config, r.Verify)] = append([]byte(nil), r.Body...)
+			out[server.CellKey(r.Bench, r.Config, r.Verify)] = append([]byte(nil), r.Body...)
 		}
 	}
 	return out, nil

@@ -97,10 +97,30 @@ func TestJoinAndLeaveOverHTTP(t *testing.T) {
 // synchronously, so it is dispatchable before the handler returns.
 func TestJoinedWorkerReceivesCells(t *testing.T) {
 	a, _ := startWorker(t)
-	b, _ := startWorker(t)
 	c := newCoordinator(t, nil, a)
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
+
+	// The joiner must own part of the benchmark keyspace once it joins.
+	// Ring placement depends on the (random) ports, and for about one
+	// two-member address pair in twenty one side owns none of the 17
+	// names; such a joiner has no share to serve.
+	var b string
+	for i := 0; b == ""; i++ {
+		if i == 20 {
+			t.Fatal("no joiner address that owns a benchmark")
+		}
+		addr, _ := startWorker(t)
+		r := newRing()
+		r.add(a, c.cfg.VNodes)
+		r.add(addr, c.cfg.VNodes)
+		for _, bench := range workload.All() {
+			if r.owner(bench.Name) == addr {
+				b = addr
+				break
+			}
+		}
+	}
 
 	resp, body := postJSON(t, ts.URL+"/v1/fleet/join", map[string]string{"addr": b})
 	if resp.StatusCode != http.StatusOK {
@@ -138,6 +158,15 @@ func TestLeaveStopsProbeGoroutines(t *testing.T) {
 		cfg.ProbeTimeout = 100 * time.Millisecond
 	}, a)
 
+	// Take the baseline only after a's probe loop has finished a round
+	// trip: its keep-alive connection adds three goroutines (client read
+	// and write loops, server conn) that must not count as a leak.
+	for deadline := time.Now().Add(5 * time.Second); counter(c, "fleet/probes") < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("probe loop never completed a round trip")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	baseline := runtime.NumGoroutine()
 	var joined []string
 	for i := 0; i < 8; i++ {

@@ -47,7 +47,7 @@ func Diff(p *hlir.Program, d *core.Data, cfgs ...core.Config) error {
 		return fmt.Errorf("%s: interpreter: %w", p.Name, err)
 	}
 	for _, cfg := range cfgs {
-		c, err := core.CompileWithOptions(p, cfg, d, nil, nil, core.Options{Verify: true})
+		c, err := core.Compile(p, cfg, d, core.Options{Verify: true})
 		if err != nil {
 			return fmt.Errorf("%s [%s]: compile: %w", p.Name, cfg.Name(), err)
 		}

@@ -114,7 +114,7 @@ func breakSqrt(t *testing.T, p *hlir.Program, d *core.Data, cfg core.Config) boo
 	if err != nil {
 		return false
 	}
-	c, err := core.Compile(p, cfg, d)
+	c, err := core.Compile(p, cfg, d, core.Options{})
 	if err != nil {
 		return false
 	}

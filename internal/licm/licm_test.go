@@ -74,7 +74,7 @@ func TestLICMSemanticsAndSpeed(t *testing.T) {
 	}
 	run := func(licmOn bool) int64 {
 		cfg := core.Config{Policy: sched.Balanced, LICM: licmOn}
-		c, err := core.Compile(p, cfg, d)
+		c, err := core.Compile(p, cfg, d, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestLICMDoesNotHoistLoadsOrClobberLiveIns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := core.Compile(p, core.Config{Policy: sched.Balanced, LICM: true}, d)
+	c, err := core.Compile(p, core.Config{Policy: sched.Balanced, LICM: true}, d, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func (o *Obs) State(s WorkerState) {
 }
 
 // Wait returns the wait histogram for resource name (nil when wait
-// attribution is off), for one-line TimedMutex/TimedSend wiring.
+// attribution is off), for one-line TimedMutex wiring.
 func (o *Obs) Wait(name string) *WaitHist {
 	if o == nil {
 		return nil

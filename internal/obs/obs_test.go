@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -141,6 +142,53 @@ func TestWritePrometheus(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus dump missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestStatsConcurrent hammers one registry from many goroutines, the way
+// the serving layers share theirs across request goroutines. Run under
+// -race, it proves Stats is safe for concurrent use; the totals must add
+// up exactly.
+func TestStatsConcurrent(t *testing.T) {
+	s := NewStats()
+	const goroutines, per = 16, 1000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				s.Inc("fleet/dispatches")
+				s.Add("fleet/retries", 2)
+				s.Observe("fleet/cell_ms", int64(i%7))
+			}
+		}()
+	}
+	wg.Wait()
+	if got := s.Counter("fleet/dispatches"); got != goroutines*per {
+		t.Errorf("dispatches = %d, want %d", got, goroutines*per)
+	}
+	snap := s.Snapshot()
+	if got := snap.Counters["fleet/retries"]; got != 2*goroutines*per {
+		t.Errorf("retries = %d, want %d", got, 2*goroutines*per)
+	}
+	if got := snap.Hists["fleet/cell_ms"].Count; got != goroutines*per {
+		t.Errorf("histogram count = %d, want %d", got, goroutines*per)
+	}
+}
+
+// TestStatsNil proves the disabled registry is a no-op, not a panic.
+func TestStatsNil(t *testing.T) {
+	var s *Stats
+	s.Inc("x")
+	s.Add("x", 3)
+	s.Observe("x", 1)
+	s.ObserveN("x", 1, 4)
+	if s.Counter("x") != 0 {
+		t.Error("nil registry counted")
+	}
+	if s.Snapshot() != nil {
+		t.Error("nil registry snapshots non-nil")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Stats is a registry of named counters and histograms. Names are
@@ -12,14 +13,15 @@ import (
 // "sched/ready_len", "regalloc/spill_stores"), so one flat namespace
 // carries the whole compilation pipeline's self-measurement.
 //
-// A Stats is not goroutine-safe: the experiment engine creates one per
-// (benchmark, configuration) cell, threads it through that cell's
-// single-goroutine compilation, and merges the resulting snapshots in its
-// single aggregator goroutine. A nil *Stats is a valid disabled registry:
+// A Stats is safe for concurrent use: the experiment engine gives each
+// (benchmark, configuration) cell its own registry, while the serving
+// layers (bschedd's worker and coordinator modes) share one across every
+// request goroutine. A nil *Stats is a valid disabled registry:
 // Add/Inc/Observe on nil are no-ops.
 type Stats struct {
-	c map[string]int64
-	h map[string]*hist
+	mu sync.Mutex
+	c  map[string]int64
+	h  map[string]*hist
 }
 
 // NewStats returns an empty registry.
@@ -32,23 +34,25 @@ func (s *Stats) Add(name string, v int64) {
 	if s == nil {
 		return
 	}
+	s.mu.Lock()
 	s.c[name] += v
+	s.mu.Unlock()
 }
 
 // Inc increments counter name by one. No-op on a nil registry.
 func (s *Stats) Inc(name string) { s.Add(name, 1) }
 
 // Observe records v into histogram name. No-op on a nil registry.
-func (s *Stats) Observe(name string, v int64) {
+func (s *Stats) Observe(name string, v int64) { s.ObserveN(name, v, 1) }
+
+// Counter returns counter name's current value (zero on a nil registry).
+func (s *Stats) Counter(name string) int64 {
 	if s == nil {
-		return
+		return 0
 	}
-	h := s.h[name]
-	if h == nil {
-		h = &hist{}
-		s.h[name] = h
-	}
-	h.observe(v)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.c[name]
 }
 
 // ObserveN records n observations of value v into histogram name in
@@ -59,6 +63,8 @@ func (s *Stats) ObserveN(name string, v, n int64) {
 	if s == nil || n <= 0 {
 		return
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	h := s.h[name]
 	if h == nil {
 		h = &hist{}
@@ -87,22 +93,6 @@ type hist struct {
 	count, sum int64
 	min, max   int64
 	buckets    [HistBuckets]int64
-}
-
-func (h *hist) observe(v int64) {
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	i := 0
-	for i < HistBuckets-1 && v > int64(1)<<uint(i) {
-		i++
-	}
-	h.buckets[i]++
 }
 
 // Snapshot is the serializable form of a Stats registry. It also carries
@@ -134,6 +124,8 @@ func (s *Stats) Snapshot() *Snapshot {
 	if s == nil {
 		return nil
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := &Snapshot{}
 	if len(s.c) > 0 {
 		out.Counters = make(map[string]int64, len(s.c))
@@ -276,6 +268,35 @@ func (g *GaugeWriter) Gauge(name string, labels map[string]string, v int64) {
 
 // Err reports the first write error, if any.
 func (g *GaugeWriter) Err() error { return g.err }
+
+// Gauges writes one unlabeled sample per entry of m, each name prefixed,
+// in sorted name order.
+func (g *GaugeWriter) Gauges(prefix string, m map[string]int64) {
+	names := make([]string, 0, len(m))
+	for k := range m {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	for _, k := range names {
+		g.Gauge(prefix+k, nil, m[k])
+	}
+}
+
+// DebugDoc is the part of a daemon's /debug/obs document every bschedd
+// mode shares: the counter/histogram registry (the data /metrics renders
+// as Prometheus text), the point-in-time gauges /metrics also renders,
+// and a live runtime/metrics sample. Each daemon embeds it in its own
+// document next to its mode-specific sections.
+type DebugDoc struct {
+	Stats   *Snapshot        `json:"stats"`
+	Gauges  map[string]int64 `json:"gauges"`
+	Runtime RuntimeSample    `json:"runtime"`
+}
+
+// NewDebugDoc snapshots st and samples the runtime.
+func NewDebugDoc(st *Stats, gauges map[string]int64) DebugDoc {
+	return DebugDoc{Stats: st.Snapshot(), Gauges: gauges, Runtime: SampleRuntime()}
+}
 
 // WritePrometheus dumps the snapshot in the Prometheus text exposition
 // format, every metric prefixed (e.g. "paperbench_"). Counters become

@@ -12,10 +12,10 @@ import (
 // ring buffer of busy/blocked state intervals — and the set of them
 // exports as extra Chrome-trace lanes (one per worker, under a separate
 // "worker states" process) alongside the span timeline. Where spans show
-// what a worker is doing, states show what it is *waiting on*: the task
-// queue, the single aggregator goroutine, the machine pool, another
-// worker building the shared front-end. A nil *TimelineSet or *Timeline
-// is fully disabled and allocation-free, matching the rest of obs.
+// what a worker is doing, states show what it is *waiting on*: a
+// sibling's task deque, the machine pool, another worker building the
+// shared front-end. A nil *TimelineSet or *Timeline is fully disabled and
+// allocation-free, matching the rest of obs.
 
 // WorkerState is one worker's coarse execution state.
 type WorkerState uint8
@@ -26,11 +26,6 @@ const (
 	StateIdle WorkerState = iota
 	// StateRun is productive work: the worker is executing a cell.
 	StateRun
-	// StateWaitWork is starvation: blocked receiving from the task queue.
-	StateWaitWork
-	// StateBlockAggregator is back-pressure: blocked sending a finished
-	// cell to the single aggregator goroutine.
-	StateBlockAggregator
 	// StateBlockPool is contention on a sim.Pool get/put.
 	StateBlockPool
 	// StateBlockFrontend is waiting for another worker to finish building
@@ -44,12 +39,11 @@ const (
 	// handing it to the caller's merge).
 	StateMerge
 
-	numWorkerStates = 8
+	numWorkerStates = 6
 )
 
 var workerStateNames = [numWorkerStates]string{
-	"idle", "run", "wait-work", "block-aggregator", "block-pool", "block-frontend",
-	"steal", "merge",
+	"idle", "run", "block-pool", "block-frontend", "steal", "merge",
 }
 
 func (s WorkerState) String() string {
@@ -57,12 +51,6 @@ func (s WorkerState) String() string {
 		return workerStateNames[s]
 	}
 	return "unknown"
-}
-
-// WorkerStateNames lists every state name in declaration order, for
-// report renderers that want a stable column set.
-func WorkerStateNames() []string {
-	return append([]string(nil), workerStateNames[:]...)
 }
 
 // stateInterval is one completed [start, start+dur) interval in a state.

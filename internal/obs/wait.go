@@ -10,7 +10,7 @@ import (
 
 // This file is the wait-histogram half of the contention-attribution
 // subsystem: every shared resource on the experiment engine's hot path
-// (front-end cache, aggregator channel, machine pool, journal) wraps its
+// (front-end cache, task deques, machine pool, journal) wraps its
 // blocking operation in one of these helpers, so a slow parallel run
 // decomposes into named per-resource wait-time distributions instead of
 // an undifferentiated gap. WaitHist is lock-free (atomics only) because
@@ -67,8 +67,8 @@ func (h *WaitHist) Observe(d time.Duration) {
 // WaitSnapshot is the serializable state of one resource's wait
 // histogram.
 type WaitSnapshot struct {
-	// Resource names the contended resource ("frontend", "aggregator",
-	// "pool", "journal", "taskqueue", ...).
+	// Resource names the contended resource ("frontend", "pool",
+	// "journal", "taskqueue", ...).
 	Resource string `json:"resource"`
 	// Count is the number of recorded waits.
 	Count int64 `json:"count"`
@@ -202,39 +202,3 @@ func (m *TimedMutex) Lock() {
 
 // Unlock releases the mutex.
 func (m *TimedMutex) Unlock() { m.mu.Unlock() }
-
-// TimedSend sends v on ch, attributing blocked time to h — the
-// one-liner for the engine's single-aggregator channel. The non-blocking
-// fast path costs no clock read; h nil degrades to a plain send.
-func TimedSend[T any](ch chan<- T, v T, h *WaitHist) {
-	if h == nil {
-		ch <- v
-		return
-	}
-	select {
-	case ch <- v:
-		return
-	default:
-	}
-	start := time.Now()
-	ch <- v
-	h.Observe(time.Since(start))
-}
-
-// TimedRecv receives from ch, attributing blocked time to h; ok is
-// false when ch is closed and drained (like a plain receive).
-func TimedRecv[T any](ch <-chan T, h *WaitHist) (v T, ok bool) {
-	if h == nil {
-		v, ok = <-ch
-		return v, ok
-	}
-	select {
-	case v, ok = <-ch:
-		return v, ok
-	default:
-	}
-	start := time.Now()
-	v, ok = <-ch
-	h.Observe(time.Since(start))
-	return v, ok
-}

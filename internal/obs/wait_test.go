@@ -2,7 +2,6 @@ package obs
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -80,46 +79,6 @@ func TestTimedMutexRecordsContention(t *testing.T) {
 	}
 }
 
-// TestTimedSendRecv checks both helpers: blocked operations record,
-// fast-path operations on a ready channel record nothing, and a closed
-// channel still reports ok=false.
-func TestTimedSendRecv(t *testing.T) {
-	sendH := &WaitHist{name: "send"}
-	recvH := &WaitHist{name: "recv"}
-	ch := make(chan int) // unbuffered: every op blocks without a partner
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		time.Sleep(3 * time.Millisecond)
-		v, ok := TimedRecv(ch, recvH)
-		if !ok || v != 42 {
-			t.Errorf("recv = %d,%v", v, ok)
-		}
-	}()
-	TimedSend(ch, 42, sendH)
-	wg.Wait()
-	if n := sendH.Snapshot().Count; n != 1 {
-		t.Errorf("blocked send recorded %d waits, want 1", n)
-	}
-
-	// Fast path: buffered channel with room — no wait recorded.
-	buf := make(chan int, 1)
-	TimedSend(buf, 7, sendH)
-	if v, ok := TimedRecv(buf, recvH); !ok || v != 7 {
-		t.Errorf("buffered recv = %d,%v", v, ok)
-	}
-	if n := sendH.Snapshot().Count; n != 1 {
-		t.Errorf("fast-path send recorded a wait (count %d)", n)
-	}
-
-	close(ch)
-	if _, ok := TimedRecv(ch, recvH); ok {
-		t.Error("recv on closed channel reported ok")
-	}
-}
-
 // TestWaitProfileAddTo folds a profile into a Stats registry and checks
 // the series appears with matching count and a sane Prometheus render.
 func TestWaitProfileAddTo(t *testing.T) {
@@ -151,12 +110,12 @@ func TestWaitProfileAddTo(t *testing.T) {
 func TestWaitDisabledZeroAlloc(t *testing.T) {
 	var h *WaitHist
 	var p *WaitProfile
-	ch := make(chan int, 1)
+	var m TimedMutex
 	allocs := testing.AllocsPerRun(1000, func() {
 		h.Observe(time.Microsecond)
 		p.Hist("x").Observe(0)
-		TimedSend(ch, 1, nil)
-		<-ch
+		m.Lock()
+		m.Unlock()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled wait path allocates %.1f per op, want 0", allocs)

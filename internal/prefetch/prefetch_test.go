@@ -88,7 +88,7 @@ func TestPrefetchEndToEnd(t *testing.T) {
 	base := core.Config{Policy: sched.Balanced, Locality: true, Unroll: 4}
 	pf := core.Config{Policy: sched.Balanced, Locality: true, Prefetch: true, Unroll: 4}
 
-	cb, err := core.Compile(p, base, d)
+	cb, err := core.Compile(p, base, d, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPrefetchEndToEnd(t *testing.T) {
 		t.Fatalf("baseline: err=%v mismatch=%v", err, got != want)
 	}
 
-	cp, err := core.Compile(p, pf, d)
+	cp, err := core.Compile(p, pf, d, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestPrefetchNeverFaults(t *testing.T) {
 	d := core.NewData()
 	d.F[a] = make([]float64, 16*16)
 	cfg := core.Config{Policy: sched.Balanced, Locality: true, Prefetch: true, Unroll: 4}
-	c, err := core.Compile(p, cfg, d)
+	c, err := core.Compile(p, cfg, d, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,13 @@ import (
 	"sync"
 )
 
-// lru is a fixed-capacity least-recently-used cache of marshaled result
-// documents, keyed by (benchmark, config, verify) strings. Results are
-// deterministic for a key — the pipeline is seeded and the response
-// document excludes wall-clock — so an entry never goes stale; the only
-// reason to evict is memory. Safe for concurrent use.
-type lru struct {
+// LRU is a fixed-capacity least-recently-used cache of marshaled result
+// documents, keyed by CellKey strings. Results are deterministic for a
+// key — the pipeline is seeded and the response document excludes
+// wall-clock — so an entry never goes stale; the only reason to evict is
+// memory. It backs both a worker's result cache and the fleet
+// coordinator's shared cache tier. Safe for concurrent use.
+type LRU struct {
 	mu  sync.Mutex
 	cap int
 	ll  *list.List // front = most recently used
@@ -22,12 +23,13 @@ type lruEntry struct {
 	body []byte
 }
 
-func newLRU(capacity int) *lru {
-	return &lru{cap: capacity, ll: list.New(), m: map[string]*list.Element{}}
+// NewLRU returns an empty cache holding at most capacity entries.
+func NewLRU(capacity int) *LRU {
+	return &LRU{cap: capacity, ll: list.New(), m: map[string]*list.Element{}}
 }
 
-// get returns the cached body for key and marks it most recently used.
-func (c *lru) get(key string) ([]byte, bool) {
+// Get returns the cached body for key and marks it most recently used.
+func (c *LRU) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
@@ -38,9 +40,9 @@ func (c *lru) get(key string) ([]byte, bool) {
 	return el.Value.(*lruEntry).body, true
 }
 
-// add inserts (or refreshes) key, evicting the least recently used entry
+// Add inserts (or refreshes) key, evicting the least recently used entry
 // when over capacity.
-func (c *lru) add(key string, body []byte) {
+func (c *LRU) Add(key string, body []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
@@ -56,11 +58,24 @@ func (c *lru) add(key string, body []byte) {
 	}
 }
 
-// len reports the current entry count.
-func (c *lru) len() int {
+// Len reports the current entry count.
+func (c *LRU) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
+}
+
+// CellKey is the cache and singleflight key of one work item:
+// bench|config, plus |verify for verified runs. It is also the key of
+// the worker's GET /v1/cache/{key} peer export and the fleet
+// coordinator's cache tier and journal resume, so every layer agrees on
+// it by construction.
+func CellKey(bench, config string, verify bool) string {
+	k := bench + "|" + config
+	if verify {
+		k += "|verify"
+	}
+	return k
 }
 
 // flight is one in-flight computation followers wait on.

@@ -99,7 +99,7 @@ func TestLoadDrillAndDrain(t *testing.T) {
 		go func(i int, name string) {
 			defer wg.Done()
 			resp, body := postID(t, ts.URL+"/v1/compile", fmt.Sprintf("w1-%02d", i),
-				compileRequest{Bench: "tomcatv", Config: name})
+				CompileRequest{Bench: "tomcatv", Config: name})
 			statuses[i] = resp.StatusCode
 			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
 				t.Errorf("cell %s: status %d (%s), want 200 or 429", name, resp.StatusCode, body)
@@ -139,7 +139,7 @@ func TestLoadDrillAndDrain(t *testing.T) {
 		go func(i int, cfg string) {
 			defer wg.Done()
 			resp, body := postID(t, ts.URL+"/v1/compile", fmt.Sprintf("w2-%d", i),
-				compileRequest{Bench: "TRFD", Config: cfg})
+				CompileRequest{Bench: "TRFD", Config: cfg})
 			w2status[i] = resp.StatusCode
 			if resp.StatusCode != http.StatusOK {
 				w2kind[i] = decodeError(t, body).Kind
@@ -175,7 +175,7 @@ func TestLoadDrillAndDrain(t *testing.T) {
 	// After the drain the server rejects new work and the journal is
 	// complete: one line per admitted request (wave 1 and every wave-2
 	// request that entered before the drain flipped), none torn.
-	resp, body := postID(t, ts.URL+"/v1/compile", "late", compileRequest{Bench: "tomcatv", Config: "BS"})
+	resp, body := postID(t, ts.URL+"/v1/compile", "late", CompileRequest{Bench: "tomcatv", Config: "BS"})
 	if resp.StatusCode != http.StatusServiceUnavailable || decodeError(t, body).Kind != "draining" {
 		t.Errorf("post-drain request: status %d body %s, want 503 draining", resp.StatusCode, body)
 	}
@@ -222,7 +222,7 @@ func TestDrainNoDeadlinePressure(t *testing.T) {
 		go func(i int, cfg string) {
 			defer wg.Done()
 			resp, _ := postID(t, ts.URL+"/v1/compile", fmt.Sprintf("r%d", i),
-				compileRequest{Bench: "tomcatv", Config: cfg})
+				CompileRequest{Bench: "tomcatv", Config: cfg})
 			status[i] = resp.StatusCode
 		}(i, cfg)
 	}

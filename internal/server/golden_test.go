@@ -18,7 +18,7 @@ import (
 // bytes exactly — not just semantically.
 func TestCachedBytesEqualColdBytes(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req := compileRequest{Bench: "tomcatv", Config: "BS+LU4", Verify: true}
+	req := CompileRequest{Bench: "tomcatv", Config: "BS+LU4", Verify: true}
 
 	resp1, cold := post(t, ts.URL+"/v1/compile", req)
 	if resp1.StatusCode != http.StatusOK || resp1.Header.Get("X-Cache") != "miss" {
@@ -46,23 +46,23 @@ func TestCachedBytesEqualColdBytes(t *testing.T) {
 }
 
 // TestServerMatchesEngine: the metrics the server serves for a cell are
-// identical to what the CLI path (exp.RunCell / paperbench's grid)
+// identical to what the CLI path (exp.CellRunner / paperbench's grid)
 // computes for the same (benchmark, config) — serving adds caching and
 // admission around the pipeline, never a different answer.
 func TestServerMatchesEngine(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cfg := core.Config{Policy: sched.Balanced, Unroll: 4, Locality: true}
 
-	resp, body := post(t, ts.URL+"/v1/compile", compileRequest{Bench: "TRFD", Config: cfg.Name(), Verify: true})
+	resp, body := post(t, ts.URL+"/v1/compile", CompileRequest{Bench: "TRFD", Config: cfg.Name(), Verify: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d (body %s)", resp.StatusCode, body)
 	}
-	var doc resultDoc
+	var doc ResultDoc
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
 
-	res, err := exp.RunCell(context.Background(), "TRFD", cfg, exp.Options{Verify: true})
+	res, err := exp.NewCellRunner().Run(context.Background(), "TRFD", cfg, exp.Options{Verify: true})
 	if err != nil {
 		t.Fatalf("engine cell: %v", err)
 	}

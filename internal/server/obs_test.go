@@ -18,7 +18,7 @@ import (
 // with consistent _count/_bucket series, not just counters.
 func TestMetricsHistograms(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	if resp, body := post(t, ts.URL+"/v1/compile", compileRequest{Bench: "tomcatv", Config: "BS"}); resp.StatusCode != http.StatusOK {
+	if resp, body := post(t, ts.URL+"/v1/compile", CompileRequest{Bench: "tomcatv", Config: "BS"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: status %d, body %s", resp.StatusCode, body)
 	}
 
@@ -48,7 +48,7 @@ func TestMetricsHistograms(t *testing.T) {
 // live runtime sample, and the pipeline's wait histograms.
 func TestDebugObsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	if resp, body := post(t, ts.URL+"/v1/compile", compileRequest{Bench: "tomcatv", Config: "BS"}); resp.StatusCode != http.StatusOK {
+	if resp, body := post(t, ts.URL+"/v1/compile", CompileRequest{Bench: "tomcatv", Config: "BS"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: status %d, body %s", resp.StatusCode, body)
 	}
 
@@ -132,7 +132,7 @@ func TestRequestIDInErrorsAndLogs(t *testing.T) {
 
 	// Happy path logs too, at info.
 	logBuf.Reset()
-	if resp, body := post(t, ts.URL+"/v1/compile", compileRequest{Bench: "tomcatv", Config: "BS"}); resp.StatusCode != http.StatusOK {
+	if resp, body := post(t, ts.URL+"/v1/compile", CompileRequest{Bench: "tomcatv", Config: "BS"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: status %d, body %s", resp.StatusCode, body)
 	}
 	if logs := logBuf.String(); !strings.Contains(logs, "compile served") || !strings.Contains(logs, "request_id=") {

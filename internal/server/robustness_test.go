@@ -45,7 +45,7 @@ func TestBodyLimitReturns413(t *testing.T) {
 	}
 
 	// A request under the limit still works.
-	resp, body := post(t, ts.URL+"/v1/compile", compileRequest{Bench: "tomcatv", Config: "BS"})
+	resp, body := post(t, ts.URL+"/v1/compile", CompileRequest{Bench: "tomcatv", Config: "BS"})
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("in-limit compile: status %d body %s", resp.StatusCode, body)
 	}
@@ -112,14 +112,14 @@ func TestJitterRetryAfterRange(t *testing.T) {
 		lo, hi := base, base+base/2+time.Second
 		distinct := map[time.Duration]bool{}
 		for i := 0; i < 200; i++ {
-			d := jitterRetryAfter(base)
+			d := JitterRetryAfter(base)
 			if d < lo || d >= hi {
-				t.Fatalf("jitterRetryAfter(%s) = %s, want [%s, %s)", base, d, lo, hi)
+				t.Fatalf("JitterRetryAfter(%s) = %s, want [%s, %s)", base, d, lo, hi)
 			}
 			distinct[d] = true
 		}
 		if len(distinct) < 2 {
-			t.Errorf("jitterRetryAfter(%s) returned one value 200 times; no jitter", base)
+			t.Errorf("JitterRetryAfter(%s) returned one value 200 times; no jitter", base)
 		}
 	}
 }

@@ -103,10 +103,10 @@ type Config struct {
 type Server struct {
 	cfg     Config
 	runner  *exp.CellRunner
-	cache   *lru
+	cache   *LRU
 	flights *flightGroup
 	brk     *breakers
-	jnl     *journal
+	jnl     *exp.Appender
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -116,8 +116,8 @@ type Server struct {
 
 	reqSeq atomic.Uint64
 
-	// stats is the server's goroutine-safe counter registry.
-	stats *obs.SyncStats
+	// stats is the server's counter/histogram registry.
+	stats *obs.Stats
 
 	// waits aggregates the pipeline's shared-resource wait histograms
 	// (machine pool, front-end cache) across every served cell, via
@@ -164,7 +164,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	jnl, err := openRequestJournal(cfg.Journal)
+	jnl, err := exp.OpenAppender(cfg.Journal, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +172,7 @@ func New(cfg Config) (*Server, error) {
 	return &Server{
 		cfg:        cfg,
 		runner:     exp.NewCellRunner(),
-		cache:      newLRU(cfg.CacheEntries),
+		cache:      NewLRU(cfg.CacheEntries),
 		flights:    newFlightGroup(),
 		brk:        newBreakers(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		jnl:        jnl,
@@ -180,7 +180,7 @@ func New(cfg Config) (*Server, error) {
 		baseCancel: cancel,
 		admit:      make(chan struct{}, cfg.Queue),
 		work:       make(chan struct{}, cfg.Workers),
-		stats:      obs.NewSyncStats(),
+		stats:      obs.NewStats(),
 		waits:      obs.NewWaitProfile(),
 	}, nil
 }
@@ -216,7 +216,7 @@ func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r.Header.Get("X-Request-Id"), badRequest("bad cache key"))
 		return
 	}
-	if body, ok := s.cache.get(key); ok {
+	if body, ok := s.cache.Get(key); ok {
 		s.count("server/cache_export_hits")
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Cache", "export")
@@ -280,9 +280,7 @@ type ErrorBody struct {
 	RetryAfterS int `json:"retry_after_s,omitempty"`
 }
 
-type errorBody = ErrorBody
-
-// resultDoc is the response document of a served cell. It is fully
+// ResultDoc is the response document of a served cell. It is fully
 // deterministic for a (benchmark, config) pair — simulated metrics only,
 // no wall-clock, no allocation counters — which is what lets the LRU
 // serve cached bytes that are identical to a cold compile's, and lets
@@ -292,8 +290,6 @@ type ResultDoc struct {
 	Config  string       `json:"config"`
 	Metrics *sim.Metrics `json:"metrics"`
 }
-
-type resultDoc = ResultDoc
 
 // CompileRequest is the body of POST /v1/compile.
 type CompileRequest struct {
@@ -307,8 +303,6 @@ type CompileRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-type compileRequest = CompileRequest
-
 // GridRequest is the body of POST /v1/grid.
 type GridRequest struct {
 	Benches []string `json:"benches"`
@@ -318,8 +312,6 @@ type GridRequest struct {
 	Verify     bool     `json:"verify,omitempty"`
 	DeadlineMS int64    `json:"deadline_ms,omitempty"`
 }
-
-type gridRequest = GridRequest
 
 // GridCell is one cell of a /v1/grid response: a result or a structured
 // per-cell failure (shed, breaker-open, timeout, fault, degraded), so a
@@ -333,14 +325,10 @@ type GridCell struct {
 	Phase   string       `json:"phase,omitempty"`
 }
 
-type gridCellJSON = GridCell
-
 // GridResponse is the body of a buffered /v1/grid response.
 type GridResponse struct {
 	Cells []GridCell `json:"cells"`
 }
-
-type gridResponse = GridResponse
 
 // enter registers a request with the in-flight accounting; it fails once
 // draining has begun.
@@ -394,7 +382,7 @@ func (s *Server) writeError(w http.ResponseWriter, id string, e *reqError) {
 		"request_id", id, "kind", e.kind, "status", e.status,
 		"bench", e.bench, "config", e.config, "phase", e.phase,
 		"err", e.msg)
-	body := errorBody{
+	body := ErrorBody{
 		RequestID: id,
 		Kind:      e.kind, Error: e.msg,
 		Bench: e.bench, Config: e.config, Phase: e.phase,
@@ -414,11 +402,12 @@ func badRequest(format string, args ...any) *reqError {
 	return &reqError{status: http.StatusBadRequest, kind: "bad_request", msg: fmt.Sprintf(format, args...)}
 }
 
-// jitterRetryAfter spreads a Retry-After hint over [base, 1.5*base+1s)
+// JitterRetryAfter spreads a Retry-After hint over [base, 1.5*base+1s)
 // so shed or breaker-rejected clients do not reconverge on the same
-// instant — the thundering-herd half of admission control. The fleet
-// coordinator honors these hints per worker.
-func jitterRetryAfter(base time.Duration) time.Duration {
+// instant — the thundering-herd half of admission control. Both bschedd
+// modes draw their hints from it; the fleet coordinator also honors its
+// workers' hints per worker.
+func JitterRetryAfter(base time.Duration) time.Duration {
 	if base <= 0 {
 		base = time.Second
 	}
@@ -460,22 +449,13 @@ func ctxError(err error, bench, config, phase string) *reqError {
 	return e
 }
 
-// cellKey is the cache/singleflight key of one work item.
-func cellKey(bench string, cfg core.Config, verifyFlag bool) string {
-	k := bench + "|" + cfg.Name()
-	if verifyFlag {
-		k += "|verify"
-	}
-	return k
-}
-
 // cell serves one (benchmark, config) result: LRU hit, singleflight
 // share, or a fresh pipeline execution behind admission control and the
 // benchmark's circuit breaker. cache reports how the bytes were obtained
 // ("hit", "shared" or "miss").
 func (s *Server) cell(ctx context.Context, id, bench string, cfg core.Config, verifyFlag bool) (body []byte, cache string, rerr *reqError) {
-	key := cellKey(bench, cfg, verifyFlag)
-	if b, ok := s.cache.get(key); ok {
+	key := CellKey(bench, cfg.Name(), verifyFlag)
+	if b, ok := s.cache.Get(key); ok {
 		s.count("server/cache_hits")
 		return b, "hit", nil
 	}
@@ -501,7 +481,7 @@ func (s *Server) cell(ctx context.Context, id, bench string, cfg core.Config, ve
 		}
 		body, rerr := s.compute(ctx, id, bench, cfg, verifyFlag)
 		if rerr == nil {
-			s.cache.add(key, body)
+			s.cache.Add(key, body)
 		}
 		s.flights.land(key, f, body, rerr)
 		return body, "miss", rerr
@@ -521,7 +501,7 @@ func (s *Server) compute(ctx context.Context, id, bench string, cfg core.Config,
 			status: http.StatusTooManyRequests, kind: "shed",
 			msg:   fmt.Sprintf("admission queue full (%d items)", cap(s.admit)),
 			bench: bench, config: cfg.Name(),
-			retryAfter: jitterRetryAfter(time.Second),
+			retryAfter: JitterRetryAfter(time.Second),
 		}
 	}
 	defer func() { <-s.admit }()
@@ -533,7 +513,7 @@ func (s *Server) compute(ctx context.Context, id, bench string, cfg core.Config,
 			status: http.StatusServiceUnavailable, kind: "breaker_open",
 			msg:   fmt.Sprintf("circuit breaker open for %s", bench),
 			bench: bench, config: cfg.Name(),
-			retryAfter: jitterRetryAfter(retry),
+			retryAfter: JitterRetryAfter(retry),
 		}
 	}
 
@@ -596,12 +576,12 @@ func (s *Server) compute(ctx context.Context, id, bench string, cfg core.Config,
 				status: http.StatusServiceUnavailable, kind: "fault",
 				msg:   fmt.Sprintf("request %s: %s", id, ce.Error()),
 				bench: bench, config: cfg.Name(), phase: ce.Phase,
-				retryAfter: jitterRetryAfter(time.Second),
+				retryAfter: JitterRetryAfter(time.Second),
 			}
 		}
 	}
 	brk.Success()
-	doc := resultDoc{Bench: res.Bench, Config: res.Config.Name(), Metrics: res.Metrics}
+	doc := ResultDoc{Bench: res.Bench, Config: res.Config.Name(), Metrics: res.Metrics}
 	body, merr := json.Marshal(doc)
 	if merr != nil {
 		return nil, &reqError{status: http.StatusInternalServerError, kind: "fault", msg: merr.Error()}
@@ -631,7 +611,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.enter() {
-		s.writeError(w, id, &reqError{status: http.StatusServiceUnavailable, kind: "draining", msg: "server is draining", retryAfter: jitterRetryAfter(time.Second)})
+		s.writeError(w, id, &reqError{status: http.StatusServiceUnavailable, kind: "draining", msg: "server is draining", retryAfter: JitterRetryAfter(time.Second)})
 		return
 	}
 	defer s.leave()
@@ -639,10 +619,10 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	rec := journalRecord{ID: id, Endpoint: "compile"}
 	defer func() {
 		rec.DurationMS = time.Since(start).Milliseconds()
-		s.jnl.append(rec)
+		s.jnl.Append(rec)
 	}()
 
-	var req compileRequest
+	var req CompileRequest
 	if rerr := s.decodeBody(w, r, &req); rerr != nil {
 		rec.Status, rec.Kind = rerr.status, rerr.kind
 		s.writeError(w, id, rerr)
@@ -696,7 +676,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.enter() {
-		s.writeError(w, id, &reqError{status: http.StatusServiceUnavailable, kind: "draining", msg: "server is draining", retryAfter: jitterRetryAfter(time.Second)})
+		s.writeError(w, id, &reqError{status: http.StatusServiceUnavailable, kind: "draining", msg: "server is draining", retryAfter: JitterRetryAfter(time.Second)})
 		return
 	}
 	defer s.leave()
@@ -704,10 +684,10 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	rec := journalRecord{ID: id, Endpoint: "grid"}
 	defer func() {
 		rec.DurationMS = time.Since(start).Milliseconds()
-		s.jnl.append(rec)
+		s.jnl.Append(rec)
 	}()
 
-	var req gridRequest
+	var req GridRequest
 	if rerr := s.decodeBody(w, r, &req); rerr != nil {
 		rec.Status, rec.Kind = rerr.status, rerr.kind
 		s.writeError(w, id, rerr)
@@ -746,10 +726,10 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	// path as /v1/compile; each cell degrades independently (a shed,
 	// breaker-open or timed-out cell becomes a structured entry, the rest
 	// of the grid still runs — while the deadline lasts).
-	var resp gridResponse
+	var resp GridResponse
 	for _, bench := range req.Benches {
 		for _, cfg := range cfgs {
-			cell := gridCellJSON{Bench: bench, Config: cfg.Name()}
+			cell := GridCell{Bench: bench, Config: cfg.Name()}
 			if err := ctx.Err(); err != nil {
 				e := ctxError(err, bench, cfg.Name(), "queue")
 				cell.Error, cell.Kind, cell.Phase = e.msg, e.kind, e.phase
@@ -762,7 +742,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 				resp.Cells = append(resp.Cells, cell)
 				continue
 			}
-			var doc resultDoc
+			var doc ResultDoc
 			if err := json.Unmarshal(body, &doc); err != nil {
 				cell.Error, cell.Kind = err.Error(), "fault"
 				resp.Cells = append(resp.Cells, cell)
@@ -813,49 +793,50 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, body)
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.stats.Snapshot()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := snap.WritePrometheus(w, s.cfg.MetricsPrefix); err != nil {
-		return
-	}
+// gauges is the server's point-in-time gauge set — the one list both
+// /metrics and /debug/obs render.
+func (s *Server) gauges() map[string]int64 {
 	s.mu.Lock()
 	draining := int64(0)
 	if s.draining {
 		draining = 1
 	}
 	s.mu.Unlock()
-	gw := obs.NewGaugeWriter(w)
-	gw.Gauge(s.cfg.MetricsPrefix+"queue_depth", nil, int64(len(s.admit)))
-	gw.Gauge(s.cfg.MetricsPrefix+"queue_capacity", nil, int64(cap(s.admit)))
-	gw.Gauge(s.cfg.MetricsPrefix+"workers_busy", nil, int64(len(s.work)))
-	gw.Gauge(s.cfg.MetricsPrefix+"cache_entries", nil, int64(s.cache.len()))
-	gw.Gauge(s.cfg.MetricsPrefix+"draining", nil, draining)
 	poolHits, poolMisses := sim.PoolCounters()
-	gw.Gauge(s.cfg.MetricsPrefix+"machine_pool_hits", nil, poolHits)
-	gw.Gauge(s.cfg.MetricsPrefix+"machine_pool_misses", nil, poolMisses)
+	return map[string]int64{
+		"queue_depth":         int64(len(s.admit)),
+		"queue_capacity":      int64(cap(s.admit)),
+		"workers_busy":        int64(len(s.work)),
+		"workers_capacity":    int64(cap(s.work)),
+		"cache_entries":       int64(s.cache.Len()),
+		"draining":            draining,
+		"machine_pool_hits":   poolHits,
+		"machine_pool_misses": poolMisses,
+	}
+}
+
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	snap := s.stats.Snapshot()
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	if err := snap.WritePrometheus(w, s.cfg.MetricsPrefix); err != nil {
+		return
+	}
+	gw := obs.NewGaugeWriter(w)
+	gw.Gauges(s.cfg.MetricsPrefix, s.gauges())
 	for bench, st := range s.brk.states() {
 		gw.Gauge(s.cfg.MetricsPrefix+"breaker_state", map[string]string{"bench": bench}, int64(st))
 	}
 }
 
 // debugObsDoc is the /debug/obs response: one JSON document joining the
-// server's counter/histogram registry, point-in-time gauges, the Go
-// runtime bridge, and the pipeline's shared-resource wait histograms —
-// the live complement to paperbench -scalereport for a daemon you
-// cannot restart under a measurement harness.
+// shared daemon section (counter/histogram registry, gauges, runtime
+// sample), breaker states and the pipeline's shared-resource wait
+// histograms — the live complement to paperbench -scalereport for a
+// daemon you cannot restart under a measurement harness.
 type debugObsDoc struct {
-	// Stats is the counter/histogram registry (the same data /metrics
-	// renders as Prometheus text, here as structured JSON).
-	Stats *obs.Snapshot `json:"stats"`
-	// Gauges are instantaneous values: queue depth, busy workers, cache
-	// occupancy, machine-pool hits/misses, draining.
-	Gauges map[string]int64 `json:"gauges"`
+	obs.DebugDoc
 	// Breakers maps benchmark to its circuit-breaker state name.
 	Breakers map[string]string `json:"breakers"`
-	// Runtime is a live runtime/metrics sample (goroutines, GC, sched
-	// latency).
-	Runtime obs.RuntimeSample `json:"runtime"`
 	// Contention carries the pipeline's wait histograms. Timelines is
 	// null: the server's work is request-shaped, not worker-loop-shaped,
 	// so only the resource waits apply.
@@ -863,35 +844,15 @@ type debugObsDoc struct {
 }
 
 func (s *Server) handleDebugObs(w http.ResponseWriter, r *http.Request) {
-	snap := s.stats.Snapshot()
-	s.mu.Lock()
-	draining := int64(0)
-	if s.draining {
-		draining = 1
-	}
-	s.mu.Unlock()
-	poolHits, poolMisses := sim.PoolCounters()
 	breakers := map[string]string{}
 	for bench, st := range s.brk.states() {
 		breakers[bench] = BreakerStateName(st)
 	}
-	doc := debugObsDoc{
-		Stats: snap,
-		Gauges: map[string]int64{
-			"queue_depth":         int64(len(s.admit)),
-			"queue_capacity":      int64(cap(s.admit)),
-			"workers_busy":        int64(len(s.work)),
-			"workers_capacity":    int64(cap(s.work)),
-			"cache_entries":       int64(s.cache.len()),
-			"draining":            draining,
-			"machine_pool_hits":   poolHits,
-			"machine_pool_misses": poolMisses,
-		},
+	writeJSON(w, http.StatusOK, debugObsDoc{
+		DebugDoc:   obs.NewDebugDoc(s.stats, s.gauges()),
 		Breakers:   breakers,
-		Runtime:    obs.SampleRuntime(),
 		Contention: &obs.ContentionSnapshot{Waits: s.waits.Snapshot()},
-	}
-	writeJSON(w, http.StatusOK, doc)
+	})
 }
 
 // StartDrain flips the server into draining mode: /readyz goes not-ready
@@ -925,6 +886,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.baseCancel()
 		<-done
 	}
-	s.closeJnl.Do(func() { s.jnlErr = s.jnl.close() })
+	s.closeJnl.Do(func() { s.jnlErr = s.jnl.Close() })
 	return s.jnlErr
 }

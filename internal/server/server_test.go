@@ -48,9 +48,9 @@ func post(t *testing.T, url string, req any) (*http.Response, []byte) {
 	return resp, body
 }
 
-func decodeError(t *testing.T, body []byte) errorBody {
+func decodeError(t *testing.T, body []byte) ErrorBody {
 	t.Helper()
-	var e errorBody
+	var e ErrorBody
 	if err := json.Unmarshal(body, &e); err != nil {
 		t.Fatalf("error body %q is not JSON: %v", body, err)
 	}
@@ -59,7 +59,7 @@ func decodeError(t *testing.T, body []byte) errorBody {
 
 func TestCompileHappyPath(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, body := post(t, ts.URL+"/v1/compile", compileRequest{Bench: "tomcatv", Config: "BS+LU4"})
+	resp, body := post(t, ts.URL+"/v1/compile", CompileRequest{Bench: "tomcatv", Config: "BS+LU4"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, body %s", resp.StatusCode, body)
 	}
@@ -69,7 +69,7 @@ func TestCompileHappyPath(t *testing.T) {
 	if resp.Header.Get("X-Request-Id") == "" {
 		t.Error("no X-Request-Id header")
 	}
-	var doc resultDoc
+	var doc ResultDoc
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatalf("response is not a result document: %v", err)
 	}
@@ -87,8 +87,8 @@ func TestBadRequests(t *testing.T) {
 		name string
 		req  any
 	}{
-		{"unknown bench", compileRequest{Bench: "no-such", Config: "BS"}},
-		{"bad config", compileRequest{Bench: "tomcatv", Config: "XYZ"}},
+		{"unknown bench", CompileRequest{Bench: "no-such", Config: "BS"}},
+		{"bad config", CompileRequest{Bench: "tomcatv", Config: "XYZ"}},
 		{"bad json", "not an object"},
 	}
 	for _, tc := range cases {
@@ -112,7 +112,7 @@ func TestBadRequests(t *testing.T) {
 		t.Errorf("GET /v1/compile: status %d, want 405", resp.StatusCode)
 	}
 
-	resp2, body := post(t, ts.URL+"/v1/grid", gridRequest{})
+	resp2, body := post(t, ts.URL+"/v1/grid", GridRequest{})
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty grid: status %d, want 400 (body %s)", resp2.StatusCode, body)
 	}
@@ -133,7 +133,7 @@ func TestQueueFullSheds(t *testing.T) {
 	configs := []string{"BS", "TS", "BF", "BS+LU2", "BS+LU4", "TS+LU2", "TS+LU4", "BF+LU2"}
 	type outcome struct {
 		status int
-		err    errorBody
+		err    ErrorBody
 		retry  string
 	}
 	results := make([]outcome, len(configs))
@@ -142,7 +142,7 @@ func TestQueueFullSheds(t *testing.T) {
 		wg.Add(1)
 		go func(i int, cfg string) {
 			defer wg.Done()
-			resp, body := post(t, ts.URL+"/v1/compile", compileRequest{Bench: "tomcatv", Config: cfg})
+			resp, body := post(t, ts.URL+"/v1/compile", CompileRequest{Bench: "tomcatv", Config: cfg})
 			results[i] = outcome{status: resp.StatusCode, retry: resp.Header.Get("Retry-After")}
 			if resp.StatusCode != http.StatusOK {
 				results[i].err = decodeError(t, body)
@@ -196,7 +196,7 @@ func TestDeadlineNamesPhase(t *testing.T) {
 	defer faultinject.Disable()
 
 	_, ts := newTestServer(t, Config{})
-	resp, body := post(t, ts.URL+"/v1/compile", compileRequest{Bench: "tomcatv", Config: "BS", DeadlineMS: 50})
+	resp, body := post(t, ts.URL+"/v1/compile", CompileRequest{Bench: "tomcatv", Config: "BS", DeadlineMS: 50})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (body %s)", resp.StatusCode, body)
 	}
@@ -233,7 +233,7 @@ func TestBreakerLifecycleHTTP(t *testing.T) {
 	// Two consecutive faults trip the breaker (distinct configs so neither
 	// cache nor singleflight short-circuits).
 	for i, cfg := range []string{"BS", "TS"} {
-		resp, body := post(t, ts.URL+"/v1/compile", compileRequest{Bench: "TRFD", Config: cfg})
+		resp, body := post(t, ts.URL+"/v1/compile", CompileRequest{Bench: "TRFD", Config: cfg})
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("fault %d: status %d, want 503 (body %s)", i, resp.StatusCode, body)
 		}
@@ -243,7 +243,7 @@ func TestBreakerLifecycleHTTP(t *testing.T) {
 	}
 
 	// Open: rejected up front without burning a pipeline slot.
-	resp, body := post(t, ts.URL+"/v1/compile", compileRequest{Bench: "TRFD", Config: "BF"})
+	resp, body := post(t, ts.URL+"/v1/compile", CompileRequest{Bench: "TRFD", Config: "BF"})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("open breaker: status %d (body %s)", resp.StatusCode, body)
 	}
@@ -273,11 +273,11 @@ func TestBreakerLifecycleHTTP(t *testing.T) {
 
 	// Half-open probe fails (fault still installed) → reopened.
 	time.Sleep(cooldown + 20*time.Millisecond)
-	resp, body = post(t, ts.URL+"/v1/compile", compileRequest{Bench: "TRFD", Config: "BS+LU2"})
+	resp, body = post(t, ts.URL+"/v1/compile", CompileRequest{Bench: "TRFD", Config: "BS+LU2"})
 	if e := decodeError(t, body); resp.StatusCode != http.StatusServiceUnavailable || e.Kind != "fault" {
 		t.Fatalf("failed probe: status %d kind %q, want 503 fault", resp.StatusCode, e.Kind)
 	}
-	resp, body = post(t, ts.URL+"/v1/compile", compileRequest{Bench: "TRFD", Config: "BS+LU4"})
+	resp, body = post(t, ts.URL+"/v1/compile", CompileRequest{Bench: "TRFD", Config: "BS+LU4"})
 	if e := decodeError(t, body); resp.StatusCode != http.StatusServiceUnavailable || e.Kind != "breaker_open" {
 		t.Fatalf("after failed probe: status %d kind %q, want 503 breaker_open", resp.StatusCode, e.Kind)
 	}
@@ -285,7 +285,7 @@ func TestBreakerLifecycleHTTP(t *testing.T) {
 	// Faults stop; the next probe succeeds and closes the breaker.
 	faultinject.Disable()
 	time.Sleep(cooldown + 20*time.Millisecond)
-	resp, body = post(t, ts.URL+"/v1/compile", compileRequest{Bench: "TRFD", Config: "BS"})
+	resp, body = post(t, ts.URL+"/v1/compile", CompileRequest{Bench: "TRFD", Config: "BS"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("successful probe: status %d (body %s)", resp.StatusCode, body)
 	}
@@ -313,7 +313,7 @@ func TestSingleflightCollapses(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, body := post(t, ts.URL+"/v1/compile", compileRequest{Bench: "tomcatv", Config: "BS+LU4"})
+			resp, body := post(t, ts.URL+"/v1/compile", CompileRequest{Bench: "tomcatv", Config: "BS+LU4"})
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("request %d: status %d (body %s)", i, resp.StatusCode, body)
 				return
@@ -354,14 +354,14 @@ func TestGridEndpoint(t *testing.T) {
 	defer faultinject.Disable()
 
 	_, ts := newTestServer(t, Config{})
-	resp, body := post(t, ts.URL+"/v1/grid", gridRequest{
+	resp, body := post(t, ts.URL+"/v1/grid", GridRequest{
 		Benches: []string{"tomcatv", "DYFESM"},
 		Configs: []string{"BS", "TS"},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d (body %s)", resp.StatusCode, body)
 	}
-	var gr gridResponse
+	var gr GridResponse
 	if err := json.Unmarshal(body, &gr); err != nil {
 		t.Fatalf("grid body: %v", err)
 	}
@@ -388,7 +388,7 @@ func TestDrainingRejects(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	s.StartDrain()
 
-	resp, body := post(t, ts.URL+"/v1/compile", compileRequest{Bench: "tomcatv", Config: "BS"})
+	resp, body := post(t, ts.URL+"/v1/compile", CompileRequest{Bench: "tomcatv", Config: "BS"})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d while draining, want 503 (body %s)", resp.StatusCode, body)
 	}
@@ -409,8 +409,8 @@ func TestDrainingRejects(t *testing.T) {
 // queue, cache and breaker gauges in Prometheus text format.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Queue: 7})
-	post(t, ts.URL+"/v1/compile", compileRequest{Bench: "tomcatv", Config: "BS"})
-	post(t, ts.URL+"/v1/compile", compileRequest{Bench: "tomcatv", Config: "BS"})
+	post(t, ts.URL+"/v1/compile", CompileRequest{Bench: "tomcatv", Config: "BS"})
+	post(t, ts.URL+"/v1/compile", CompileRequest{Bench: "tomcatv", Config: "BS"})
 
 	resp, body := get(t, ts.URL+"/metrics")
 	if resp.StatusCode != http.StatusOK {

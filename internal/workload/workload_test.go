@@ -78,7 +78,7 @@ func TestPipelineMatchesReference(t *testing.T) {
 				t.Fatalf("reference: %v", err)
 			}
 			for _, cfg := range configs {
-				c, err := core.Compile(p, cfg, d)
+				c, err := core.Compile(p, cfg, d, core.Options{})
 				if err != nil {
 					t.Fatalf("%s: compile: %v", cfg.Name(), err)
 				}
@@ -168,7 +168,7 @@ func TestWorkloadScale(t *testing.T) {
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
 			p, d := b.Build()
-			c, err := core.Compile(p, core.Config{Policy: sched.Balanced}, d)
+			c, err := core.Compile(p, core.Config{Policy: sched.Balanced}, d, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,7 +240,7 @@ func TestWorkloadPrintParseRoundTrip(t *testing.T) {
 func TestCycleAccountingAcrossWorkload(t *testing.T) {
 	for _, b := range All() {
 		p, d := b.Build()
-		c, err := core.Compile(p, core.Config{Policy: sched.Balanced, Unroll: 4}, d)
+		c, err := core.Compile(p, core.Config{Policy: sched.Balanced, Unroll: 4}, d, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
