@@ -43,10 +43,9 @@
 // profiles and -gotrace a Go execution trace of the whole run.
 // -scalereport sweeps the grid over jobs=1,2,4,…,GOMAXPROCS with
 // contention attribution enabled and prints per-width parallel
-// efficiency plus an Amdahl-style breakdown of the serialization by
-// resource (work stealing, machine pool, front-end cache, end-of-run
-// merge, compute dilation), writing the same data as JSON to
-// -scalereport-json.
+// efficiency plus an Amdahl-style breakdown of the gap by cause (machine
+// pool, compute dilation, idle workers), writing the same data as JSON
+// to -scalereport-json.
 package main
 
 import (

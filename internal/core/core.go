@@ -56,8 +56,8 @@ type Options struct {
 	// Pool, when non-nil, supplies the simulation machine for the
 	// profiling phase (trace scheduling's execution-driven profile run)
 	// instead of allocating a fresh one. Pooled runs are bit-identical to
-	// fresh-machine runs; the experiment engine passes its per-benchmark
-	// pool here so profiling shares machines with cell execution.
+	// fresh-machine runs; the experiment engine passes its one pool per
+	// run here so profiling shares machines with cell execution.
 	Pool *sim.Pool
 	// Profiles, when non-nil, caches the execution-driven edge profile
 	// trace scheduling needs: it is looked up there and collected (then
@@ -376,21 +376,15 @@ func Execute(c *Compiled, data *Data) (*sim.Metrics, uint64, error) {
 // out of the pool, for the caller's pool-efficiency counters. Pooled and
 // fresh runs are bit-identical. ob, when it carries a worker timeline,
 // gets the pool get/put windows flagged as block-pool so contention on
-// the shared per-benchmark pool is visible on the worker's state lane;
-// nil ob adds a single nil check. ob's Lane doubles as the pool shard
-// hint, giving each engine worker lock and machine affinity with its own
-// shard.
+// the shared pool is visible on the worker's state lane; nil ob adds a
+// single nil check.
 func ExecutePooled(c *Compiled, data *Data, width int, pool *sim.Pool, ob *obs.Obs) (met *sim.Metrics, sum uint64, reused bool, err error) {
 	var m *sim.Machine
-	lane := 0
-	if ob != nil {
-		lane = ob.Lane
-	}
 	if pool == nil {
 		m, err = sim.New(c.Fn)
 	} else {
 		ob.State(obs.StateBlockPool)
-		m, reused, err = pool.GetLane(c.Fn, lane)
+		m, reused, err = pool.Get(c.Fn)
 		ob.State(obs.StateRun)
 	}
 	if err != nil {
@@ -405,7 +399,7 @@ func ExecutePooled(c *Compiled, data *Data, width int, pool *sim.Pool, ob *obs.O
 	sum = Checksum(m, c)
 	if pool != nil {
 		ob.State(obs.StateBlockPool)
-		pool.PutLane(m, lane)
+		pool.Put(m)
 		ob.State(obs.StateRun)
 	}
 	return met, sum, reused, nil

@@ -12,7 +12,8 @@ import (
 // widthSweep is the worker-count property grid: serial, a fixed small
 // width, whatever this host's GOMAXPROCS resolves to (Jobs: 0), and
 // oversubscribed past any plausible core count — so the sweep exercises
-// empty shards, stealing and the merge at both extremes.
+// the shared task counter and the in-order finalize at both extremes,
+// including workers that draw no task at all.
 func widthSweep() []int {
 	if testing.Short() {
 		return []int{1, 0}
@@ -27,12 +28,12 @@ func widthName(jobs int) string {
 	return fmt.Sprintf("jobs=%d", jobs)
 }
 
-// TestTablesByteIdenticalAcrossWidths is the tentpole's determinism
-// property: the sharded deques, work stealing, per-worker result buffers
-// and deterministic merge must render byte-identical tables at every
-// worker count — and a journal written at any width must replay to the
-// same bytes. Run under -race in CI, where the stealing and merge paths
-// are exactly the goroutine crossings being proven.
+// TestTablesByteIdenticalAcrossWidths is the engine's determinism
+// property: workers drawing cells from one shared counter and storing
+// each result at its queue index must render byte-identical tables at
+// every worker count — and a journal written at any width must replay
+// to the same bytes. Run under -race in CI, where the result slots and
+// the shared pool are exactly the goroutine crossings being proven.
 func TestTablesByteIdenticalAcrossWidths(t *testing.T) {
 	benches := []string{"tomcatv", "DYFESM"}
 	var want string
@@ -70,7 +71,7 @@ func TestTablesByteIdenticalAcrossWidths(t *testing.T) {
 // render one stratum table, byte for byte, no matter how the reduced
 // 5-config grid lands on workers. Generated programs are where cell
 // durations vary most — long straight-line bodies next to tiny loop
-// nests — so this is the sweep that actually provokes stealing.
+// nests — so this is the sweep where workers finish out of order most.
 func TestGeneratedTablesByteIdenticalAcrossWidths(t *testing.T) {
 	n := 12
 	if testing.Short() {

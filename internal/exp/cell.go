@@ -3,9 +3,9 @@ package exp
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -16,13 +16,12 @@ import (
 // benchmark's front-end (built program, input data, reference checksum,
 // edge-profile cache) is built once on first use and shared read-only
 // across all later cells of that benchmark, exactly as the grid engine
-// shares it across workers. Safe for concurrent use.
+// shares it across workers. Every cell draws its machines from one
+// pool. Safe for concurrent use.
 type CellRunner struct {
-	mu  sync.Mutex
-	fes map[string]*frontEnd
-	// lane rotates per request so concurrent server cells spread across
-	// the sharded machine pool instead of hammering shard 0.
-	lane atomic.Uint64
+	mu   sync.Mutex
+	fes  map[string]*frontEnd
+	pool *sim.Pool // created by the first Run
 }
 
 // NewCellRunner returns a runner with no front-ends built yet.
@@ -35,13 +34,18 @@ func NewCellRunner() *CellRunner {
 // next stage boundary and is not retried. On failure the returned error
 // is the cell's *CellError and the Result still identifies the cell
 // (with Err set, Metrics nil). Options.Journal/Resume/Progress are grid
-// concerns and ignored here.
+// concerns and ignored here. The first call's Options.Contention supplies
+// the pool's wait histogram.
 func (cr *CellRunner) Run(ctx context.Context, bench string, cfg core.Config, opt Options) (*Result, error) {
 	b, err := workload.ByName(bench)
 	if err != nil {
 		return nil, err
 	}
 	cr.mu.Lock()
+	if cr.pool == nil {
+		cr.pool = sim.NewPool(opt.Contention.Hist("pool"))
+	}
+	pool := cr.pool
 	fe := cr.fes[bench]
 	if fe == nil {
 		fe = &frontEnd{b: b}
@@ -51,7 +55,7 @@ func (cr *CellRunner) Run(ctx context.Context, bench string, cfg core.Config, op
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r := runCellAttempts(ctx, fe, cellSpec{cfg: cfg}, opt, int(cr.lane.Add(1)-1)%64)
+	r := runCellAttempts(ctx, fe, cellSpec{cfg: cfg}, pool, opt, 0)
 	res := &Result{
 		Bench:   r.bench,
 		Config:  r.cfg,

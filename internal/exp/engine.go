@@ -22,30 +22,25 @@ import (
 )
 
 // This file is the cell-parallel experiment engine. The grid's unit of
-// work is one (benchmark, configuration) cell, not one benchmark. The
-// engine is built so that no stage serializes the workers (the scale
-// report measured the old single-aggregator design flat-lining at
-// GOMAXPROCS):
+// work is one (benchmark, configuration) cell, not one benchmark. A run
+// has two phases, both scheduled by forEach: one shared counter hands
+// out indices, one at a time, to at most Jobs workers, which balances
+// cells of a few milliseconds as well as per-worker queues would.
 //
-//   - the task queue is sharded into per-worker deques with work
-//     stealing — a worker pops its own contiguous chunk from the front
-//     (keeping benchmark affinity) and steals from the back of a
-//     sibling's deque when its own runs dry, so wide widths do not
-//     starve behind a single channel;
-//   - benchmark front-ends (workload build + reference interpretation +
-//     edge-profile cache) are built in parallel as a pre-phase, one
-//     builder per benchmark, instead of lazily under a shared
-//     once-lock on the first cell that needs them;
-//   - finished cells land in per-worker result buffers — no aggregator
-//     goroutine, no result channel — and are merged deterministically
-//     (by task index) on the caller's goroutine after the workers join,
-//     so tables are byte-identical at every width by construction;
-//   - each worker appends its finished cell to the JSONL journal itself,
-//     one synchronous whole-line write under a short lock (the "journal"
-//     wait histogram), so every finished cell is on disk when its worker
-//     moves on and a crash can tear only the final line;
-//   - each sim.Pool is sharded per worker lane, so the machine-pool
-//     mutex vanishes from the steady-state path.
+//   - The front-end pre-phase builds each live benchmark's front-end
+//     (workload build + reference interpretation + edge-profile cache)
+//     exactly once, before any cell starts.
+//   - The cell phase runs every live cell. Each worker stores its cell
+//     at the cell's queue index, so the caller finalizes in queue order
+//     after the workers join and tables are byte-identical at every
+//     width by construction.
+//
+// Each worker appends its finished cell to the JSONL journal itself, one
+// synchronous whole-line write under a short lock (the "journal" wait
+// histogram), so every finished cell is on disk when its worker moves on
+// and a crash can tear only the final line. Every cell of a run draws
+// its simulation machines from one sim.Pool: Machine.Reset re-lays a
+// machine for any function, so one pool serves every benchmark.
 //
 // The main grid (Run), the extension grids (E1/E2/E3) and the fuzzing
 // harness all execute through runGrid.
@@ -81,12 +76,11 @@ type Options struct {
 	// Chrome-trace export (internal/obs).
 	Tracer *obs.Tracer
 	// Contention, when non-nil, enables contention attribution: each
-	// worker records a busy/blocked state timeline (running a cell,
-	// stealing from a sibling's deque, blocked on the machine pool or a
-	// front-end build, merging its results) and every shared resource —
-	// task deques, machine pool, front-ends, journal — wraps its blocking
-	// operation in a named wait histogram. Off (nil) it costs one nil
-	// check per site and zero allocations.
+	// worker records a busy/blocked state timeline (building a front-end
+	// or running a cell, blocked on the machine pool, idle) and every
+	// shared resource — machine pool, front-ends, journal — wraps its
+	// blocking operation in a named wait histogram. Off (nil) it costs
+	// one nil check per site and zero allocations.
 	Contention *obs.Contention
 	// Observe enables the per-cell counter registry: each cell collects
 	// compiler counters (dag/sched/regalloc/unroll/...), simulator
@@ -133,7 +127,6 @@ type cellSpec struct {
 
 // cellResult is one completed (or failed) cell.
 type cellResult struct {
-	idx    int // position in the task queue; the deterministic merge key
 	bench  string
 	cfg    core.Config
 	mets   map[int]*sim.Metrics // by issue width; nil when the cell failed
@@ -149,8 +142,9 @@ type cellResult struct {
 
 // frontEnd lazily builds one benchmark's shared state: the program, its
 // input data, the reference interpreter's checksum and the per-benchmark
-// profile cache. The first cell of a benchmark pays for it; every later
-// cell reads it without copying.
+// profile cache. It is built once — by the grid's pre-phase, or by the
+// first CellRunner request for the benchmark — and every cell reads it
+// without copying.
 type frontEnd struct {
 	b        workload.Benchmark
 	once     sync.Once
@@ -159,42 +153,30 @@ type frontEnd struct {
 	d        *core.Data
 	want     uint64
 	profiles *core.ProfileCache
-	pool     *sim.Pool
 	err      error
 }
 
-// get builds the front-end on first call (under a "frontend" span on the
-// calling worker's lane, since that worker pays the cost). With
-// contention attribution on, a worker that arrives while another is
-// still building records the wait on its state lane (block-frontend)
-// and in the "frontend" wait histogram — the per-benchmark front-end
-// serialization the scale report attributes.
+// get builds the front-end on first call, under a "frontend" span on the
+// building goroutine's lane. A caller that arrives while another is
+// still building records its wait in the "frontend" wait histogram; only
+// CellRunner requests can wait, since the grid builds every front-end
+// before its cells start.
 func (f *frontEnd) get(ob *obs.Obs) (*hlir.Program, *core.Data, uint64, *core.ProfileCache, error) {
-	built := f.built.Load()
-	var start time.Time
-	waited := true
-	if !built {
-		ob.State(obs.StateBlockFrontend)
-		start = time.Now()
-	}
-	f.once.Do(func() {
-		// This goroutine is the builder: it is working, not waiting.
-		waited = false
-		ob.State(obs.StateRun)
-		sp := ob.Begin("frontend", "exp").Arg("bench", f.b.Name)
-		defer sp.End()
-		f.p, f.d = f.b.Build()
-		f.profiles = core.NewProfileCache()
-		f.pool = sim.NewPool()
-		f.pool.SetWaitHist(ob.Wait("pool"))
-		f.want, f.err = core.Reference(f.p, f.d)
-		if f.err != nil {
-			f.err = fmt.Errorf("exp: %s reference: %w", f.b.Name, f.err)
-		}
-		f.built.Store(true)
-	})
-	if !built {
-		ob.State(obs.StateRun)
+	if !f.built.Load() {
+		start := time.Now()
+		waited := true
+		f.once.Do(func() {
+			waited = false
+			sp := ob.Begin("frontend", "exp").Arg("bench", f.b.Name)
+			defer sp.End()
+			f.p, f.d = f.b.Build()
+			f.profiles = core.NewProfileCache()
+			f.want, f.err = core.Reference(f.p, f.d)
+			if f.err != nil {
+				f.err = fmt.Errorf("exp: %s reference: %w", f.b.Name, f.err)
+			}
+			f.built.Store(true)
+		})
 		if waited {
 			ob.Wait("frontend").Observe(time.Since(start))
 		}
@@ -226,8 +208,9 @@ func (p *phaseTracker) name() string { return phaseNames[p.v.Load()] }
 // compiler counters, simulator metrics (width 1) and runtime allocation
 // deltas are snapshotted into the result. ctx is consulted at stage
 // boundaries so an expired attempt stops promptly instead of running the
-// remaining widths.
-func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, ob *obs.Obs, opt Options, ph *phaseTracker) (*cellResult, error) {
+// remaining widths. Machines for the profiling run and every width come
+// from pool.
+func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, ob *obs.Obs, opt Options, ph *phaseTracker) (*cellResult, error) {
 	ph.set(phaseFrontend)
 	p, d, want, profiles, err := fe.get(ob)
 	if err != nil {
@@ -249,7 +232,7 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, ob *obs.Obs, opt 
 		runtime.ReadMemStats(&mem0)
 	}
 	ph.set(phaseCompile)
-	c, err := core.Compile(p, spec.cfg, d, core.Options{Verify: opt.Verify, Ctx: ctx, Pool: fe.pool, Profiles: profiles, Obs: ob})
+	c, err := core.Compile(p, spec.cfg, d, core.Options{Verify: opt.Verify, Ctx: ctx, Pool: pool, Profiles: profiles, Obs: ob})
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s %s: %w", fe.b.Name, spec.cfg.Name(), err)
 	}
@@ -271,7 +254,7 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, ob *obs.Obs, opt 
 		ph.set(phaseSim)
 		simSpan := ob.Begin("sim", "sim").Arg("width", strconv.Itoa(w))
 		start := time.Now()
-		met, got, reused, err := core.ExecutePooled(c, d, w, fe.pool, ob)
+		met, got, reused, err := core.ExecutePooled(c, d, w, pool, ob)
 		out.phases.Sim += time.Since(start)
 		simSpan.End()
 		if st != nil {
@@ -316,7 +299,7 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, ob *obs.Obs, opt 
 // channel, so an abandoned (timed-out or canceled) attempt can still
 // complete its send and exit when the hung stage eventually returns — the
 // goroutine outlives the deadline but does not leak forever.
-func runCellOnce(parent context.Context, fe *frontEnd, spec cellSpec, opt Options, lane int) (*cellResult, *CellError) {
+func runCellOnce(parent context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, opt Options, lane int) (*cellResult, *CellError) {
 	ctx := parent
 	cancel := func() {}
 	if opt.CellTimeout > 0 {
@@ -356,7 +339,7 @@ func runCellOnce(parent context.Context, fe *frontEnd, spec cellSpec, opt Option
 		if opt.Observe {
 			ob.Stats = obs.NewStats()
 		}
-		r, err := runCell(ctx, fe, spec, ob, opt, &ph)
+		r, err := runCell(ctx, fe, spec, pool, ob, opt, &ph)
 		done <- outcome{r: r, err: err}
 	}()
 	select {
@@ -384,11 +367,11 @@ func runCellOnce(parent context.Context, fe *frontEnd, spec cellSpec, opt Option
 // dead (a canceled run or an expired request deadline would only fail the
 // same way again). The returned result always carries the attempt and
 // fault tallies for the engine's robustness counters.
-func runCellAttempts(parent context.Context, fe *frontEnd, spec cellSpec, opt Options, lane int) *cellResult {
+func runCellAttempts(parent context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, opt Options, lane int) *cellResult {
 	const maxAttempts = 2
 	var panics, timeouts int
 	for attempt := 1; ; attempt++ {
-		r, cerr := runCellOnce(parent, fe, spec, opt, lane)
+		r, cerr := runCellOnce(parent, fe, spec, pool, opt, lane)
 		if cerr == nil {
 			r.attempts = attempt
 			r.panics, r.timeouts = panics, timeouts
@@ -411,111 +394,42 @@ func runCellAttempts(parent context.Context, fe *frontEnd, spec cellSpec, opt Op
 	}
 }
 
-// task is one queued cell, stamped with its queue position so the
-// end-of-run merge can restore deterministic order regardless of which
-// worker executed it.
-type task struct {
-	idx  int
-	fe   *frontEnd
-	spec cellSpec
-}
-
-// taskDeque is one worker's shard of the task queue. The owner pops from
-// the front (preserving the contiguous, benchmark-affine chunk order);
-// thieves steal from the back, so owner and thief contend on opposite
-// ends and a steal takes the task the owner would reach last. The lock
-// is a TimedMutex attributed to the "taskqueue" wait histogram, so
-// residual deque contention stays measurable.
-type taskDeque struct {
-	mu    obs.TimedMutex
-	tasks []task
-	head  int // owner pops here
-	tail  int // exclusive; thieves steal here
-}
-
-// popFront takes the owner's next task.
-func (d *taskDeque) popFront() (task, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head >= d.tail {
-		return task{}, false
+// forEach calls fn(lane, i) for every i in [0, n) on at most jobs
+// goroutines and returns once every call has. Indices come from one
+// shared counter, one at a time, so a worker that draws short tasks
+// simply draws more of them. The lane's state timeline reads run while
+// fn executes and idle otherwise.
+func forEach(n, jobs int, c *obs.Contention, fn func(lane, i int)) {
+	if jobs > n {
+		jobs = n
 	}
-	t := d.tasks[d.head]
-	d.head++
-	return t, true
-}
-
-// stealBack takes a task from the victim's far end.
-func (d *taskDeque) stealBack() (task, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head >= d.tail {
-		return task{}, false
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(jobs)
+	for lane := 0; lane < jobs; lane++ {
+		go func(lane int) {
+			defer wg.Done()
+			tl := c.Lane(lane)
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				tl.Set(obs.StateRun)
+				fn(lane, i)
+				tl.Set(obs.StateIdle)
+			}
+		}(lane)
 	}
-	d.tail--
-	return d.tasks[d.tail], true
-}
-
-// shardTasks deals queue into n contiguous chunks: cells of one
-// benchmark are adjacent in queue order, so contiguous chunks give each
-// worker front-end and pool-shard affinity, with stealing rebalancing
-// the tail.
-func shardTasks(queue []task, n int) []*taskDeque {
-	deques := make([]*taskDeque, n)
-	chunk := (len(queue) + n - 1) / n
-	for w := 0; w < n; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if lo > len(queue) {
-			lo = len(queue)
-		}
-		if hi > len(queue) {
-			hi = len(queue)
-		}
-		deques[w] = &taskDeque{tasks: queue, head: lo, tail: hi}
-	}
-	return deques
-}
-
-// stealTask scans every other deque, starting after the thief's own
-// lane, and steals the first available task. attempts reports how many
-// victims were probed (empty-handed probes included).
-func stealTask(deques []*taskDeque, lane int) (t task, attempts int, ok bool) {
-	n := len(deques)
-	for i := 1; i < n; i++ {
-		v := (lane + i) % n
-		attempts++
-		if t, ok = deques[v].stealBack(); ok {
-			return t, attempts, true
-		}
-	}
-	return task{}, attempts, false
-}
-
-// workerTally is one worker's sharded output: its completed cells (in
-// execution order, sorted into queue order during the merge state) and
-// its steal statistics, merged into the engine counters at the end.
-type workerTally struct {
-	results       []cellResult
-	steals        int64
-	stealAttempts int64
+	wg.Wait()
 }
 
 // runGrid executes every (benchmark, spec) cell under opt and feeds
-// completed cells to emit, which runs on the caller's goroutine after
-// the workers join, in deterministic queue order (resumed cells first,
-// then live cells by task index). Failed cells arrive at emit too (with
+// completed cells to emit on the caller's goroutine, in deterministic
+// queue order: journal replays as the queue is built, then live cells
+// after the workers join. Failed cells arrive at emit too (with
 // cellResult.err set); when any cell failed, runGrid returns a
 // *GridError after the whole grid has drained. eng, when non-nil,
 // receives the engine's robustness counters (cell panics, timeouts,
-// retries, errors, resumes, steals, verification failures); it is only
-// touched from the caller's goroutine.
+// retries, errors, resumes, verification failures); it is only touched
+// from the caller's goroutine.
 func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *obs.Stats, emit func(cellResult)) error {
-	fes := make([]*frontEnd, len(benches))
-	for i, b := range benches {
-		fes[i] = &frontEnd{b: b}
-	}
-
 	// Resume: index the journal's successful cells (first entry wins).
 	var journaled map[string]journalEntry
 	if opt.Resume {
@@ -541,11 +455,8 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 	// Pre-register every attributable resource, so an uncontended run
 	// reports zero-count series rather than omitting them (absence must
 	// mean "attribution off", never "no waits").
-	taskWait := opt.Contention.Hist("taskqueue")
-	opt.Contention.Hist("pool")
 	opt.Contention.Hist("frontend")
-	stealWait := opt.Contention.Hist("steal")
-	mergeWait := opt.Contention.Hist("merge")
+	pool := sim.NewPool(opt.Contention.Hist("pool"))
 
 	var jw *Appender
 	if opt.Journal != "" {
@@ -558,8 +469,7 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 
 	total := len(benches) * len(specs)
 	var failed []*CellError
-	// finalize runs on the caller's goroutine — pre-worker for resumed
-	// cells, during the merge for live ones — and owns eng, failed and
+	// finalize runs on the caller's goroutine and owns eng, failed and
 	// emit.
 	finalize := func(r cellResult) {
 		if eng != nil {
@@ -613,15 +523,20 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 		jw.Append(e)
 	}
 
-	// Partition cells into journal replays and live work. Replays are
-	// finalized immediately, in queue order; live tasks get their queue
-	// index as the deterministic merge key.
+	// Partition cells into journal replays, finalized immediately, and
+	// live work; pre lists each benchmark with at least one live cell.
+	type task struct {
+		fe   *frontEnd
+		spec cellSpec
+	}
 	var queue []task
-	for _, fe := range fes {
+	var pre []*frontEnd
+	for _, b := range benches {
+		fe := &frontEnd{b: b}
 		for _, spec := range specs {
-			if e, ok := journaled[fe.b.Name+"\x00"+spec.cfg.Name()]; ok {
+			if e, ok := journaled[b.Name+"\x00"+spec.cfg.Name()]; ok {
 				r := cellResult{
-					bench: fe.b.Name, cfg: spec.cfg,
+					bench: b.Name, cfg: spec.cfg,
 					mets: e.Widths, phases: e.Phases, snap: e.Obs,
 					attempts: 1, resumed: true,
 				}
@@ -629,140 +544,57 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 				progress(&r)
 				continue
 			}
-			queue = append(queue, task{idx: len(queue), fe: fe, spec: spec})
+			if len(pre) == 0 || pre[len(pre)-1] != fe {
+				pre = append(pre, fe)
+			}
+			queue = append(queue, task{fe: fe, spec: spec})
 		}
 	}
 
 	ctx := opt.ctx()
 	nw := opt.jobs()
-	deques := shardTasks(queue, nw)
-	for w := range deques {
-		deques[w].mu.H = taskWait
-		// Open the lane's timeline now, so a lane with no front-end to
-		// build records the pre-phase as idle rather than leaving it
-		// outside every state.
-		opt.Contention.Lane(w)
-	}
-
-	// Front-end pre-phase: build every live benchmark's front-end in
-	// parallel before the cell workers start, one builder per benchmark,
-	// so no worker ever blocks on another's once-lock during the grid
-	// proper. Build errors are left sticky on the frontEnd; each of its
-	// cells surfaces the same error exactly as under lazy building.
-	var pre []*frontEnd
-	seen := make(map[*frontEnd]bool, len(fes))
-	for _, t := range queue {
-		if !seen[t.fe] {
-			seen[t.fe] = true
-			pre = append(pre, t.fe)
-		}
-	}
-	builders := nw
-	if len(pre) < builders {
-		builders = len(pre)
-	}
-	if builders > 0 {
-		feCh := make(chan *frontEnd)
-		var fwg sync.WaitGroup
-		for w := 0; w < builders; w++ {
-			fwg.Add(1)
-			go func(lane int) {
-				defer fwg.Done()
-				ob := &obs.Obs{Tracer: opt.Tracer, Lane: lane, TL: opt.Contention.Lane(lane)}
-				if opt.Contention != nil {
-					ob.Waits = opt.Contention.Waits
-				}
-				for fe := range feCh {
-					fe.get(ob) // sticky error surfaces per cell
-				}
-			}(w)
-		}
-		for _, fe := range pre {
-			feCh <- fe
-		}
-		close(feCh)
-		fwg.Wait()
-	}
-
-	tallies := make([]workerTally, nw)
-	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
-		wg.Add(1)
+		// Open every lane's timeline now, so a lane that draws no task
+		// records the run as idle rather than leaving it outside every
+		// state.
+		opt.Contention.Lane(w)
 		opt.Tracer.NameLane(w, fmt.Sprintf("worker %d", w))
-		go func(lane int) {
-			defer wg.Done()
-			tl := opt.Contention.Lane(lane)
-			tally := &tallies[lane]
-			for {
-				t, ok := deques[lane].popFront()
-				if !ok {
-					// Own deque dry: steal from a sibling. One failed
-					// scan terminates the worker — tasks are only ever
-					// removed, so an empty sweep cannot race new work.
-					tl.Set(obs.StateSteal)
-					start := time.Now()
-					var attempts int
-					t, attempts, ok = stealTask(deques, lane)
-					stealWait.Observe(time.Since(start))
-					tally.stealAttempts += int64(attempts)
-					if !ok {
-						break
-					}
-					tally.steals++
-				}
-				// A dead run context skips queued cells without starting
-				// them: each becomes a canceled CellError so the grid
-				// still accounts for every cell and the journal records
-				// the interruption.
-				var r *cellResult
-				if err := ctx.Err(); err != nil {
-					r = &cellResult{
-						bench: t.fe.b.Name, cfg: t.spec.cfg, attempts: 1,
-						err: &CellError{
-							Bench: t.fe.b.Name, Config: t.spec.cfg.Name(),
-							Phase: "queue", Err: err, Attempts: 1,
-							Timeout:  errors.Is(err, context.DeadlineExceeded),
-							Canceled: errors.Is(err, context.Canceled),
-						},
-					}
-				} else {
-					tl.Set(obs.StateRun)
-					r = runCellAttempts(ctx, t.fe, t.spec, opt, lane)
-				}
-				r.idx = t.idx
-				journal(r)
-				tally.results = append(tally.results, *r)
-				progress(r)
-			}
-			// Merge state: sort this worker's shard into queue order so
-			// the caller's merge is a cheap concatenation-and-sort of
-			// pre-sorted runs.
-			tl.Set(obs.StateMerge)
-			sort.Slice(tally.results, func(a, b int) bool {
-				return tally.results[a].idx < tally.results[b].idx
-			})
-			tl.Set(obs.StateIdle)
-		}(w)
 	}
-	wg.Wait()
 
-	// Deterministic merge on the caller's goroutine: concatenate the
-	// per-worker buffers and restore queue order by task index. The
-	// result set is identical at every worker count by construction.
-	mergeStart := time.Now()
-	var live []cellResult
-	for w := range tallies {
-		live = append(live, tallies[w].results...)
-		if eng != nil {
-			eng.Add("exp/steals", tallies[w].steals)
-			eng.Add("exp/steal_attempts", tallies[w].stealAttempts)
+	// Front-end pre-phase: no cell ever waits on another's build. Build
+	// errors stay sticky on the frontEnd; each of its cells surfaces the
+	// same error.
+	forEach(len(pre), nw, opt.Contention, func(lane, i int) {
+		pre[i].get(&obs.Obs{Tracer: opt.Tracer, Lane: lane})
+	})
+
+	results := make([]*cellResult, len(queue))
+	forEach(len(queue), nw, opt.Contention, func(lane, i int) {
+		t := queue[i]
+		// A dead run context skips queued cells without starting them:
+		// each becomes a canceled CellError so the grid still accounts
+		// for every cell and the journal records the interruption.
+		var r *cellResult
+		if err := ctx.Err(); err != nil {
+			r = &cellResult{
+				bench: t.fe.b.Name, cfg: t.spec.cfg, attempts: 1,
+				err: &CellError{
+					Bench: t.fe.b.Name, Config: t.spec.cfg.Name(),
+					Phase: "queue", Err: err, Attempts: 1,
+					Timeout:  errors.Is(err, context.DeadlineExceeded),
+					Canceled: errors.Is(err, context.Canceled),
+				},
+			}
+		} else {
+			r = runCellAttempts(ctx, t.fe, t.spec, pool, opt, lane)
 		}
+		journal(r)
+		progress(r)
+		results[i] = r
+	})
+	for _, r := range results {
+		finalize(*r)
 	}
-	sort.Slice(live, func(a, b int) bool { return live[a].idx < live[b].idx })
-	for i := range live {
-		finalize(live[i])
-	}
-	mergeWait.Observe(time.Since(mergeStart))
 
 	// Workers have exited, so the state timelines are final: export them
 	// into the span trace as their own lanes, so one Perfetto load shows

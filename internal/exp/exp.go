@@ -74,7 +74,7 @@ type Result struct {
 }
 
 // Suite holds a full grid of results. It is filled on the caller's
-// goroutine by the engine's end-of-run merge and read-only afterwards.
+// goroutine as the engine finalizes cells and read-only afterwards.
 type Suite struct {
 	// Benchmarks lists benchmark names in table order.
 	Benchmarks []string

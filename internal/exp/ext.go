@@ -25,8 +25,8 @@ import (
 //     locality analysis the paper borrows.
 //
 // All three grids execute on the same cell-parallel engine as the main
-// grid (runGrid), so they share its front-end reuse, worker pool,
-// deterministic merge and per-cell output-checksum oracle.
+// grid (runGrid), so they share its front-end reuse, workers, machine
+// pool, queue-order finalize and per-cell output-checksum oracle.
 
 // ExtResult is one benchmark's cycles per (policy, width) cell.
 type ExtResult struct {

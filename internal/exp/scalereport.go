@@ -16,19 +16,17 @@ import (
 // and decomposes each width's shortfall from ideal speedup into named
 // causes — an Amdahl-style breakdown measured, not inferred. The
 // identity behind it: a worker's wall clock tiles exactly into run /
-// steal / blocked-on-pool / blocked-on-frontend / merge / idle (the
-// timeline recorder enforces coverage), so
+// blocked-on-pool / idle (the timeline recorder enforces coverage), so
 //
 //	gap(w) = wall(w) − wall(1)/w
-//	       ≈ Σ_states blocked(w)/w + (run(w) − run(1))/w
+//	       ≈ (pool(w) + idle(w))/w + (run(w) − run(1))/w
 //
-// and every term on the right is a named, fixable cause: starvation
-// (steal scans once a worker's own deque runs dry), pool lock
-// contention, front-end build serialization, the end-of-run merge, or
-// per-cell compute dilation (memory bandwidth, GC — the run state itself
-// getting slower under parallelism). The wait histograms give
-// each resource's distribution; the runtime bridge separates our locks
-// from the Go scheduler and GC.
+// and every term on the right is a named cause: pool lock contention,
+// idle workers (a pre-phase with fewer front-ends than workers, the
+// tail of the cell queue), or per-cell compute dilation (memory
+// bandwidth, GC — the run state itself getting slower under
+// parallelism). The wait histograms give each resource's distribution;
+// the runtime bridge separates our locks from the Go scheduler and GC.
 
 // ScaleWidth is the measurement of one grid width.
 type ScaleWidth struct {
@@ -100,14 +98,10 @@ const attrDilation = "compute-dilation"
 
 // attributionStates are the worker states that attribute directly (each
 // divided across workers).
-var attributionStates = []string{
-	"steal", "block-pool", "block-frontend", "merge", "idle",
-}
+var attributionStates = []string{"block-pool", "idle"}
 
 // attributionOrder fixes the report's column order.
-var attributionOrder = []string{
-	"steal", "block-pool", "block-frontend", "merge", attrDilation, "idle",
-}
+var attributionOrder = []string{"block-pool", attrDilation, "idle"}
 
 // RunScaleReport measures the grid's parallel scaling over the named
 // benchmarks (all of them when names is empty). opt's Jobs, Contention,
@@ -275,8 +269,6 @@ func attrShort(k string) string {
 	switch k {
 	case "block-pool":
 		return "pool"
-	case "block-frontend":
-		return "frontend"
 	case attrDilation:
 		return "dilation"
 	default:

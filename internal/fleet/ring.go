@@ -43,7 +43,7 @@ func newRing() *ring { return &ring{} }
 func (r *ring) add(addr string, vnodes int) {
 	pts := make([]ringPoint, 0, vnodes)
 	for v := 0; v < vnodes; v++ {
-		pts = append(pts, ringPoint{h: fnv64(addr, byte(v), byte(v>>8)), addr: addr})
+		pts = append(pts, ringPoint{h: mix64(fnv64(addr, byte(v), byte(v>>8))), addr: addr})
 	}
 	r.points = append(r.points, pts...)
 	sort.Slice(r.points, func(a, b int) bool {
@@ -103,6 +103,16 @@ func (r *ring) owner(key string) string {
 	h := fnv64(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
 	return r.points[start%len(r.points)].addr
+}
+
+// mix64 is splitmix64's finalizer. A vnode's index enters fnv64 as
+// trailing salt bytes, and FNV-1a spreads a change there over under 1%
+// of the circle, so without the mixer a worker's vnodes cluster into one
+// arc and the ring behaves as one point per worker.
+func mix64(h uint64) uint64 {
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
 // fnv64 hashes s plus optional salt bytes with FNV-1a.

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -82,6 +83,29 @@ func TestRingAffinity(t *testing.T) {
 	}
 	if len(owners) < 2 {
 		t.Errorf("all %d benchmarks hashed to one worker: %v", len(benches), owners)
+	}
+}
+
+// TestRingBalanceTwoMembers: with two members, each owns a fair share
+// of the circle for every address pair, not just on average. Loopback
+// pairs differing only in the port are where clustered vnodes showed:
+// one member could own almost no keys.
+func TestRingBalanceTwoMembers(t *testing.T) {
+	const nKeys = 10_000
+	keys := syntheticKeys(4, nKeys)
+	for i := 0; i < 200; i++ {
+		a := fmt.Sprintf("127.0.0.1:%d", 30000+2*i)
+		b := fmt.Sprintf("127.0.0.1:%d", 30000+2*i+1)
+		r := ringOf(64, a, b)
+		owned := 0
+		for _, k := range keys {
+			if r.owner(k) == a {
+				owned++
+			}
+		}
+		if share := float64(owned) / nKeys; share < 0.30 || share > 0.70 {
+			t.Errorf("%s owns %.3f of %d keys against %s, want within [0.30, 0.70]", a, share, nKeys, b)
+		}
 	}
 }
 

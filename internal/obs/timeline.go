@@ -12,39 +12,29 @@ import (
 // ring buffer of busy/blocked state intervals — and the set of them
 // exports as extra Chrome-trace lanes (one per worker, under a separate
 // "worker states" process) alongside the span timeline. Where spans show
-// what a worker is doing, states show what it is *waiting on*: a
-// sibling's task deque, the machine pool, another worker building the
-// shared front-end. A nil *TimelineSet or *Timeline is fully disabled and
-// allocation-free, matching the rest of obs.
+// what a worker is doing, states show whether it is working, waiting on
+// the machine pool, or idle. A nil *TimelineSet or *Timeline is fully
+// disabled and allocation-free, matching the rest of obs.
 
 // WorkerState is one worker's coarse execution state.
 type WorkerState uint8
 
 const (
-	// StateIdle covers the lead-in before the worker's first task and the
-	// tail after its last (and any abandoned-attempt limbo).
+	// StateIdle is any time the worker is neither building a front-end
+	// nor running a cell: before its first task, between the front-end
+	// pre-phase and the cells, after its last task (and any
+	// abandoned-attempt limbo).
 	StateIdle WorkerState = iota
-	// StateRun is productive work: the worker is executing a cell.
+	// StateRun is productive work: the worker is building a front-end or
+	// executing a cell.
 	StateRun
 	// StateBlockPool is contention on a sim.Pool get/put.
 	StateBlockPool
-	// StateBlockFrontend is waiting for another worker to finish building
-	// the benchmark's shared front-end.
-	StateBlockFrontend
-	// StateSteal is a worker whose own task deque ran dry scanning its
-	// siblings' deques for work to steal.
-	StateSteal
-	// StateMerge is a worker finalizing its sharded result buffer at the
-	// end of the run (sorting it into deterministic queue order and
-	// handing it to the caller's merge).
-	StateMerge
 
-	numWorkerStates = 6
+	numWorkerStates = 3
 )
 
-var workerStateNames = [numWorkerStates]string{
-	"idle", "run", "block-pool", "block-frontend", "steal", "merge",
-}
+var workerStateNames = [numWorkerStates]string{"idle", "run", "block-pool"}
 
 func (s WorkerState) String() string {
 	if int(s) < len(workerStateNames) {

@@ -11,11 +11,11 @@ import (
 func TestTimelineTransitions(t *testing.T) {
 	ts := NewTimelineSet(16)
 	tl := ts.Lane(0)
-	tl.Set(StateSteal)
-	time.Sleep(2 * time.Millisecond)
 	tl.Set(StateRun)
 	time.Sleep(2 * time.Millisecond)
-	tl.Set(StateMerge)
+	tl.Set(StateBlockPool)
+	time.Sleep(2 * time.Millisecond)
+	tl.Set(StateRun)
 	time.Sleep(time.Millisecond)
 	tl.Set(StateIdle)
 
@@ -27,15 +27,15 @@ func TestTimelineTransitions(t *testing.T) {
 	if ws.Lane != 0 {
 		t.Fatalf("lane = %d, want 0", ws.Lane)
 	}
-	// Three closed intervals (idle lead-in, steal, run) plus the merge
-	// one closed by the final Set.
+	// Three closed intervals (idle lead-in, run, block-pool) plus the
+	// second run one closed by the final Set.
 	if ws.Intervals != 4 {
 		t.Fatalf("intervals = %d, want 4", ws.Intervals)
 	}
 	if ws.Dropped != 0 {
 		t.Fatalf("dropped = %d, want 0", ws.Dropped)
 	}
-	for _, state := range []string{"steal", "run", "merge"} {
+	for _, state := range []string{"run", "block-pool"} {
 		if ws.StateNS[state] <= 0 {
 			t.Errorf("state %q total = %d ns, want > 0", state, ws.StateNS[state])
 		}
@@ -59,7 +59,7 @@ func TestTimelineRingOverflow(t *testing.T) {
 	tl := ts.Lane(1)
 	for i := 0; i < 10; i++ {
 		tl.Set(StateRun)
-		tl.Set(StateSteal)
+		tl.Set(StateBlockPool)
 	}
 	ws := ts.Snapshot()[0]
 	if ws.Intervals != 4 {
@@ -77,7 +77,6 @@ func TestTimelineEventsValidate(t *testing.T) {
 	ts := NewTimelineSet(0)
 	for lane := 0; lane < 3; lane++ {
 		tl := ts.Lane(lane)
-		tl.Set(StateSteal)
 		tl.Set(StateRun)
 		tl.Set(StateBlockPool)
 		tl.Set(StateRun)
@@ -134,7 +133,7 @@ func TestTimelineDisabledZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		tl.Set(StateRun)
 		ts.Lane(3).Set(StateBlockPool)
-		c.Lane(1).Set(StateSteal)
+		c.Lane(1).Set(StateIdle)
 		c.Hist("pool").Observe(time.Microsecond)
 	})
 	if allocs != 0 {
@@ -149,7 +148,7 @@ func BenchmarkDisabledTimelineSet(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tl.Set(StateRun)
-		tl.Set(StateSteal)
+		tl.Set(StateIdle)
 	}
 }
 
@@ -161,6 +160,6 @@ func BenchmarkEnabledTimelineSet(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tl.Set(StateRun)
-		tl.Set(StateSteal)
+		tl.Set(StateIdle)
 	}
 }

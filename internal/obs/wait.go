@@ -10,7 +10,7 @@ import (
 
 // This file is the wait-histogram half of the contention-attribution
 // subsystem: every shared resource on the experiment engine's hot path
-// (front-end cache, task deques, machine pool, journal) wraps its
+// (front-end cache, machine pool, journal) wraps its
 // blocking operation in one of these helpers, so a slow parallel run
 // decomposes into named per-resource wait-time distributions instead of
 // an undifferentiated gap. WaitHist is lock-free (atomics only) because
@@ -68,7 +68,7 @@ func (h *WaitHist) Observe(d time.Duration) {
 // histogram.
 type WaitSnapshot struct {
 	// Resource names the contended resource ("frontend", "pool",
-	// "journal", "taskqueue", ...).
+	// "journal").
 	Resource string `json:"resource"`
 	// Count is the number of recorded waits.
 	Count int64 `json:"count"`

@@ -48,7 +48,7 @@ func TestBreakerTripsAtThreshold(t *testing.T) {
 // elapses, then admits exactly one probe whose success closes it.
 func TestBreakerCooldownAndProbe(t *testing.T) {
 	now := time.Unix(1000, 0)
-	b := NewBreaker(1, 10 * time.Second)
+	b := NewBreaker(1, 10*time.Second)
 	b.Allow(now)
 	b.Failure(now)
 
@@ -83,7 +83,7 @@ func TestBreakerCooldownAndProbe(t *testing.T) {
 // probe reopens the breaker for a fresh cooldown.
 func TestBreakerProbeFailureReopens(t *testing.T) {
 	now := time.Unix(1000, 0)
-	b := NewBreaker(1, 10 * time.Second)
+	b := NewBreaker(1, 10*time.Second)
 	b.Allow(now)
 	b.Failure(now)
 

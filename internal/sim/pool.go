@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"repro/internal/ir"
@@ -22,76 +21,32 @@ func PoolCounters() (hits, misses int64) {
 // grid's cells, the profiler's collection pass, the serving layer's
 // requests — reuse memory images, register files, hierarchies and
 // predecoded streams instead of reallocating multiple megabytes per run.
-// Machines come out of Get fully rewound (Machine.Reset), so a pooled run
-// is bit-identical to one on a fresh machine; the differential tests
+// Machines come out of Get rewound for the requested function
+// (Machine.Reset re-lays memory for any function, reusing storage that
+// is large enough), so a pooled run is bit-identical to one on a fresh
+// machine and one pool can serve every benchmark; the differential tests
 // enforce this. Safe for concurrent use; a machine must be used by one
 // goroutine at a time between Get and Put.
-//
-// The free list is sharded: one shard per logical CPU, each behind its
-// own lock, so the grid engine's workers stop serializing on a single
-// pool mutex. A caller that knows its worker lane uses GetLane/PutLane
-// and touches only its own shard on the steady-state path (its machine
-// comes back to the same shard it was taken from); a shard miss falls
-// back to scanning the other shards before building a fresh machine, so
-// sharding never costs an extra allocation — only a cold scan.
-//
-// Pools are intended to be scoped to one benchmark (the experiment
-// engine keeps one per front-end): machines then stay sized for that
-// benchmark's memory image and the grid's 16 configurations share a
-// handful of machines instead of allocating 16.
 type Pool struct {
-	// shards are independent free lists; GetLane/PutLane map a worker
-	// lane onto one of them, so each engine worker has lock affinity
-	// with its own shard. Each shard's lock is a TimedMutex so residual
-	// contention (cold scans, oversubscribed lanes) stays attributable.
-	shards []poolShard
-	// nfree tracks the pool-wide idle-machine count, enforcing
-	// maxPoolFree globally across shards.
-	nfree atomic.Int64
-
-	hits, misses atomic.Int64
-	// rr rotates the shard hint for lane-less Get/Put callers.
-	rr atomic.Uint64
-}
-
-// poolShard is one independently locked free list, padded so neighboring
-// shards do not share a cache line under write contention.
-type poolShard struct {
+	// mu guards free; it is a TimedMutex so lock contention stays
+	// attributable to the pool's wait histogram.
 	mu   obs.TimedMutex
 	free []*Machine
-	_    [32]byte
+
+	hits, misses atomic.Int64
 }
 
-// SetWaitHist attributes future lock contention on the pool to h. Call
-// before the pool is used concurrently (the experiment engine sets it
-// while building the benchmark front-end, whose once-barrier
-// happens-before every worker's first Get).
-func (p *Pool) SetWaitHist(h *obs.WaitHist) {
-	for i := range p.shards {
-		p.shards[i].mu.H = h
-	}
-}
-
-// maxPoolFree bounds each pool's idle machines across all shards; beyond
-// it Put drops the machine for the garbage collector. The bound only
-// matters when more goroutines return machines than ever run concurrently
-// again.
+// maxPoolFree bounds each pool's idle machines; beyond it Put drops the
+// machine for the garbage collector. The bound only matters when more
+// goroutines return machines than ever run concurrently again.
 const maxPoolFree = 16
 
-// maxPoolShards caps the shard count on very wide hosts; past this the
-// per-shard hit rate matters more than lock spreading.
-const maxPoolShards = 64
-
-// NewPool returns an empty pool with one shard per logical CPU.
-func NewPool() *Pool {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	if n > maxPoolShards {
-		n = maxPoolShards
-	}
-	return &Pool{shards: make([]poolShard, n)}
+// NewPool returns an empty pool whose lock waits are recorded into h
+// (nil records nothing).
+func NewPool(h *obs.WaitHist) *Pool {
+	p := &Pool{}
+	p.mu.H = h
+	return p
 }
 
 // Get returns a machine pointed at fn: a recycled one (reused=true) when
@@ -99,33 +54,15 @@ func NewPool() *Pool {
 // fn.Validate — or a freshly built one via New (which validates) when it
 // does not. The caller must Put the machine back when done with it and
 // its memory image (checksums read the image, so Put comes after them).
-// Callers with a stable worker identity should prefer GetLane for shard
-// affinity.
 func (p *Pool) Get(fn *ir.Func) (m *Machine, reused bool, err error) {
-	return p.GetLane(fn, int(p.rr.Add(1)-1))
-}
-
-// GetLane is Get with a shard hint: lane (an engine worker index) maps
-// to a home shard, checked first under its own lock. Steady state —
-// every worker Put-ing back to its own lane — never touches another
-// shard's lock.
-func (p *Pool) GetLane(fn *ir.Func, lane int) (m *Machine, reused bool, err error) {
-	home := p.shard(lane)
-	if m = p.shards[home].pop(); m == nil && p.nfree.Load() > 0 {
-		// Cold scan: another shard may hold an idle machine (a worker
-		// that finished its cells, or a lane-less caller). Scanning
-		// beats rebuilding a multi-megabyte machine image.
-		for i := range p.shards {
-			if i == home {
-				continue
-			}
-			if m = p.shards[i].pop(); m != nil {
-				break
-			}
-		}
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		m = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
 	}
+	p.mu.Unlock()
 	if m != nil {
-		p.nfree.Add(-1)
 		p.hits.Add(1)
 		poolHits.Add(1)
 		m.Reset(fn)
@@ -143,56 +80,21 @@ func (p *Pool) GetLane(fn *ir.Func, lane int) (m *Machine, reused bool, err erro
 // Put returns m to the pool for reuse. A nil machine is ignored, so Put
 // is safe on error paths.
 func (p *Pool) Put(m *Machine) {
-	p.PutLane(m, int(p.rr.Add(1)-1))
-}
-
-// PutLane returns m to lane's home shard, keeping the machine warm for
-// the same worker's next Get.
-func (p *Pool) PutLane(m *Machine, lane int) {
 	if m == nil {
 		return
 	}
-	if p.nfree.Load() >= maxPoolFree {
-		return // drop for the GC; the global bound is advisory, not exact
+	p.mu.Lock()
+	if len(p.free) < maxPoolFree {
+		p.free = append(p.free, m)
 	}
-	p.nfree.Add(1)
-	s := &p.shards[p.shard(lane)]
-	s.mu.Lock()
-	s.free = append(s.free, m)
-	s.mu.Unlock()
+	p.mu.Unlock()
 }
 
-// shard maps a lane hint onto a shard index.
-func (p *Pool) shard(lane int) int {
-	if lane < 0 {
-		lane = -lane
-	}
-	return lane % len(p.shards)
-}
-
-// pop takes one idle machine off the shard, or nil.
-func (s *poolShard) pop() *Machine {
-	s.mu.Lock()
-	var m *Machine
-	if n := len(s.free); n > 0 {
-		m = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	}
-	s.mu.Unlock()
-	return m
-}
-
-// idle returns the pool-wide idle-machine count (testing hook).
+// idle returns the idle-machine count (testing hook).
 func (p *Pool) idle() int {
-	n := 0
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		n += len(s.free)
-		s.mu.Unlock()
-	}
-	return n
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.free)
 }
 
 // Counters returns this pool's Get hit and miss totals.

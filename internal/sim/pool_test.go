@@ -7,9 +7,12 @@ import (
 	"repro/internal/ir"
 )
 
+// TestPoolReuseBitIdentical cycles one machine through functions whose
+// memory images differ in size — large, tiny, then larger again — and
+// checks each pooled run against a fresh machine.
 func TestPoolReuseBitIdentical(t *testing.T) {
-	const n = 1024
-	fSum, fBr := buildSum(n), buildBranchy(n)
+	const n, small = 1024, 8
+	fSum, fSmall, fBr := buildSum(n), buildSum(small), buildBranchy(n)
 
 	baseline := func(fn *ir.Func, init func(*Machine)) *runOutcome {
 		m, err := New(fn)
@@ -22,9 +25,10 @@ func TestPoolReuseBitIdentical(t *testing.T) {
 		return observe(t, m)
 	}
 	wantSum := baseline(fSum, initRamp(0, n))
+	wantSmall := baseline(fSmall, initRamp(0, small))
 	wantBr := baseline(fBr, initLCG(0, n))
 
-	p := NewPool()
+	p := NewPool(nil)
 	for round := 0; round < 3; round++ {
 		for _, k := range []struct {
 			fn   *ir.Func
@@ -32,6 +36,7 @@ func TestPoolReuseBitIdentical(t *testing.T) {
 			want *runOutcome
 		}{
 			{fSum, initRamp(0, n), wantSum},
+			{fSmall, initRamp(0, small), wantSmall},
 			{fBr, initLCG(0, n), wantBr},
 		} {
 			m, _, err := p.Get(k.fn)
@@ -47,14 +52,14 @@ func TestPoolReuseBitIdentical(t *testing.T) {
 	if misses != 1 {
 		t.Errorf("misses = %d, want 1 (one machine serves every run)", misses)
 	}
-	if hits != 5 {
-		t.Errorf("hits = %d, want 5", hits)
+	if hits != 8 {
+		t.Errorf("hits = %d, want 8", hits)
 	}
 }
 
 func TestPoolCountersGlobal(t *testing.T) {
 	h0, m0 := PoolCounters()
-	p := NewPool()
+	p := NewPool(nil)
 	f := buildSum(64)
 	m, reused, err := p.Get(f)
 	if err != nil {
@@ -79,7 +84,7 @@ func TestPoolCountersGlobal(t *testing.T) {
 }
 
 func TestPoolPutNilAndCap(t *testing.T) {
-	p := NewPool()
+	p := NewPool(nil)
 	p.Put(nil) // must not panic
 	f := buildSum(16)
 	ms := make([]*Machine, maxPoolFree+4)
@@ -98,20 +103,26 @@ func TestPoolPutNilAndCap(t *testing.T) {
 	}
 }
 
+// TestPoolConcurrent shares one pool among goroutines that alternate two
+// functions of different image sizes, so machines keep moving between
+// them.
 func TestPoolConcurrent(t *testing.T) {
-	const n = 256
-	f := buildSum(n)
-	m0, err := New(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	initRamp(0, n)(m0)
-	want, err := m0.Run(nil)
-	if err != nil {
-		t.Fatal(err)
+	sizes := [2]int64{256, 8}
+	var fns [2]*ir.Func
+	var wants [2]*Metrics
+	for k, n := range sizes {
+		fns[k] = buildSum(n)
+		m0, err := New(fns[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		initRamp(0, n)(m0)
+		if wants[k], err = m0.Run(nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	p := NewPool()
+	p := NewPool(nil)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 8; g++ {
@@ -119,19 +130,20 @@ func TestPoolConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				m, _, err := p.Get(f)
+				k := i % 2
+				m, _, err := p.Get(fns[k])
 				if err != nil {
 					errs <- err
 					return
 				}
-				initRamp(0, n)(m)
+				initRamp(0, sizes[k])(m)
 				met, err := m.Run(nil)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if *met != *want {
-					t.Errorf("pooled run metrics diverged: %v vs %v", met, want)
+				if *met != *wants[k] {
+					t.Errorf("pooled run of %d-element sum diverged: %v vs %v", sizes[k], met, wants[k])
 				}
 				p.Put(m)
 			}
