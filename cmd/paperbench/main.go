@@ -43,9 +43,9 @@
 // profiles and -gotrace a Go execution trace of the whole run.
 // -scalereport sweeps the grid over jobs=1,2,4,…,GOMAXPROCS with
 // contention attribution enabled and prints per-width parallel
-// efficiency plus an Amdahl-style breakdown of the gap by cause (machine
-// pool, compute dilation, idle workers), writing the same data as JSON
-// to -scalereport-json.
+// efficiency plus an Amdahl-style breakdown of the gap by cause
+// (machine-pool lock waits, compute dilation, idle workers), writing the
+// same data as JSON to -scalereport-json.
 package main
 
 import (
@@ -169,12 +169,6 @@ func realMain(args []string) int {
 		CellTimeout: *cellTimeout,
 		Journal:     *journal,
 		Resume:      *resume,
-	}
-	if tracer != nil {
-		// Tracing implies attribution: the worker-state lanes (what each
-		// worker waited on) ride along in the same trace file, epoch-
-		// aligned with the span lanes.
-		opt.Contention = obs.NewContentionAt(tracer.Epoch(), 0)
 	}
 	if *verbose {
 		opt.Progress = func(done, total int, bench, config string) {

@@ -1,12 +1,9 @@
 // Command tracecheck validates a Chrome trace-event JSON file (as written
 // by paperbench -tracefile) and prints a span summary: it parses the
 // file, rejects negative timestamps/durations and improperly nested spans,
-// and reports span counts by name plus the number of worker lanes. For
-// traces carrying worker-state timeline lanes (category "state") it
-// additionally checks each lane is a partition — no two states overlap,
-// and the states cover the worker's run edge to edge with no gaps — and
-// prints per-state interval counts. CI runs it over the smoke grid's
-// trace; a non-zero exit means the trace is structurally broken.
+// and reports span counts by name plus the number of worker lanes. CI
+// runs it over the smoke grid's trace; a non-zero exit means the trace is
+// structurally broken.
 //
 // Usage:
 //
@@ -44,17 +41,5 @@ func main() {
 	sort.Strings(names)
 	for _, n := range names {
 		fmt.Printf("  %-12s %d\n", n, sum.Names[n])
-	}
-	if sum.StateLanes > 0 {
-		fmt.Printf("worker-state lanes: %d lanes, %d intervals (no overlaps, no gaps)\n",
-			sum.StateLanes, sum.StateIntervals)
-		states := make([]string, 0, len(sum.States))
-		for n := range sum.States {
-			states = append(states, n)
-		}
-		sort.Strings(states)
-		for _, n := range states {
-			fmt.Printf("  %-16s %d\n", n, sum.States[n])
-		}
 	}
 }

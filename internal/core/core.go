@@ -363,7 +363,7 @@ func InitMachine(m *sim.Machine, ids map[*hlir.Array]int, data *Data) {
 // Execute simulates compiled code on the 21164 model with the given
 // inputs, returning the metrics and the output checksum.
 func Execute(c *Compiled, data *Data) (*sim.Metrics, uint64, error) {
-	met, sum, _, err := ExecutePooled(c, data, 1, nil, nil)
+	met, sum, _, err := ExecutePooled(c, data, 1, nil)
 	return met, sum, err
 }
 
@@ -374,18 +374,14 @@ func Execute(c *Compiled, data *Data) (*sim.Metrics, uint64, error) {
 // the hot path of the experiment grid runs without rebuilding
 // multi-megabyte memory images. reused reports whether the machine came
 // out of the pool, for the caller's pool-efficiency counters. Pooled and
-// fresh runs are bit-identical. ob, when it carries a worker timeline,
-// gets the pool get/put windows flagged as block-pool so contention on
-// the shared pool is visible on the worker's state lane; nil ob adds a
-// single nil check.
-func ExecutePooled(c *Compiled, data *Data, width int, pool *sim.Pool, ob *obs.Obs) (met *sim.Metrics, sum uint64, reused bool, err error) {
+// fresh runs are bit-identical. Lock contention on a shared pool lands in
+// the pool's own wait histogram (sim.NewPool).
+func ExecutePooled(c *Compiled, data *Data, width int, pool *sim.Pool) (met *sim.Metrics, sum uint64, reused bool, err error) {
 	var m *sim.Machine
 	if pool == nil {
 		m, err = sim.New(c.Fn)
 	} else {
-		ob.State(obs.StateBlockPool)
 		m, reused, err = pool.Get(c.Fn)
-		ob.State(obs.StateRun)
 	}
 	if err != nil {
 		return nil, 0, reused, err
@@ -398,9 +394,7 @@ func ExecutePooled(c *Compiled, data *Data, width int, pool *sim.Pool, ob *obs.O
 	}
 	sum = Checksum(m, c)
 	if pool != nil {
-		ob.State(obs.StateBlockPool)
 		pool.Put(m)
-		ob.State(obs.StateRun)
 	}
 	return met, sum, reused, nil
 }

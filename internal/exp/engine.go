@@ -40,7 +40,11 @@ import (
 // histogram), so every finished cell is on disk when its worker moves on
 // and a crash can tear only the final line. Every cell of a run draws
 // its simulation machines from one sim.Pool: Machine.Reset re-lays a
-// machine for any function, so one pool serves every benchmark.
+// machine for any function, so one pool serves every benchmark. With
+// Options.Contention set, the machine pool, front-ends and journal
+// record their waits in named wait histograms, and forEach adds every
+// task's duration to one busy total: the scale report's two inputs
+// besides the wall clock.
 //
 // The main grid (Run), the extension grids (E1/E2/E3) and the fuzzing
 // harness all execute through runGrid.
@@ -75,12 +79,12 @@ type Options struct {
 	// compile-phase and simulation spans) on a lane per worker, for
 	// Chrome-trace export (internal/obs).
 	Tracer *obs.Tracer
-	// Contention, when non-nil, enables contention attribution: each
-	// worker records a busy/blocked state timeline (building a front-end
-	// or running a cell, blocked on the machine pool, idle) and every
+	// Contention, when non-nil, enables contention attribution: every
 	// shared resource — machine pool, front-ends, journal — wraps its
-	// blocking operation in a named wait histogram. Off (nil) it costs
-	// one nil check per site and zero allocations.
+	// blocking operation in a named wait histogram, and each worker adds
+	// the time it spends building a front-end or running a cell to the
+	// bundle's busy total. Off (nil) it costs one nil check per site,
+	// no clock reads and zero allocations.
 	Contention *obs.Contention
 	// Observe enables the per-cell counter registry: each cell collects
 	// compiler counters (dag/sched/regalloc/unroll/...), simulator
@@ -254,7 +258,7 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, o
 		ph.set(phaseSim)
 		simSpan := ob.Begin("sim", "sim").Arg("width", strconv.Itoa(w))
 		start := time.Now()
-		met, got, reused, err := core.ExecutePooled(c, d, w, pool, ob)
+		met, got, reused, err := core.ExecutePooled(c, d, w, pool)
 		out.phases.Sim += time.Since(start)
 		simSpan.End()
 		if st != nil {
@@ -329,10 +333,10 @@ func runCellOnce(parent context.Context, fe *frontEnd, spec cellSpec, pool *sim.
 			}
 		}()
 		// One Obs per attempt: the stats registry is single-goroutine by
-		// design, so each attempt gets a fresh one; the tracer, the
-		// worker's state timeline and the wait-histogram registry are
-		// shared and the lane identifies the worker.
-		ob := &obs.Obs{Tracer: opt.Tracer, Lane: lane, TL: opt.Contention.Lane(lane)}
+		// design, so each attempt gets a fresh one; the tracer and the
+		// wait-histogram registry are shared and the lane identifies the
+		// worker.
+		ob := &obs.Obs{Tracer: opt.Tracer, Lane: lane}
 		if opt.Contention != nil {
 			ob.Waits = opt.Contention.Waits
 		}
@@ -397,8 +401,8 @@ func runCellAttempts(parent context.Context, fe *frontEnd, spec cellSpec, pool *
 // forEach calls fn(lane, i) for every i in [0, n) on at most jobs
 // goroutines and returns once every call has. Indices come from one
 // shared counter, one at a time, so a worker that draws short tasks
-// simply draws more of them. The lane's state timeline reads run while
-// fn executes and idle otherwise.
+// simply draws more of them. Each call's duration is added to c's busy
+// total; a nil c reads no clock.
 func forEach(n, jobs int, c *obs.Contention, fn func(lane, i int)) {
 	if jobs > n {
 		jobs = n
@@ -409,11 +413,14 @@ func forEach(n, jobs int, c *obs.Contention, fn func(lane, i int)) {
 	for lane := 0; lane < jobs; lane++ {
 		go func(lane int) {
 			defer wg.Done()
-			tl := c.Lane(lane)
 			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				tl.Set(obs.StateRun)
+				if c == nil {
+					fn(lane, i)
+					continue
+				}
+				start := time.Now()
 				fn(lane, i)
-				tl.Set(obs.StateIdle)
+				c.AddBusy(time.Since(start))
 			}
 		}(lane)
 	}
@@ -554,10 +561,6 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 	ctx := opt.ctx()
 	nw := opt.jobs()
 	for w := 0; w < nw; w++ {
-		// Open every lane's timeline now, so a lane that draws no task
-		// records the run as idle rather than leaving it outside every
-		// state.
-		opt.Contention.Lane(w)
 		opt.Tracer.NameLane(w, fmt.Sprintf("worker %d", w))
 	}
 
@@ -596,12 +599,6 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 		finalize(*r)
 	}
 
-	// Workers have exited, so the state timelines are final: export them
-	// into the span trace as their own lanes, so one Perfetto load shows
-	// both what each worker did and what it was waiting on.
-	if opt.Tracer != nil && opt.Contention != nil {
-		opt.Tracer.AddEvents(opt.Contention.Timelines.Events())
-	}
 	if err := jw.Close(); err != nil {
 		return err
 	}

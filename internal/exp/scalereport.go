@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -14,19 +13,22 @@ import (
 // This file is the automated parallel-scaling report: it runs the same
 // grid at jobs = 1, 2, 4, …, GOMAXPROCS with contention attribution on,
 // and decomposes each width's shortfall from ideal speedup into named
-// causes — an Amdahl-style breakdown measured, not inferred. The
-// identity behind it: a worker's wall clock tiles exactly into run /
-// blocked-on-pool / idle (the timeline recorder enforces coverage), so
+// causes — an Amdahl-style breakdown measured, not inferred. Each of the
+// w workers is either busy (building a front-end or running a cell) or
+// idle. With busy(w) the workers' summed busy time and pool(w) the
+// machine pool's summed lock waits (its wait histogram),
 //
-//	gap(w) = wall(w) − wall(1)/w
-//	       ≈ (pool(w) + idle(w))/w + (run(w) − run(1))/w
+//	compute(w) = busy(w) − pool(w),  idle(w) = wall(w) − busy(w)/w
+//	gap(w)     = wall(w) − wall(1)/w
+//	           ≈ pool(w)/w + (compute(w) − compute(1))/w + idle(w)
 //
 // and every term on the right is a named cause: pool lock contention,
-// idle workers (a pre-phase with fewer front-ends than workers, the
-// tail of the cell queue), or per-cell compute dilation (memory
-// bandwidth, GC — the run state itself getting slower under
-// parallelism). The wait histograms give each resource's distribution;
-// the runtime bridge separates our locks from the Go scheduler and GC.
+// per-cell compute dilation (memory bandwidth, GC — the same cells
+// getting slower under parallelism), or idle workers (a pre-phase with
+// fewer front-ends than workers, the tail of the cell queue). The
+// remainder is the serial run's time outside compute, divided by w. The
+// wait histograms give each resource's distribution; the runtime bridge
+// separates our locks from the Go scheduler and GC.
 
 // ScaleWidth is the measurement of one grid width.
 type ScaleWidth struct {
@@ -41,20 +43,23 @@ type ScaleWidth struct {
 	// (WallSeconds − IdealSeconds).
 	IdealSeconds float64 `json:"ideal_seconds"`
 	GapSeconds   float64 `json:"gap_seconds"`
-	// StateSeconds totals each worker state across all workers.
-	StateSeconds map[string]float64 `json:"state_seconds"`
-	// Attribution decomposes the gap per cause, in per-worker seconds
-	// (state totals divided by Jobs, plus compute-dilation); the terms
-	// sum to AttributedSeconds and should approximate GapSeconds.
+	// BusySeconds is the time every worker spent building front-ends
+	// and running cells, summed over workers (pool lock waits included).
+	BusySeconds float64 `json:"busy_seconds"`
+	// Attribution decomposes the gap per cause, in per-worker seconds:
+	// block-pool is the "pool" wait histogram's sum divided by Jobs,
+	// compute-dilation the growth of busy time net of pool waits over
+	// jobs=1 divided by Jobs, idle the wall clock minus BusySeconds/Jobs.
+	// The terms sum to AttributedSeconds and should approximate
+	// GapSeconds.
 	Attribution       map[string]float64 `json:"attribution_seconds"`
 	AttributedSeconds float64            `json:"attributed_seconds"`
-	// OtherSeconds is the unattributed remainder (clock skew, worker
-	// spawn/join slack).
+	// OtherSeconds is the unattributed remainder: the jobs=1 run's time
+	// outside compute (queue building, worker spawn and join), divided
+	// by Jobs.
 	OtherSeconds float64 `json:"other_seconds"`
 	// Waits carries each shared resource's wait distribution.
 	Waits []obs.WaitSnapshot `json:"waits,omitempty"`
-	// Timelines summarizes each worker lane.
-	Timelines []obs.WorkerTimelineSnapshot `json:"timelines,omitempty"`
 	// Runtime is the runtime/metrics delta across this width's run
 	// (GC cycles and pauses, scheduler latency, goroutine count).
 	Runtime obs.RuntimeSample `json:"runtime_delta"`
@@ -93,15 +98,15 @@ func scaleWidths(max int) []int {
 	return append(out, max)
 }
 
-// attrDilation is the one attribution key beyond the raw state names.
-const attrDilation = "compute-dilation"
-
-// attributionStates are the worker states that attribute directly (each
-// divided across workers).
-var attributionStates = []string{"block-pool", "idle"}
+// Attribution keys: pool lock waits, compute dilation and idle workers.
+const (
+	attrPool     = "block-pool"
+	attrDilation = "compute-dilation"
+	attrIdle     = "idle"
+)
 
 // attributionOrder fixes the report's column order.
-var attributionOrder = []string{"block-pool", attrDilation, "idle"}
+var attributionOrder = []string{attrPool, attrDilation, attrIdle}
 
 // RunScaleReport measures the grid's parallel scaling over the named
 // benchmarks (all of them when names is empty). opt's Jobs, Contention,
@@ -130,7 +135,7 @@ func RunScaleReport(names []string, opt Options) (*ScaleReport, error) {
 		rep.Benches = append(rep.Benches, b.Name)
 	}
 
-	var baseRun float64 // run-state total at jobs=1: the compute baseline
+	var baseCompute float64 // compute at jobs=1: the dilation baseline
 	for _, jobs := range scaleWidths(maxJobs) {
 		wopt := opt
 		wopt.Jobs = jobs
@@ -144,34 +149,36 @@ func RunScaleReport(names []string, opt Options) (*ScaleReport, error) {
 		wall := time.Since(start).Seconds()
 		rtDelta := obs.SampleRuntime().Delta(rt0)
 
-		states := wopt.Contention.Timelines.StateTotals()
-		waits := wopt.Contention.Waits.Snapshot()
+		busy := wopt.Contention.Busy().Seconds()
+		pool := wopt.Contention.Hist("pool").Snapshot().Seconds()
+		compute := busy - pool
 
 		sw := ScaleWidth{
-			Jobs:         jobs,
-			WallSeconds:  wall,
-			StateSeconds: states,
-			Waits:        waits,
-			Timelines:    wopt.Contention.Timelines.Snapshot(),
-			Runtime:      rtDelta,
-			Attribution:  map[string]float64{},
+			Jobs:        jobs,
+			WallSeconds: wall,
+			BusySeconds: busy,
+			Waits:       wopt.Contention.Waits.Snapshot(),
+			Runtime:     rtDelta,
 		}
 		if len(rep.Widths) == 0 {
 			rep.BaselineSeconds = wall
-			baseRun = states["run"]
+			baseCompute = compute
 		}
 		sw.Speedup = rep.BaselineSeconds / wall
 		sw.Efficiency = sw.Speedup / float64(jobs)
 		sw.IdealSeconds = rep.BaselineSeconds / float64(jobs)
 		sw.GapSeconds = wall - sw.IdealSeconds
 
-		// Per-worker attribution: blocked states divide across workers;
+		// Per-worker attribution: pool waits divide across workers;
 		// compute dilation is how much slower the same cells ran in
-		// aggregate versus the serial baseline.
-		for _, state := range attributionStates {
-			sw.Attribution[state] = states[state] / float64(jobs)
+		// aggregate versus the serial baseline; idle is the wall clock a
+		// worker spent outside every task.
+		n := float64(jobs)
+		sw.Attribution = map[string]float64{
+			attrPool:     pool / n,
+			attrDilation: (compute - baseCompute) / n,
+			attrIdle:     wall - busy/n,
 		}
-		sw.Attribution[attrDilation] = (states["run"] - baseRun) / float64(jobs)
 		for _, v := range sw.Attribution {
 			sw.AttributedSeconds += v
 		}
@@ -179,13 +186,9 @@ func RunScaleReport(names []string, opt Options) (*ScaleReport, error) {
 		rep.Widths = append(rep.Widths, sw)
 	}
 
-	// Dominant cause at the widest run: the largest positive attribution
-	// (idle excluded — it is lead-in/lead-out slack, not a resource).
+	// Dominant cause at the widest run: the largest positive attribution.
 	last := rep.Widths[len(rep.Widths)-1]
 	for name, v := range last.Attribution {
-		if name == "idle" {
-			continue
-		}
 		if v > rep.DominantSeconds {
 			rep.Dominant, rep.DominantSeconds = name, v
 		}
@@ -267,7 +270,7 @@ func (r *ScaleReport) WriteText(w io.Writer) {
 // attrShort abbreviates attribution keys for column headers.
 func attrShort(k string) string {
 	switch k {
-	case "block-pool":
+	case attrPool:
 		return "pool"
 	case attrDilation:
 		return "dilation"
@@ -281,29 +284,4 @@ func attrColWidth(k string) int {
 		return n
 	}
 	return 7
-}
-
-// DominantAttribution returns the attribution map of the widest width,
-// sorted descending — exported for tests and tooling that assert the
-// report names causes.
-func (r *ScaleReport) DominantAttribution() []struct {
-	Name    string
-	Seconds float64
-} {
-	if len(r.Widths) == 0 {
-		return nil
-	}
-	last := r.Widths[len(r.Widths)-1]
-	out := make([]struct {
-		Name    string
-		Seconds float64
-	}, 0, len(last.Attribution))
-	for k, v := range last.Attribution {
-		out = append(out, struct {
-			Name    string
-			Seconds float64
-		}{k, v})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seconds > out[b].Seconds })
-	return out
 }

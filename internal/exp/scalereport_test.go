@@ -62,9 +62,6 @@ func TestRunScaleReport(t *testing.T) {
 			t.Errorf("jobs=%d: unattributed %.4fs exceeds tolerance %.4fs (gap %.4fs, attributed %.4fs)",
 				sw.Jobs, sw.OtherSeconds, tol, sw.GapSeconds, sw.AttributedSeconds)
 		}
-		if len(sw.Timelines) != sw.Jobs {
-			t.Errorf("jobs=%d: %d timeline lanes", sw.Jobs, len(sw.Timelines))
-		}
 	}
 	if rep.GOMAXPROCS > 1 && rep.Dominant == "" {
 		t.Error("multi-width report names no dominant resource")
@@ -122,21 +119,15 @@ func TestContentionPreservesTables(t *testing.T) {
 }
 
 // TestGridContentionInstruments checks the engine actually feeds the
-// bundle: worker timelines exist per lane, the shared-resource wait
-// histograms are registered, and run time dominates a healthy 1-bench
-// grid.
+// bundle: the workers record busy time and the shared-resource wait
+// histograms are registered.
 func TestGridContentionInstruments(t *testing.T) {
 	c := obs.NewContention(0)
 	if _, err := RunGrid([]string{obsBench}, Options{Jobs: 2, Contention: c}); err != nil {
 		t.Fatal(err)
 	}
-	snaps := c.Timelines.Snapshot()
-	if len(snaps) != 2 {
-		t.Fatalf("timeline lanes = %d, want 2", len(snaps))
-	}
-	totals := c.Timelines.StateTotals()
-	if totals["run"] <= 0 {
-		t.Errorf("no run time recorded: %v", totals)
+	if c.Busy() <= 0 {
+		t.Errorf("no busy time recorded: %v", c.Busy())
 	}
 	waits := map[string]bool{}
 	for _, ws := range c.Waits.Snapshot() {
@@ -146,33 +137,5 @@ func TestGridContentionInstruments(t *testing.T) {
 		if !waits[want] {
 			t.Errorf("wait histogram %q not registered (got %v)", want, waits)
 		}
-	}
-}
-
-// TestGridTraceIncludesStateLanes checks the tracer merge: a traced,
-// attributed run exports worker-state lanes that survive the partition
-// validator alongside the span lanes.
-func TestGridTraceIncludesStateLanes(t *testing.T) {
-	tr := obs.NewTracer()
-	c := obs.NewContentionAt(tr.Epoch(), 0)
-	if _, err := RunGrid([]string{obsBench}, Options{Jobs: 2, Tracer: tr, Contention: c}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := obs.ValidateChromeTrace(buf.Bytes())
-	if err != nil {
-		t.Fatalf("attributed trace fails validation: %v", err)
-	}
-	if sum.StateLanes != 2 {
-		t.Errorf("state lanes = %d, want 2", sum.StateLanes)
-	}
-	if sum.States["run"] == 0 {
-		t.Errorf("no run intervals in state lanes: %v", sum.States)
-	}
-	if sum.Names["cell"] != len(Cells()) {
-		t.Errorf("span lanes lost: %d cell spans, want %d", sum.Names["cell"], len(Cells()))
 	}
 }

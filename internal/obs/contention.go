@@ -1,44 +1,31 @@
 package obs
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // Contention bundles the contention-attribution instruments one grid run
-// carries: per-worker state timelines and per-resource wait histograms.
-// A nil *Contention is fully disabled — Lane and Hist return nil
-// receivers whose methods are free — so the engine threads it
-// unconditionally and pays one nil check when attribution is off.
+// carries: per-resource wait histograms and the workers' total busy
+// time. A nil *Contention is fully disabled — Hist returns a nil
+// receiver whose methods are free, AddBusy does nothing — so the engine
+// threads it unconditionally and pays one nil check when attribution is
+// off.
 type Contention struct {
-	// Timelines holds one busy/blocked state ring per worker lane.
-	Timelines *TimelineSet
 	// Waits holds the named per-resource wait histograms.
 	Waits *WaitProfile
+
+	busyNS atomic.Int64
 }
 
-// NewContention returns an enabled bundle; capPerWorker ≤ 0 uses
-// DefaultTimelineCap.
-func NewContention(capPerWorker int) *Contention {
-	return &Contention{
-		Timelines: NewTimelineSet(capPerWorker),
-		Waits:     NewWaitProfile(),
-	}
+// NewContention returns an enabled bundle. The argument is ignored.
+func NewContention(int) *Contention {
+	return &Contention{Waits: NewWaitProfile()}
 }
 
-// NewContentionAt is NewContention with an explicit timeline epoch —
-// pass a Tracer's Epoch so the exported state lanes share the span
-// lanes' clock and line up in the trace viewer.
-func NewContentionAt(epoch time.Time, capPerWorker int) *Contention {
-	return &Contention{
-		Timelines: NewTimelineSetAt(epoch, capPerWorker),
-		Waits:     NewWaitProfile(),
-	}
-}
-
-// Lane returns the worker lane's timeline (nil when disabled).
-func (c *Contention) Lane(lane int) *Timeline {
-	if c == nil {
-		return nil
-	}
-	return c.Timelines.Lane(lane)
+// NewContentionAt is NewContention; both arguments are ignored.
+func NewContentionAt(time.Time, int) *Contention {
+	return NewContention(0)
 }
 
 // Hist returns the wait histogram for resource name (nil when disabled).
@@ -49,22 +36,26 @@ func (c *Contention) Hist(name string) *WaitHist {
 	return c.Waits.Hist(name)
 }
 
-// ContentionSnapshot is the serializable state of a Contention bundle,
-// served live by bschedd's /debug/obs and embedded in the scale report.
-type ContentionSnapshot struct {
-	// Timelines summarizes each worker lane's per-state totals.
-	Timelines []WorkerTimelineSnapshot `json:"timelines,omitempty"`
-	// Waits summarizes each resource's wait distribution.
-	Waits []WaitSnapshot `json:"waits,omitempty"`
+// AddBusy adds d to the workers' total busy time. Nil-safe.
+func (c *Contention) AddBusy(d time.Duration) {
+	if c == nil {
+		return
+	}
+	c.busyNS.Add(int64(d))
 }
 
-// Snapshot freezes the bundle. Nil snapshots to nil.
-func (c *Contention) Snapshot() *ContentionSnapshot {
+// Busy returns the busy time summed over every worker (zero when
+// disabled).
+func (c *Contention) Busy() time.Duration {
 	if c == nil {
-		return nil
+		return 0
 	}
-	return &ContentionSnapshot{
-		Timelines: c.Timelines.Snapshot(),
-		Waits:     c.Waits.Snapshot(),
-	}
+	return time.Duration(c.busyNS.Load())
+}
+
+// ContentionSnapshot is the serializable state of a Contention bundle,
+// served live by bschedd's /debug/obs.
+type ContentionSnapshot struct {
+	// Waits summarizes each resource's wait distribution.
+	Waits []WaitSnapshot `json:"waits,omitempty"`
 }

@@ -15,7 +15,8 @@ package obs
 // Obs bundles the observability context one compilation or simulation
 // carries: a tracer (nil = tracing off), the trace lane (the Chrome-trace
 // thread ID, one per engine worker so a grid run renders as per-worker
-// timelines), and a counter registry (nil = counters off). A nil *Obs is
+// timelines), a counter registry (nil = counters off) and a
+// wait-histogram registry (nil = wait attribution off). A nil *Obs is
 // fully disabled.
 type Obs struct {
 	// Tracer receives spans; nil disables tracing.
@@ -24,10 +25,6 @@ type Obs struct {
 	Lane int
 	// Stats receives counters and histograms; nil disables them.
 	Stats *Stats
-	// TL is the worker's state timeline (nil = timelines off): deep
-	// callees (the pool path in core.ExecutePooled) flip the worker's
-	// blocked/running state through it.
-	TL *Timeline
 	// Waits is the run's per-resource wait-histogram registry (nil =
 	// wait attribution off).
 	Waits *WaitProfile
@@ -49,15 +46,6 @@ func (o *Obs) Stat() *Stats {
 		return nil
 	}
 	return o.Stats
-}
-
-// State flips the context's worker timeline into state s. Safe (and
-// free) on a nil receiver or with timelines disabled.
-func (o *Obs) State(s WorkerState) {
-	if o == nil {
-		return
-	}
-	o.TL.Set(s)
 }
 
 // Wait returns the wait histogram for resource name (nil when wait

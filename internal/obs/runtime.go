@@ -178,21 +178,3 @@ func (s RuntimeSample) Delta(prev RuntimeSample) RuntimeSample {
 	d.GCPauses.SumNS -= prev.GCPauses.SumNS
 	return d
 }
-
-// AddTo folds the sample into a Stats registry under "go/": scalar
-// values as counters, the two distributions as quantile counters. The
-// bridge is point-in-time, so callers fold exactly one sample per
-// registry (the serving layer folds on demand).
-func (s RuntimeSample) AddTo(st *Stats) {
-	if st == nil {
-		return
-	}
-	st.Add("go/goroutines", s.Goroutines)
-	st.Add("go/gc_cycles", s.GCCycles)
-	st.Add("go/heap_bytes", s.HeapBytes)
-	st.Add("go/gc_cpu_ms", int64(s.GCCPUSeconds*1e3))
-	st.Add("go/sched_latency_p50_ns", s.SchedLatency.P50NS)
-	st.Add("go/sched_latency_p99_ns", s.SchedLatency.P99NS)
-	st.Add("go/gc_pause_p50_ns", s.GCPauses.P50NS)
-	st.Add("go/gc_pause_p99_ns", s.GCPauses.P99NS)
-}

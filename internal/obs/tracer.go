@@ -119,25 +119,13 @@ func (t *Tracer) NameLane(tid int, name string) {
 	t.mu.Unlock()
 }
 
-// Epoch returns the tracer's event-clock origin, so sibling exporters
-// (worker-state timelines) can share it and line up in the viewer. The
-// zero time on a nil tracer.
+// Epoch returns the tracer's event-clock origin, so a caller can line
+// its own timestamps up with the trace's. The zero time on a nil tracer.
 func (t *Tracer) Epoch() time.Time {
 	if t == nil {
 		return time.Time{}
 	}
 	return t.epoch
-}
-
-// AddEvents appends pre-built events (a TimelineSet export) to the
-// trace. No-op on a nil tracer.
-func (t *Tracer) AddEvents(evs []Event) {
-	if t == nil || len(evs) == 0 {
-		return
-	}
-	t.mu.Lock()
-	t.events = append(t.events, evs...)
-	t.mu.Unlock()
 }
 
 // Len reports the number of recorded events (metadata included).

@@ -8,35 +8,24 @@ import (
 
 // TraceSummary reports what ValidateChromeTrace found in a trace file.
 type TraceSummary struct {
-	// Spans is the number of complete ("X") events outside state lanes.
+	// Spans is the number of complete ("X") events.
 	Spans int
 	// Lanes is the number of distinct (pid, tid) lanes carrying spans.
 	Lanes int
 	// Names counts spans per event name.
 	Names map[string]int
-	// StateLanes is the number of worker-state timeline lanes (category
-	// "state", as exported by TimelineSet.Events).
-	StateLanes int
-	// StateIntervals is the number of state intervals across those lanes.
-	StateIntervals int
-	// States counts intervals per state name.
-	States map[string]int
 }
 
-// laneKey identifies one trace lane. Span lanes and state lanes live
-// under different PIDs, so TID alone is not unique.
+// laneKey identifies one trace lane: a Chrome trace may carry several
+// processes, so TID alone is not unique.
 type laneKey struct{ pid, tid int }
 
 // ValidateChromeTrace parses Chrome trace-event JSON (either a bare event
 // array or a {"traceEvents": [...]} object) and checks the structural
-// invariants our exporters guarantee. Span lanes: every complete event
-// has a non-negative timestamp and duration, and within each lane spans
-// are properly nested — any two either are disjoint or one contains the
-// other. Worker-state lanes (category "state"): intervals on a lane must
-// not overlap, and must tile the lane edge to edge — every instant from
-// the lane's first transition to its last is covered by exactly one
-// state (idle + busy covers the run). It returns a summary or the first
-// violation.
+// invariants our exporter guarantees: every complete event has a
+// non-negative timestamp and duration, and within each lane spans are
+// properly nested — any two either are disjoint or one contains the
+// other. It returns a summary or the first violation.
 func ValidateChromeTrace(data []byte) (*TraceSummary, error) {
 	var wrapper struct {
 		TraceEvents []Event `json:"traceEvents"`
@@ -50,9 +39,8 @@ func ValidateChromeTrace(data []byte) (*TraceSummary, error) {
 		events = wrapper.TraceEvents
 	}
 
-	sum := &TraceSummary{Names: map[string]int{}, States: map[string]int{}}
+	sum := &TraceSummary{Names: map[string]int{}}
 	byLane := map[laneKey][]Event{}
-	stateLanes := map[laneKey][]Event{}
 	for _, ev := range events {
 		if ev.Ph != "X" {
 			continue // metadata and other phases carry no interval
@@ -60,19 +48,12 @@ func ValidateChromeTrace(data []byte) (*TraceSummary, error) {
 		if ev.TS < 0 || ev.Dur < 0 {
 			return nil, fmt.Errorf("obs: span %q has negative ts/dur (%v/%v)", ev.Name, ev.TS, ev.Dur)
 		}
-		k := laneKey{ev.PID, ev.TID}
-		if ev.Cat == "state" {
-			sum.StateIntervals++
-			sum.States[ev.Name]++
-			stateLanes[k] = append(stateLanes[k], ev)
-			continue
-		}
 		sum.Spans++
 		sum.Names[ev.Name]++
+		k := laneKey{ev.PID, ev.TID}
 		byLane[k] = append(byLane[k], ev)
 	}
 	sum.Lanes = len(byLane)
-	sum.StateLanes = len(stateLanes)
 
 	// Nesting check per span lane: sweep spans by start time (ties:
 	// longer first, i.e. parent before child) against a stack of open
@@ -100,25 +81,6 @@ func ValidateChromeTrace(data []byte) (*TraceSummary, error) {
 				}
 			}
 			stack = append(stack, ev)
-		}
-	}
-
-	// Worker-state lanes are a partition of the worker's run, not a span
-	// tree: consecutive intervals must neither overlap nor leave a gap.
-	for k, evs := range stateLanes {
-		sort.SliceStable(evs, func(a, b int) bool { return evs[a].TS < evs[b].TS })
-		for i := 1; i < len(evs); i++ {
-			prevEnd := evs[i-1].TS + evs[i-1].Dur
-			switch {
-			case evs[i].TS < prevEnd-eps:
-				return nil, fmt.Errorf(
-					"obs: state lane %d: %q starts at %.3f inside %q ending %.3f (overlapping states)",
-					k.tid, evs[i].Name, evs[i].TS, evs[i-1].Name, prevEnd)
-			case evs[i].TS > prevEnd+eps:
-				return nil, fmt.Errorf(
-					"obs: state lane %d: gap [%.3f,%.3f] between %q and %q (states must cover the run)",
-					k.tid, prevEnd, evs[i].TS, evs[i-1].Name, evs[i].Name)
-			}
 		}
 	}
 	return sum, nil

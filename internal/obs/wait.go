@@ -8,15 +8,14 @@ import (
 	"time"
 )
 
-// This file is the wait-histogram half of the contention-attribution
-// subsystem: every shared resource on the experiment engine's hot path
-// (front-end cache, machine pool, journal) wraps its
-// blocking operation in one of these helpers, so a slow parallel run
-// decomposes into named per-resource wait-time distributions instead of
-// an undifferentiated gap. WaitHist is lock-free (atomics only) because
-// the whole point is to measure contention without adding a new lock to
-// contend on; a nil *WaitHist or *WaitProfile is fully disabled and
-// allocation-free.
+// This file is the contention-attribution subsystem's one instrument:
+// every shared resource on the experiment engine's hot path (front-end
+// cache, machine pool, journal) wraps its blocking operation in one of
+// these helpers, so a slow parallel run decomposes into named
+// per-resource wait-time distributions instead of an undifferentiated
+// gap. WaitHist is lock-free (atomics only) because the whole point is
+// to measure contention without adding a new lock to contend on; a nil
+// *WaitHist or *WaitProfile is fully disabled and allocation-free.
 
 // WaitBuckets is the number of wait-histogram buckets: bucket i counts
 // waits ≤ 2^i nanoseconds (bucket 31 ≈ 2.1s), the final bucket absorbing
@@ -155,25 +154,6 @@ func (p *WaitProfile) Snapshot() []WaitSnapshot {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Resource < out[b].Resource })
 	return out
-}
-
-// AddTo folds every wait histogram into a Stats registry under
-// "wait/<resource>" (values in nanoseconds), so wait distributions ride
-// the existing snapshot/merge/Prometheus machinery. The power-of-two
-// bucket layouts match; buckets beyond Stats' HistBuckets fold into its
-// overflow bucket.
-func (p *WaitProfile) AddTo(st *Stats) {
-	if p == nil || st == nil {
-		return
-	}
-	for _, ws := range p.Snapshot() {
-		name := "wait/" + ws.Resource + "_ns"
-		for i, n := range ws.Buckets {
-			// Representative value for bucket i (≤ 2^i ns); buckets past
-			// HistBuckets saturate into Stats' overflow bucket.
-			st.ObserveN(name, int64(1)<<uint(i), n)
-		}
-	}
 }
 
 // TimedMutex is a sync.Mutex that attributes its lock waits to a

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -79,33 +78,6 @@ func TestTimedMutexRecordsContention(t *testing.T) {
 	}
 }
 
-// TestWaitProfileAddTo folds a profile into a Stats registry and checks
-// the series appears with matching count and a sane Prometheus render.
-func TestWaitProfileAddTo(t *testing.T) {
-	p := NewWaitProfile()
-	h := p.Hist("pool")
-	for i := 0; i < 5; i++ {
-		h.Observe(time.Duration(100 << i))
-	}
-	st := NewStats()
-	p.AddTo(st)
-	snap := st.Snapshot()
-	hs, ok := snap.Hists["wait/pool_ns"]
-	if !ok {
-		t.Fatalf("wait/pool_ns not folded; hists: %v", snap.Hists)
-	}
-	if hs.Count != 5 {
-		t.Errorf("folded count = %d, want 5", hs.Count)
-	}
-	var sb strings.Builder
-	if err := snap.WritePrometheus(&sb, "t_"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "t_wait_pool_ns_count 5") {
-		t.Errorf("prometheus output missing folded histogram:\n%s", sb.String())
-	}
-}
-
 // TestWaitDisabledZeroAlloc proves the nil fast paths are free.
 func TestWaitDisabledZeroAlloc(t *testing.T) {
 	var h *WaitHist
@@ -119,6 +91,26 @@ func TestWaitDisabledZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled wait path allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// TestTimelineDisabledZeroAlloc proves a worker's timeline costs nothing
+// when it is off: spans on a worker's trace lane through a nil *Tracer
+// or nil *Obs, and the busy-time and wait accounting of a nil
+// *Contention, allocate nothing.
+func TestTimelineDisabledZeroAlloc(t *testing.T) {
+	var tr *Tracer
+	var o *Obs
+	var c *Contention
+	allocs := testing.AllocsPerRun(1000, func() {
+		tr.Begin(3, "cell", "exp").End()
+		o.Begin("cell", "exp").End()
+		c.Hist("pool").Observe(time.Microsecond)
+		c.AddBusy(time.Microsecond)
+		_ = c.Busy()
+	})
+	if allocs != 0 {
+		t.Fatalf("disabled timeline path allocates %.1f per op, want 0", allocs)
 	}
 }
 
@@ -138,10 +130,5 @@ func TestRuntimeSample(t *testing.T) {
 	}
 	if d.Goroutines < 1 {
 		t.Errorf("delta keeps instantaneous goroutines, got %d", d.Goroutines)
-	}
-	st := NewStats()
-	s.AddTo(st)
-	if _, ok := st.Snapshot().Counters["go/goroutines"]; !ok {
-		t.Error("AddTo did not record go/goroutines")
 	}
 }

@@ -837,9 +837,7 @@ type debugObsDoc struct {
 	obs.DebugDoc
 	// Breakers maps benchmark to its circuit-breaker state name.
 	Breakers map[string]string `json:"breakers"`
-	// Contention carries the pipeline's wait histograms. Timelines is
-	// null: the server's work is request-shaped, not worker-loop-shaped,
-	// so only the resource waits apply.
+	// Contention carries the pipeline's wait histograms.
 	Contention *obs.ContentionSnapshot `json:"contention"`
 }
 

@@ -32,8 +32,6 @@ type Pool struct {
 	// attributable to the pool's wait histogram.
 	mu   obs.TimedMutex
 	free []*Machine
-
-	hits, misses atomic.Int64
 }
 
 // maxPoolFree bounds each pool's idle machines; beyond it Put drops the
@@ -63,12 +61,10 @@ func (p *Pool) Get(fn *ir.Func) (m *Machine, reused bool, err error) {
 	}
 	p.mu.Unlock()
 	if m != nil {
-		p.hits.Add(1)
 		poolHits.Add(1)
 		m.Reset(fn)
 		return m, true, nil
 	}
-	p.misses.Add(1)
 	poolMisses.Add(1)
 	m, err = New(fn)
 	if err != nil {
@@ -95,9 +91,4 @@ func (p *Pool) idle() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.free)
-}
-
-// Counters returns this pool's Get hit and miss totals.
-func (p *Pool) Counters() (hits, misses int64) {
-	return p.hits.Load(), p.misses.Load()
 }

@@ -29,6 +29,7 @@ func TestPoolReuseBitIdentical(t *testing.T) {
 	wantBr := baseline(fBr, initLCG(0, n))
 
 	p := NewPool(nil)
+	var hits, misses int
 	for round := 0; round < 3; round++ {
 		for _, k := range []struct {
 			fn   *ir.Func
@@ -39,16 +40,20 @@ func TestPoolReuseBitIdentical(t *testing.T) {
 			{fSmall, initRamp(0, small), wantSmall},
 			{fBr, initLCG(0, n), wantBr},
 		} {
-			m, _, err := p.Get(k.fn)
+			m, reused, err := p.Get(k.fn)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if reused {
+				hits++
+			} else {
+				misses++
 			}
 			k.init(m)
 			diffOutcomes(t, observe(t, m), k.want)
 			p.Put(m)
 		}
 	}
-	hits, misses := p.Counters()
 	if misses != 1 {
 		t.Errorf("misses = %d, want 1 (one machine serves every run)", misses)
 	}
