@@ -18,6 +18,7 @@
 //	        [-probe-interval d] [-probe-max-interval d] [-evict-after N]
 //	        [-min-workers N] [-coord-cache N]
 //	        [-breaker-threshold N] [-breaker-cooldown d]
+//	        [-deadline d] [-max-deadline d] [-max-body N]
 //	        [-journal cells.jsonl] [-resume] [-drain-timeout d] [-v]
 //
 // In coordinator mode bschedd serves the same endpoints but executes
@@ -26,9 +27,10 @@
 // front-end and result caches hot), health-checked via /readyz with
 // exponential-backoff probing, dispatched under bounded per-worker
 // in-flight windows with per-cell retry, jittered backoff, failover to
-// the next healthy worker, and hedged dispatch for stragglers. When
-// every replica of a cell is exhausted the cell degrades to a structured
-// error entry — the grid never fails whole. /v1/grid?stream=jsonl (or
+// the next healthy worker, and hedged dispatch for stragglers
+// (-hedge-after; 0 disables it). When every replica of a cell is
+// exhausted the cell degrades to a structured error entry — the grid
+// never fails whole. /v1/grid?stream=jsonl (or
 // sse) streams cells as they finish. The -workers flag is the initial
 // fleet roster: a comma-separated host:port list (in worker mode the
 // same flag is the pipeline concurrency bound).
@@ -57,6 +59,12 @@
 //	GET  /readyz      readiness (503 while draining or breaker-saturated)
 //	GET  /metrics     Prometheus text: counters + latency histograms + queue/breaker/cache gauges
 //	GET  /debug/obs   live observability snapshot as JSON (stats, gauges, runtime, waits)
+//
+// Both modes run one request lifecycle (server.Daemon): the same request
+// IDs, POST-only and draining checks, -max-body limit (413 beyond it),
+// -deadline/-max-deadline request deadlines, structured error bodies
+// with jittered Retry-After hints, /healthz, /metrics preamble and
+// drain. The flags' defaults are the lifecycle's defaults in both modes.
 //
 // Robustness: requests beyond -queue are shed with 429 + Retry-After;
 // every request runs under a deadline propagated through the pipeline

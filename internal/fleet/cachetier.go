@@ -28,9 +28,9 @@ func (c *Coordinator) promote(key string, body []byte) {
 // a local hit. Returns the bytes and a worker label for attribution.
 func (c *Coordinator) tierLookup(ctx context.Context, key string) ([]byte, string, bool) {
 	if body, ok := c.tier.Get(key); ok {
-		c.stats.Inc("fleet/cache_hits")
-		c.stats.Inc("fleet/cache_local_hits")
-		c.stats.Inc("fleet/recompute_avoided")
+		c.Stats.Inc("fleet/cache_hits")
+		c.Stats.Inc("fleet/cache_local_hits")
+		c.Stats.Inc("fleet/recompute_avoided")
 		return body, "fleet-cache", true
 	}
 	now := time.Now()
@@ -47,12 +47,12 @@ func (c *Coordinator) tierLookup(ctx context.Context, key string) ([]byte, strin
 			continue
 		}
 		c.promote(key, body)
-		c.stats.Inc("fleet/cache_hits")
-		c.stats.Inc("fleet/cache_peer_hits")
-		c.stats.Inc("fleet/recompute_avoided")
+		c.Stats.Inc("fleet/cache_hits")
+		c.Stats.Inc("fleet/cache_peer_hits")
+		c.Stats.Inc("fleet/recompute_avoided")
 		return body, "peer-cache:" + w.addr, true
 	}
-	c.stats.Inc("fleet/cache_misses")
+	c.Stats.Inc("fleet/cache_misses")
 	return nil, "", false
 }
 
@@ -61,13 +61,13 @@ func (c *Coordinator) tierLookup(ctx context.Context, key string) ([]byte, strin
 // transport error is ignored — this path must never make a failover
 // slower than just recomputing.
 func (c *Coordinator) peerFetch(ctx context.Context, w *worker, key string) ([]byte, bool) {
-	fctx, cancel := context.WithTimeout(ctx, c.cfg.PeerFetchTimeout)
+	fctx, cancel := context.WithTimeout(ctx, peerFetchTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(fctx, http.MethodGet, w.base+"/v1/cache/"+url.PathEscape(key), nil)
 	if err != nil {
 		return nil, false
 	}
-	c.stats.Inc("fleet/peer_fetches")
+	c.Stats.Inc("fleet/peer_fetches")
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return nil, false
@@ -77,7 +77,7 @@ func (c *Coordinator) peerFetch(ctx context.Context, w *worker, key string) ([]b
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 		return nil, false
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, c.MaxBodyBytes()))
 	if err != nil || len(body) == 0 {
 		return nil, false
 	}

@@ -194,7 +194,7 @@ func TestGridSurvivesKillAndJoinMidGrid(t *testing.T) {
 		addr, _ := startWorker(t)
 		r := newRing()
 		for _, m := range append(c.WorkerAddrs(), addr) {
-			r.add(m, c.cfg.VNodes)
+			r.add(m, vnodes)
 		}
 		if r.owner("tomcatv") != addr {
 			addrC = addr

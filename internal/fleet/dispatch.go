@@ -15,22 +15,15 @@ import (
 	"repro/internal/server"
 )
 
-// cellFailure is a structured dispatch failure, mirroring the worker
-// protocol's error taxonomy plus the coordinator's own kinds
-// ("degraded", "no_workers").
-type cellFailure struct {
-	status int
-	kind   string
-	msg    string
-	phase  string
-}
-
-// outcome is one attempt's (or one whole dispatch's) result.
+// outcome is one attempt's (or one whole dispatch's) result. A failure
+// is the worker protocol's, relayed, or the coordinator's own
+// dispatch-phase kinds: worker_breaker_open, worker_unreachable,
+// degraded, timeout and canceled.
 type outcome struct {
 	ok        bool
 	body      []byte // ResultDoc bytes when ok
 	cache     string // worker's X-Cache header
-	fail      *cellFailure
+	fail      *server.Failure
 	retryable bool
 	ctxDead   bool // the attempt died of context cancel/expiry, not the worker
 }
@@ -43,7 +36,7 @@ type dispatchResult struct {
 	body          []byte
 	worker        string // serving worker addr; "resume" for journal replays
 	attempts      int
-	fail          *cellFailure
+	fail          *server.Failure
 }
 
 // dispatchCell routes one cell to the fleet: resume-cache hit, or the
@@ -54,14 +47,14 @@ func (c *Coordinator) dispatchCell(ctx context.Context, id, bench, config string
 	res := dispatchResult{bench: bench, config: config, verify: verify}
 	key := server.CellKey(bench, config, verify)
 	if body, ok := c.resumed[key]; ok {
-		c.stats.Inc("fleet/resume_hits")
+		c.Stats.Inc("fleet/resume_hits")
 		c.promote(key, body)
 		res.body, res.worker = body, "resume"
 		return res
 	}
 
 	backoff := c.cfg.RetryBackoff
-	var last *cellFailure
+	var last *server.Failure
 	var lastWorker *worker
 	rot := 0
 	for res.attempts < c.cfg.Attempts {
@@ -81,11 +74,11 @@ func (c *Coordinator) dispatchCell(ctx context.Context, id, bench, config string
 			// immediately; workers that are merely shedding (Retry-After)
 			// get their window honored before the next look.
 			if c.healthyCount() == 0 {
-				c.stats.Inc("fleet/degraded_cells")
+				c.Stats.Inc("fleet/degraded_cells")
 				res.fail = degradedFailure(bench, config, last, "no healthy workers")
 				return res
 			}
-			c.stats.Inc("fleet/backoff_waits")
+			c.Stats.Inc("fleet/backoff_waits")
 			if !sleepCtx(ctx, jitterDur(backoff)) {
 				res.fail = ctxFailure(ctx.Err(), bench, config)
 				return res
@@ -99,16 +92,16 @@ func (c *Coordinator) dispatchCell(ctx context.Context, id, bench, config string
 		if res.attempts >= 1 || w != order[0] {
 			if body, label, ok := c.tierLookup(ctx, key); ok {
 				res.body, res.worker = body, label
-				c.stats.Inc("fleet/cells_ok")
+				c.Stats.Inc("fleet/cells_ok")
 				return res
 			}
 		}
 		res.attempts++
 		rot++
 		if res.attempts > 1 {
-			c.stats.Inc("fleet/retries")
+			c.Stats.Inc("fleet/retries")
 			if lastWorker != nil && w != lastWorker {
-				c.stats.Inc("fleet/failovers")
+				c.Stats.Inc("fleet/failovers")
 			}
 		}
 		var o outcome
@@ -121,7 +114,7 @@ func (c *Coordinator) dispatchCell(ctx context.Context, id, bench, config string
 		if o.ok {
 			res.body = o.body
 			c.promote(key, o.body)
-			c.stats.Inc("fleet/cells_ok")
+			c.Stats.Inc("fleet/cells_ok")
 			return res
 		}
 		lastWorker = w
@@ -143,10 +136,10 @@ func (c *Coordinator) dispatchCell(ctx context.Context, id, bench, config string
 	// Attempts exhausted: the tier is the last stop before degrading.
 	if body, label, ok := c.tierLookup(ctx, key); ok {
 		res.body, res.worker = body, label
-		c.stats.Inc("fleet/cells_ok")
+		c.Stats.Inc("fleet/cells_ok")
 		return res
 	}
-	c.stats.Inc("fleet/degraded_cells")
+	c.Stats.Inc("fleet/degraded_cells")
 	res.fail = degradedFailure(bench, config, last, "all replicas exhausted")
 	return res
 }
@@ -159,25 +152,32 @@ func growBackoff(d time.Duration) time.Duration {
 	return d
 }
 
-func ctxFailure(err error, bench, config string) *cellFailure {
+func ctxFailure(err error, bench, config string) *server.Failure {
 	if errors.Is(err, context.DeadlineExceeded) {
-		return &cellFailure{
-			status: http.StatusGatewayTimeout, kind: "timeout", phase: "dispatch",
-			msg: fmt.Sprintf("deadline exceeded dispatching %s/%s", bench, config),
+		return &server.Failure{
+			Status: http.StatusGatewayTimeout, Kind: "timeout", Phase: "dispatch",
+			Msg: fmt.Sprintf("deadline exceeded dispatching %s/%s", bench, config),
 		}
 	}
-	return &cellFailure{
-		status: http.StatusServiceUnavailable, kind: "canceled", phase: "dispatch",
-		msg: fmt.Sprintf("request canceled dispatching %s/%s", bench, config),
+	return &server.Failure{
+		Status: http.StatusServiceUnavailable, Kind: "canceled", Phase: "dispatch",
+		Msg: fmt.Sprintf("request canceled dispatching %s/%s", bench, config),
 	}
 }
 
-func degradedFailure(bench, config string, last *cellFailure, why string) *cellFailure {
+// degradedFailure is a cell no replica could serve. It is the one
+// dispatch failure a client is told to come back from: relayed shed,
+// draining and unreachable failures are retried here until they end as
+// degraded.
+func degradedFailure(bench, config string, last *server.Failure, why string) *server.Failure {
 	msg := fmt.Sprintf("%s for %s/%s", why, bench, config)
 	if last != nil {
-		msg += ": last error: " + last.msg
+		msg += ": last error: " + last.Msg
 	}
-	return &cellFailure{status: http.StatusServiceUnavailable, kind: "degraded", phase: "dispatch", msg: msg}
+	return &server.Failure{
+		Status: http.StatusServiceUnavailable, Kind: "degraded", Phase: "dispatch", Msg: msg,
+		RetryAfter: server.JitterRetryAfter(time.Second),
+	}
 }
 
 // hedged runs the cell's first attempt with straggler protection: if the
@@ -209,8 +209,8 @@ func (c *Coordinator) hedged(ctx context.Context, id string, w, next *worker, be
 		return r.o
 	case <-timer.C:
 	}
-	c.stats.Inc("fleet/hedges")
-	c.cfg.Logger.Debug("hedging straggler cell",
+	c.Stats.Inc("fleet/hedges")
+	c.Log.Debug("hedging straggler cell",
 		"request_id", id, "bench", bench, "config", config,
 		"primary", w.addr, "hedge", next.addr)
 	go func() {
@@ -221,7 +221,7 @@ func (c *Coordinator) hedged(ctx context.Context, id string, w, next *worker, be
 		r := <-ch
 		if r.o.ok {
 			if r.hedge {
-				c.stats.Inc("fleet/hedge_wins")
+				c.Stats.Inc("fleet/hedge_wins")
 			}
 			*served = r.addr
 			cancel() // the loser sees a canceled context, which is never a fault
@@ -243,10 +243,10 @@ func (c *Coordinator) hedged(ctx context.Context, id string, w, next *worker, be
 func (c *Coordinator) attemptOn(ctx context.Context, id string, w *worker, bench, config string, verify bool, deadlineMS int64) outcome {
 	now := time.Now()
 	if ok, retry := w.brk.Allow(now); !ok {
-		c.stats.Inc("fleet/worker_breaker_rejects")
-		return outcome{retryable: true, fail: &cellFailure{
-			status: http.StatusServiceUnavailable, kind: "worker_breaker_open", phase: "dispatch",
-			msg: fmt.Sprintf("worker %s circuit breaker open (retry in %s)", w.addr, retry.Round(time.Millisecond)),
+		c.Stats.Inc("fleet/worker_breaker_rejects")
+		return outcome{retryable: true, fail: &server.Failure{
+			Status: http.StatusServiceUnavailable, Kind: "worker_breaker_open", Phase: "dispatch",
+			Msg: fmt.Sprintf("worker %s circuit breaker open (retry in %s)", w.addr, retry.Round(time.Millisecond)),
 		}}
 	}
 	select {
@@ -257,10 +257,10 @@ func (c *Coordinator) attemptOn(ctx context.Context, id string, w *worker, bench
 	}
 	defer func() { <-w.sem }()
 
-	c.stats.Inc("fleet/dispatches")
+	c.Stats.Inc("fleet/dispatches")
 	start := time.Now()
 	o := c.roundTrip(ctx, id, w, bench, config, verify, deadlineMS)
-	c.stats.Observe("fleet/dispatch_ms", time.Since(start).Milliseconds())
+	c.Stats.Observe("fleet/dispatch_ms", time.Since(start).Milliseconds())
 	return o
 }
 
@@ -275,11 +275,11 @@ func (c *Coordinator) roundTrip(ctx context.Context, id string, w *worker, bench
 		Bench: bench, Config: config, Verify: verify, DeadlineMS: deadlineMS,
 	})
 	if err != nil {
-		return outcome{fail: &cellFailure{status: http.StatusInternalServerError, kind: "fault", msg: err.Error()}}
+		return outcome{fail: &server.Failure{Status: http.StatusInternalServerError, Kind: "fault", Msg: err.Error()}}
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+"/v1/compile", bytes.NewReader(reqBody))
 	if err != nil {
-		return outcome{fail: &cellFailure{status: http.StatusInternalServerError, kind: "fault", msg: err.Error()}}
+		return outcome{fail: &server.Failure{Status: http.StatusInternalServerError, Kind: "fault", Msg: err.Error()}}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("X-Request-Id", id)
@@ -293,7 +293,7 @@ func (c *Coordinator) roundTrip(ctx context.Context, id string, w *worker, bench
 		}
 		return c.transportFailure(w, bench, config, err)
 	}
-	body, rerr := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes))
+	body, rerr := io.ReadAll(io.LimitReader(resp.Body, c.MaxBodyBytes()))
 	resp.Body.Close()
 	if rerr != nil {
 		if ctx.Err() != nil {
@@ -318,7 +318,7 @@ func (c *Coordinator) roundTrip(ctx context.Context, id string, w *worker, bench
 		eb.Kind = "fault"
 		eb.Error = fmt.Sprintf("worker %s: status %d", w.addr, resp.StatusCode)
 	}
-	fail := &cellFailure{status: resp.StatusCode, kind: eb.Kind, msg: eb.Error, phase: eb.Phase}
+	fail := &server.Failure{Status: resp.StatusCode, Kind: eb.Kind, Msg: eb.Error, Phase: eb.Phase}
 
 	switch eb.Kind {
 	case "shed", "draining":
@@ -326,7 +326,7 @@ func (c *Coordinator) roundTrip(ctx context.Context, id string, w *worker, bench
 		// fleet-wide instead of hammering it from the retry loop.
 		if d := retryAfterHint(resp, eb); d > 0 {
 			w.backOff(time.Now(), d)
-			c.stats.Inc("fleet/retry_after_honored")
+			c.Stats.Inc("fleet/retry_after_honored")
 		}
 		if eb.Kind == "draining" {
 			w.healthy.Store(false)
@@ -350,16 +350,16 @@ func (c *Coordinator) roundTrip(ctx context.Context, id string, w *worker, bench
 // not complete an HTTP exchange, so it is marked unhealthy immediately
 // (the probe loop will bring it back) and its breaker counts the fault.
 func (c *Coordinator) transportFailure(w *worker, bench, config string, err error) outcome {
-	c.stats.Inc("fleet/worker_errors")
+	c.Stats.Inc("fleet/worker_errors")
 	w.healthy.Store(false)
 	if w.brk.Failure(time.Now()) {
-		c.stats.Inc("fleet/worker_breaker_opens")
+		c.Stats.Inc("fleet/worker_breaker_opens")
 	}
-	c.cfg.Logger.Warn("worker dispatch failed",
+	c.Log.Warn("worker dispatch failed",
 		"worker", w.addr, "bench", bench, "config", config, "err", err)
-	return outcome{retryable: true, fail: &cellFailure{
-		status: http.StatusServiceUnavailable, kind: "worker_unreachable", phase: "dispatch",
-		msg: fmt.Sprintf("worker %s: %v", w.addr, err),
+	return outcome{retryable: true, fail: &server.Failure{
+		Status: http.StatusServiceUnavailable, Kind: "worker_unreachable", Phase: "dispatch",
+		Msg: fmt.Sprintf("worker %s: %v", w.addr, err),
 	}}
 }
 

@@ -61,20 +61,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
 
 // Config parameterizes a Coordinator. The zero value of every field but
-// Workers gets a sensible default from New.
+// Workers gets a sensible default from New; the deadline, body-limit and
+// logger defaults are the server.Daemon's, shared with the worker.
 type Config struct {
 	// Workers are the initial worker daemons' host:port addresses. At
 	// least one is required at startup; the fleet is elastic afterwards
 	// (POST /v1/fleet/join and /v1/fleet/leave).
 	Workers []string
-	// VNodes is the number of virtual ring points per worker. Default 64.
-	VNodes int
 	// Inflight bounds concurrently dispatched cells per worker — the
 	// bounded in-flight window that keeps one slow worker from absorbing
 	// the whole grid. Default 8.
@@ -87,7 +85,8 @@ type Config struct {
 	RetryBackoff time.Duration
 	// HedgeAfter is how long a cell's first attempt may run before a
 	// hedge attempt is dispatched to the next replica (first result
-	// wins). 0 disables hedging. Default 2s.
+	// wins). Zero or negative disables hedging; bschedd's -hedge-after
+	// passes 2s by default.
 	HedgeAfter time.Duration
 	// ProbeInterval is the /readyz health-check cadence for a healthy
 	// worker. Default 500ms.
@@ -117,13 +116,10 @@ type Config struct {
 	// capacity (entries). Every served cell's bytes are promoted here;
 	// failovers consult it before recomputing. Default 4096.
 	CacheEntries int
-	// PeerFetchTimeout bounds one GET /v1/cache/{key} peer-cache fetch
-	// during failover. Default 750ms.
-	PeerFetchTimeout time.Duration
 	// DefaultDeadline is the per-request deadline when the client sets
-	// none. Default 60s.
+	// none. Default 30s.
 	DefaultDeadline time.Duration
-	// MaxDeadline caps client-requested deadlines. Default 5m.
+	// MaxDeadline caps client-requested deadlines. Default 2m.
 	MaxDeadline time.Duration
 	// MaxBodyBytes caps request-body size (413 beyond it). Default 1 MiB.
 	MaxBodyBytes int64
@@ -134,14 +130,17 @@ type Config struct {
 	// coordinator replays them without dispatching — even when the
 	// worker set has changed since they were served.
 	Resume bool
-	// MetricsPrefix prefixes every /metrics series. Default "bschedd_".
-	MetricsPrefix string
 	// Logger receives structured logs. Nil discards.
 	Logger *slog.Logger
-	// Client issues worker requests. Default: a transport sized to the
-	// fleet's in-flight windows.
-	Client *http.Client
 }
+
+const (
+	// vnodes is the number of virtual ring points per worker.
+	vnodes = 64
+	// peerFetchTimeout bounds one GET /v1/cache/{key} peer-cache fetch
+	// during failover.
+	peerFetchTimeout = 750 * time.Millisecond
+)
 
 // worker is the coordinator's view of one worker daemon.
 type worker struct {
@@ -186,33 +185,22 @@ func (w *worker) backOff(now time.Time, d time.Duration) {
 }
 
 // Coordinator shards grid cells across an elastic worker fleet. Create
-// with New.
+// with New; its embedded server.Daemon runs the request lifecycle, the
+// cell journal and the drain, exactly as a worker's does.
 type Coordinator struct {
+	*server.Daemon
 	cfg     Config
 	members *membership
 	// tier is the shared result cache: every served cell's bytes, keyed
 	// by server.CellKey. The documents are deterministic, so a tier hit
 	// is byte-identical to a cold recompute.
 	tier    *server.LRU
-	stats   *obs.Stats
 	client  *http.Client
-	jnl     *exp.Appender
 	resumed map[string][]byte
-
-	reqSeq atomic.Uint64
-
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
 
 	probeCtx    context.Context
 	probeCancel context.CancelFunc
 	probeWG     sync.WaitGroup
-
-	mu       sync.Mutex
-	draining bool
-	inflight sync.WaitGroup
-	closeJnl sync.Once
-	jnlErr   error
 }
 
 // New builds a coordinator over cfg.Workers and starts the health-probe
@@ -221,9 +209,6 @@ type Coordinator struct {
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("fleet: no workers configured")
-	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = 64
 	}
 	if cfg.Inflight <= 0 {
 		cfg.Inflight = 8
@@ -236,9 +221,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 50 * time.Millisecond
-	}
-	if cfg.HedgeAfter == 0 {
-		cfg.HedgeAfter = 2 * time.Second
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 500 * time.Millisecond
@@ -264,64 +246,35 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = 4096
 	}
-	if cfg.PeerFetchTimeout <= 0 {
-		cfg.PeerFetchTimeout = 750 * time.Millisecond
-	}
-	if cfg.DefaultDeadline <= 0 {
-		cfg.DefaultDeadline = 60 * time.Second
-	}
-	if cfg.MaxDeadline <= 0 {
-		cfg.MaxDeadline = 5 * time.Minute
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
-	if cfg.MetricsPrefix == "" {
-		cfg.MetricsPrefix = "bschedd_"
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: cfg.Inflight + 2,
-			IdleConnTimeout:     90 * time.Second,
-		}}
-	}
 
-	jnl, err := exp.OpenAppender(cfg.Journal, nil)
+	d, err := server.NewDaemon("fleet", "c", cfg.Journal, cfg.DefaultDeadline, cfg.MaxDeadline, cfg.MaxBodyBytes, cfg.Logger)
 	if err != nil {
 		return nil, err
 	}
-	var resumed map[string][]byte
-	if cfg.Resume && cfg.Journal != "" {
-		resumed, err = loadResume(cfg.Journal)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	baseCtx, baseCancel := context.WithCancel(context.Background())
-	probeCtx, probeCancel := context.WithCancel(context.Background())
 	c := &Coordinator{
-		cfg:         cfg,
-		members:     newMembership(cfg.VNodes),
-		tier:        server.NewLRU(cfg.CacheEntries),
-		stats:       obs.NewStats(),
-		client:      client,
-		jnl:         jnl,
-		resumed:     resumed,
-		baseCtx:     baseCtx,
-		baseCancel:  baseCancel,
-		probeCtx:    probeCtx,
-		probeCancel: probeCancel,
+		Daemon:  d,
+		cfg:     cfg,
+		members: newMembership(),
+		tier:    server.NewLRU(cfg.CacheEntries),
+		client: &http.Client{Transport: &http.Transport{
+			MaxIdleConnsPerHost: cfg.Inflight + 2,
+			IdleConnTimeout:     90 * time.Second,
+		}},
+	}
+	// abandon closes the journal of a coordinator that fails to start;
+	// err is the failure to report, not the journal's.
+	abandon := func(err error) (*Coordinator, error) {
+		_ = d.Drain(context.Background())
+		return nil, err
+	}
+	if cfg.Resume && cfg.Journal != "" {
+		if c.resumed, err = loadResume(cfg.Journal); err != nil {
+			return abandon(err)
+		}
 	}
 	for _, addr := range cfg.Workers {
 		if err := validateWorkerAddr(addr); err != nil {
-			probeCancel()
-			baseCancel()
-			return nil, err
+			return abandon(err)
 		}
 		w := c.newWorker(addr)
 		// Workers start optimistically healthy: the first dispatch or the
@@ -330,16 +283,15 @@ func New(cfg Config) (*Coordinator, error) {
 		// round trip.
 		w.healthy.Store(true)
 		if !c.members.add(w) {
-			probeCancel()
-			baseCancel()
-			return nil, fmt.Errorf("fleet: duplicate worker address %q", addr)
+			return abandon(fmt.Errorf("fleet: duplicate worker address %q", addr))
 		}
 	}
+	c.probeCtx, c.probeCancel = context.WithCancel(context.Background())
 	for _, w := range c.members.all() {
 		c.startProbe(w)
 	}
-	if len(resumed) > 0 {
-		cfg.Logger.Info("resume loaded", "cells", len(resumed), "journal", cfg.Journal)
+	if len(c.resumed) > 0 {
+		c.Log.Info("resume loaded", "cells", len(c.resumed), "journal", cfg.Journal)
 	}
 	return c, nil
 }
@@ -348,7 +300,7 @@ func New(cfg Config) (*Coordinator, error) {
 // the same data /metrics renders — for in-process consumers like the
 // churn drill.
 func (c *Coordinator) StatsSnapshot() *obs.Snapshot {
-	return c.stats.Snapshot()
+	return c.Stats.Snapshot()
 }
 
 // probeLoop health-checks one worker until it leaves the fleet or the
@@ -369,19 +321,19 @@ func (c *Coordinator) probeLoop(w *worker) {
 			timer.Stop()
 			return
 		}
-		c.stats.Inc("fleet/probes")
+		c.Stats.Inc("fleet/probes")
 		if c.probeOnce(w) {
 			w.probeFails.Store(0)
 			if !w.healthy.Swap(true) {
-				c.stats.Inc("fleet/worker_up")
-				c.cfg.Logger.Info("worker recovered", "worker", w.addr)
+				c.Stats.Inc("fleet/worker_up")
+				c.Log.Info("worker recovered", "worker", w.addr)
 			}
 			interval = c.cfg.ProbeInterval
 		} else {
 			fails := w.probeFails.Add(1)
 			if w.healthy.Swap(false) {
-				c.stats.Inc("fleet/worker_down")
-				c.cfg.Logger.Warn("worker unhealthy", "worker", w.addr)
+				c.Stats.Inc("fleet/worker_down")
+				c.Log.Warn("worker unhealthy", "worker", w.addr)
 			}
 			if c.cfg.EvictAfterFails > 0 && fails >= int64(c.cfg.EvictAfterFails) && c.evict(w) {
 				return
@@ -453,56 +405,17 @@ func (c *Coordinator) pickFrom(order []*worker, rot int, now time.Time) (w, next
 	return w, nil
 }
 
-// enter registers a request; it fails once draining has begun.
-func (c *Coordinator) enter() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.draining {
-		return false
-	}
-	c.inflight.Add(1)
-	return true
-}
-
-func (c *Coordinator) leave() { c.inflight.Done() }
-
-func (c *Coordinator) isDraining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.draining
-}
-
-// StartDrain flips the coordinator into draining mode: /readyz goes
-// not-ready and new requests are rejected with 503. In-flight grids
-// keep dispatching.
-func (c *Coordinator) StartDrain() {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
-	c.probeCancel()
-}
-
-// Drain gracefully shuts the coordinator down: stop admitting, stop
-// probing, let in-flight grids finish — and when ctx expires first,
-// cancel their worker dispatches so they finish promptly with degraded
-// cells — then flush and close the cell journal. The returned error is
-// the journal's.
+// Drain gracefully shuts the coordinator down: stop probing, then the
+// Daemon's drain — stop admitting, let in-flight grids finish (when ctx
+// expires first, their worker dispatches are canceled so they finish
+// promptly with degraded cells), flush and close the cell journal — and
+// wait for the probe loops to exit. The returned error is the
+// journal's.
 func (c *Coordinator) Drain(ctx context.Context) error {
-	c.StartDrain()
-	done := make(chan struct{})
-	go func() {
-		c.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		c.baseCancel()
-		<-done
-	}
+	c.probeCancel()
+	err := c.Daemon.Drain(ctx)
 	c.probeWG.Wait()
-	c.closeJnl.Do(func() { c.jnlErr = c.jnl.Close() })
-	return c.jnlErr
+	return err
 }
 
 // jitterDur spreads d over [0.75d, 1.25d) so fleet-wide timers (probes,

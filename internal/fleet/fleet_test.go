@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -76,7 +75,7 @@ func postJSON(t *testing.T, url string, req any) (*http.Response, []byte) {
 }
 
 func counter(c *Coordinator, name string) int64 {
-	return c.stats.Counter(name)
+	return c.Stats.Counter(name)
 }
 
 func TestCompileThroughFleetKeepsAffinity(t *testing.T) {
@@ -351,17 +350,25 @@ func TestCoordinatorBodyLimit(t *testing.T) {
 // 1 or 2 whole seconds), header and body agree, and concurrent
 // rejections do not all get one value.
 func TestWriteFailureRetryAfterRange(t *testing.T) {
-	c := &Coordinator{cfg: Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}}
+	a, _ := startWorker(t)
+	c := newCoordinator(t, nil, a)
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	c.StartDrain()
+
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
-		rec := httptest.NewRecorder()
-		c.writeFailure(rec, "r1", http.StatusServiceUnavailable, "draining", "coordinator is draining", "", "", "")
-		secs, err := strconv.Atoi(rec.Header().Get("Retry-After"))
+		resp, body := postJSON(t, ts.URL+"/v1/compile",
+			server.CompileRequest{Bench: "tomcatv", Config: "BS"})
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("compile while draining: status %d body %s, want 503", resp.StatusCode, body)
+		}
+		secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
 		if err != nil || secs < 1 || secs > 2 {
-			t.Fatalf("Retry-After = %q, want 1 or 2", rec.Header().Get("Retry-After"))
+			t.Fatalf("Retry-After = %q, want 1 or 2", resp.Header.Get("Retry-After"))
 		}
 		var eb server.ErrorBody
-		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.RetryAfterS != secs {
+		if err := json.Unmarshal(body, &eb); err != nil || eb.RetryAfterS != secs {
 			t.Fatalf("body retry_after_s = %d (%v), header %d", eb.RetryAfterS, err, secs)
 		}
 		seen[secs] = true
@@ -369,9 +376,28 @@ func TestWriteFailureRetryAfterRange(t *testing.T) {
 	if len(seen) < 2 {
 		t.Errorf("Retry-After took one value 200 times (%v); no jitter", seen)
 	}
-	rec := httptest.NewRecorder()
-	c.writeFailure(rec, "r2", http.StatusBadRequest, "bad_request", "nope", "", "", "")
-	if ra := rec.Header().Get("Retry-After"); ra != "" {
+
+	resp, err := http.Get(ts.URL + "/v1/compile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var eb server.ErrorBody
+	if err := json.Unmarshal(body, &eb); err != nil || resp.StatusCode != http.StatusMethodNotAllowed || eb.Kind != "bad_request" {
+		t.Fatalf("GET /v1/compile: status %d body %s, want a 405 bad_request", resp.StatusCode, body)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		t.Errorf("bad_request carries Retry-After %q", ra)
+	}
+}
+
+// TestHedgeAfterZeroDisablesHedging: HedgeAfter 0 means no hedging, as
+// the Config doc and bschedd's -hedge-after help say; New must not turn
+// it into a default delay.
+func TestHedgeAfterZeroDisablesHedging(t *testing.T) {
+	c := newCoordinator(t, func(cfg *Config) { cfg.HedgeAfter = 0 }, "127.0.0.1:1")
+	if c.cfg.HedgeAfter > 0 {
+		t.Errorf("HedgeAfter 0 became %s", c.cfg.HedgeAfter)
 	}
 }

@@ -1,21 +1,16 @@
 package fleet
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/workload"
 )
 
 // Handler returns the coordinator's route table — deliberately the same
@@ -28,78 +23,11 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("/v1/fleet/join", c.handleJoin)
 	mux.HandleFunc("/v1/fleet/leave", c.handleLeave)
 	mux.HandleFunc("/v1/fleet/members", c.handleMembers)
-	mux.HandleFunc("/healthz", c.handleHealthz)
+	mux.HandleFunc("/healthz", c.HandleHealthz)
 	mux.HandleFunc("/readyz", c.handleReadyz)
 	mux.HandleFunc("/metrics", c.handleMetrics)
 	mux.HandleFunc("/debug/obs", c.handleDebugObs)
 	return mux
-}
-
-// requestID honors the client's X-Request-Id or mints a sequential one.
-func (c *Coordinator) requestID(r *http.Request) string {
-	seq := c.reqSeq.Add(1)
-	if id := r.Header.Get("X-Request-Id"); id != "" {
-		return id
-	}
-	return fmt.Sprintf("c%06d", seq)
-}
-
-// requestCtx derives the request's working context: the client deadline
-// (bounded by MaxDeadline) layered over the HTTP request context, and
-// additionally canceled when the coordinator's base context dies (drain
-// deadline).
-func (c *Coordinator) requestCtx(r *http.Request, deadlineMS int64) (context.Context, context.CancelFunc) {
-	d := c.cfg.DefaultDeadline
-	if deadlineMS > 0 {
-		d = time.Duration(deadlineMS) * time.Millisecond
-		if d > c.cfg.MaxDeadline {
-			d = c.cfg.MaxDeadline
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	stop := context.AfterFunc(c.baseCtx, cancel)
-	return ctx, func() { stop(); cancel() }
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeFailure renders a structured error document, with a jittered
-// Retry-After on the transient kinds a client should come back from.
-func (c *Coordinator) writeFailure(w http.ResponseWriter, id string, status int, kind, msg, bench, config, phase string) {
-	c.cfg.Logger.Warn("request failed",
-		"request_id", id, "kind", kind, "status", status,
-		"bench", bench, "config", config, "err", msg)
-	body := server.ErrorBody{
-		RequestID: id, Kind: kind, Error: msg,
-		Bench: bench, Config: config, Phase: phase,
-	}
-	switch kind {
-	case "shed", "draining", "degraded", "worker_unreachable", "no_workers":
-		secs := int(server.JitterRetryAfter(time.Second) / time.Second)
-		body.RetryAfterS = secs
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
-	writeJSON(w, status, body)
-}
-
-// decodeBody decodes under the size limit, mapping oversized bodies to
-// a structured 413 like the worker daemon does.
-func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, string, string) {
-	r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			c.stats.Inc("fleet/too_large")
-			return http.StatusRequestEntityTooLarge, "too_large",
-				fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)
-		}
-		return http.StatusBadRequest, "bad_request", fmt.Sprintf("decoding request: %v", err)
-	}
-	return 0, "", ""
 }
 
 // journalCell records one finished cell with its worker attribution.
@@ -110,49 +38,43 @@ func (c *Coordinator) journalCell(id string, dr dispatchResult, dur time.Duratio
 		DurationMS: dur.Milliseconds(),
 	}
 	if dr.fail != nil {
-		rec.Status = dr.fail.kind
+		rec.Status = dr.fail.Kind
 	} else {
 		rec.Body = json.RawMessage(dr.body)
 	}
-	c.jnl.Append(rec)
+	c.Journal(rec)
 }
 
 func (c *Coordinator) handleCompile(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	id := c.requestID(r)
-	w.Header().Set("X-Request-Id", id)
-	c.stats.Inc("fleet/requests")
-	if r.Method != http.MethodPost {
-		c.writeFailure(w, id, http.StatusMethodNotAllowed, "bad_request", "POST only", "", "", "")
+	id, _ := c.RequestID(w, r)
+	if !c.Enter(w, r, id) {
 		return
 	}
-	if !c.enter() {
-		c.writeFailure(w, id, http.StatusServiceUnavailable, "draining", "coordinator is draining", "", "", "")
-		return
-	}
-	defer c.leave()
+	defer c.Exit()
 
 	var req server.CompileRequest
-	if status, kind, msg := c.decodeBody(w, r, &req); status != 0 {
-		c.writeFailure(w, id, status, kind, msg, "", "", "")
+	if f := c.Decode(w, r, &req); f != nil {
+		c.Fail(w, id, f)
 		return
 	}
-	cfg, rerr := validateCell(req.Bench, req.Config)
-	if rerr != "" {
-		c.writeFailure(w, id, http.StatusBadRequest, "bad_request", rerr, req.Bench, req.Config, "")
+	cfg, f := server.ParseCell(req.Bench, req.Config)
+	if f != nil {
+		c.Fail(w, id, f)
 		return
 	}
 
-	ctx, cancel := c.requestCtx(r, req.DeadlineMS)
+	ctx, cancel := c.RequestContext(r, req.DeadlineMS)
 	defer cancel()
 	dr := c.dispatchCell(ctx, id, req.Bench, cfg.Name(), req.Verify, req.DeadlineMS)
 	c.journalCell(id, dr, time.Since(start))
 	if dr.fail != nil {
-		c.writeFailure(w, id, dr.fail.status, dr.fail.kind, dr.fail.msg, req.Bench, cfg.Name(), dr.fail.phase)
+		dr.fail.Bench, dr.fail.Config = req.Bench, cfg.Name()
+		c.Fail(w, id, dr.fail)
 		return
 	}
-	c.stats.Inc("fleet/ok")
-	c.cfg.Logger.Info("compile served",
+	c.Stats.Inc("fleet/ok")
+	c.Log.Info("compile served",
 		"request_id", id, "bench", req.Bench, "config", cfg.Name(),
 		"worker", dr.worker, "attempts", dr.attempts,
 		"duration_ms", time.Since(start).Milliseconds())
@@ -160,19 +82,6 @@ func (c *Coordinator) handleCompile(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Served-By", dr.worker)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(dr.body)
-}
-
-// validateCell checks a cell's benchmark and configuration, returning
-// the parsed config or a message.
-func validateCell(bench, config string) (core.Config, string) {
-	if _, err := workload.ByName(bench); err != nil {
-		return core.Config{}, err.Error()
-	}
-	cfg, err := core.ParseConfig(config)
-	if err != nil {
-		return core.Config{}, err.Error()
-	}
-	return cfg, ""
 }
 
 // cellSpec is one grid cell to dispatch.
@@ -188,46 +97,21 @@ type indexedCell struct {
 
 func (c *Coordinator) handleGrid(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	id := c.requestID(r)
-	w.Header().Set("X-Request-Id", id)
-	c.stats.Inc("fleet/requests")
-	if r.Method != http.MethodPost {
-		c.writeFailure(w, id, http.StatusMethodNotAllowed, "bad_request", "POST only", "", "", "")
+	id, _ := c.RequestID(w, r)
+	if !c.Enter(w, r, id) {
 		return
 	}
-	if !c.enter() {
-		c.writeFailure(w, id, http.StatusServiceUnavailable, "draining", "coordinator is draining", "", "", "")
-		return
-	}
-	defer c.leave()
+	defer c.Exit()
 
 	var req server.GridRequest
-	if status, kind, msg := c.decodeBody(w, r, &req); status != 0 {
-		c.writeFailure(w, id, status, kind, msg, "", "", "")
+	var cfgs []core.Config
+	f := c.Decode(w, r, &req)
+	if f == nil {
+		cfgs, f = server.ParseGrid(req)
+	}
+	if f != nil {
+		c.Fail(w, id, f)
 		return
-	}
-	if len(req.Benches) == 0 {
-		c.writeFailure(w, id, http.StatusBadRequest, "bad_request", "no benchmarks requested", "", "", "")
-		return
-	}
-	for _, b := range req.Benches {
-		if _, err := workload.ByName(b); err != nil {
-			c.writeFailure(w, id, http.StatusBadRequest, "bad_request", err.Error(), b, "", "")
-			return
-		}
-	}
-	cfgs := make([]core.Config, 0, len(req.Configs))
-	if len(req.Configs) == 0 {
-		cfgs = exp.Cells()
-	} else {
-		for _, name := range req.Configs {
-			cfg, err := core.ParseConfig(name)
-			if err != nil {
-				c.writeFailure(w, id, http.StatusBadRequest, "bad_request", err.Error(), "", name, "")
-				return
-			}
-			cfgs = append(cfgs, cfg)
-		}
 	}
 	specs := make([]cellSpec, 0, len(req.Benches)*len(cfgs))
 	for _, b := range req.Benches {
@@ -237,7 +121,7 @@ func (c *Coordinator) handleGrid(w http.ResponseWriter, r *http.Request) {
 	}
 
 	stream := streamMode(r)
-	ctx, cancel := c.requestCtx(r, req.DeadlineMS)
+	ctx, cancel := c.RequestContext(r, req.DeadlineMS)
 	defer cancel()
 
 	// All cells dispatch concurrently; each worker's bounded in-flight
@@ -252,7 +136,7 @@ func (c *Coordinator) handleGrid(w http.ResponseWriter, r *http.Request) {
 			cellStart := time.Now()
 			dr := c.dispatchCell(ctx, id, spec.bench, spec.config, req.Verify, req.DeadlineMS)
 			c.journalCell(id, dr, time.Since(cellStart))
-			results <- indexedCell{i, toGridCell(dr)}
+			results <- indexedCell{i, server.NewGridCell(dr.bench, dr.config, dr.body, dr.fail)}
 		}(i, spec)
 	}
 	go func() {
@@ -262,7 +146,7 @@ func (c *Coordinator) handleGrid(w http.ResponseWriter, r *http.Request) {
 
 	failed := 0
 	if stream != "" {
-		c.stats.Inc("fleet/stream_requests")
+		c.Stats.Inc("fleet/stream_requests")
 		failed = c.streamGrid(w, stream, len(specs), results)
 	} else {
 		cells := make([]server.GridCell, len(specs))
@@ -274,10 +158,10 @@ func (c *Coordinator) handleGrid(w http.ResponseWriter, r *http.Request) {
 				failed++
 			}
 		}
-		writeJSON(w, http.StatusOK, server.GridResponse{Cells: cells})
+		server.WriteJSON(w, http.StatusOK, server.GridResponse{Cells: cells})
 	}
-	c.stats.Inc("fleet/ok")
-	c.cfg.Logger.Info("grid served",
+	c.Stats.Inc("fleet/ok")
+	c.Log.Info("grid served",
 		"request_id", id, "cells", len(specs), "failed", failed,
 		"stream", stream, "duration_ms", time.Since(start).Milliseconds())
 }
@@ -296,21 +180,6 @@ func streamMode(r *http.Request) string {
 		return "sse"
 	}
 	return ""
-}
-
-func toGridCell(dr dispatchResult) server.GridCell {
-	cell := server.GridCell{Bench: dr.bench, Config: dr.config}
-	if dr.fail != nil {
-		cell.Error, cell.Kind, cell.Phase = dr.fail.msg, dr.fail.kind, dr.fail.phase
-		return cell
-	}
-	var doc server.ResultDoc
-	if err := json.Unmarshal(dr.body, &doc); err != nil {
-		cell.Error, cell.Kind = err.Error(), "fault"
-		return cell
-	}
-	cell.Metrics = doc.Metrics
-	return cell
 }
 
 // gridSummary is the final frame of a streamed grid response.
@@ -357,12 +226,6 @@ func (c *Coordinator) streamGrid(w http.ResponseWriter, mode string, total int, 
 	return failed
 }
 
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = io.WriteString(w, "ok\n")
-}
-
 // workerStatus is one worker's live view in /readyz and /debug/obs.
 type workerStatus struct {
 	Healthy    bool   `json:"healthy"`
@@ -396,7 +259,7 @@ func (c *Coordinator) workerStatuses() map[string]workerStatus {
 // the body names the down workers, so an operator (or a load balancer's
 // failure page) sees who to revive without grepping logs.
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	draining := c.isDraining()
+	draining := c.Draining()
 	healthy := c.healthyCount()
 	ready := !draining && healthy >= c.cfg.MinWorkers
 	body := map[string]any{
@@ -414,7 +277,7 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, body)
+	server.WriteJSON(w, status, body)
 }
 
 // fleetChangeRequest is the body of /v1/fleet/join and /v1/fleet/leave.
@@ -422,34 +285,44 @@ type fleetChangeRequest struct {
 	Addr string `json:"addr"`
 }
 
+// changeRequest opens a join or leave request: its ID, the POST-only
+// check and the body. Membership changes stay open while draining and
+// are not counted as requests; Join itself refuses a draining fleet.
+func (c *Coordinator) changeRequest(w http.ResponseWriter, r *http.Request) (id, addr string, ok bool) {
+	id, _ = c.RequestID(w, r)
+	if !c.PostOnly(w, r, id) {
+		return id, "", false
+	}
+	var req fleetChangeRequest
+	if f := c.Decode(w, r, &req); f != nil {
+		c.Fail(w, id, f)
+		return id, "", false
+	}
+	return id, req.Addr, true
+}
+
 // handleJoin admits a worker into the running fleet. The reply reports
 // whether the address was newly admitted (joined=false means it was
 // already a member — the call is idempotent), its initial health, and
 // the resulting roster size and membership epoch.
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
-	id := c.requestID(r)
-	w.Header().Set("X-Request-Id", id)
-	if r.Method != http.MethodPost {
-		c.writeFailure(w, id, http.StatusMethodNotAllowed, "bad_request", "POST only", "", "", "")
+	id, addr, ok := c.changeRequest(w, r)
+	if !ok {
 		return
 	}
-	var req fleetChangeRequest
-	if status, kind, msg := c.decodeBody(w, r, &req); status != 0 {
-		c.writeFailure(w, id, status, kind, msg, "", "", "")
-		return
-	}
-	joined, healthy, err := c.Join(req.Addr)
+	joined, healthy, err := c.Join(addr)
 	if err != nil {
-		status, kind := http.StatusBadRequest, "bad_request"
-		if c.isDraining() {
-			status, kind = http.StatusServiceUnavailable, "draining"
+		f := server.BadRequest("%v", err)
+		if c.Draining() {
+			f.Status, f.Kind = http.StatusServiceUnavailable, "draining"
+			f.RetryAfter = server.JitterRetryAfter(time.Second)
 		}
-		c.writeFailure(w, id, status, kind, err.Error(), "", "", "")
+		c.Fail(w, id, f)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"joined":  joined,
-		"worker":  req.Addr,
+		"worker":  addr,
 		"healthy": healthy,
 		"workers": c.members.size(),
 		"epoch":   c.members.generation(),
@@ -460,24 +333,17 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 // stops, new cells stop routing to it immediately, and cells already in
 // flight on it drain to completion.
 func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
-	id := c.requestID(r)
-	w.Header().Set("X-Request-Id", id)
-	if r.Method != http.MethodPost {
-		c.writeFailure(w, id, http.StatusMethodNotAllowed, "bad_request", "POST only", "", "", "")
+	id, addr, ok := c.changeRequest(w, r)
+	if !ok {
 		return
 	}
-	var req fleetChangeRequest
-	if status, kind, msg := c.decodeBody(w, r, &req); status != 0 {
-		c.writeFailure(w, id, status, kind, msg, "", "", "")
+	if !c.Leave(addr) {
+		c.Fail(w, id, &server.Failure{Status: http.StatusNotFound, Kind: "bad_request",
+			Msg: fmt.Sprintf("worker %q is not a fleet member", addr)})
 		return
 	}
-	if !c.Leave(req.Addr) {
-		c.writeFailure(w, id, http.StatusNotFound, "bad_request",
-			fmt.Sprintf("worker %q is not a fleet member", req.Addr), "", "", "")
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"left":    req.Addr,
+	server.WriteJSON(w, http.StatusOK, map[string]any{
+		"left":    addr,
 		"workers": c.members.size(),
 		"epoch":   c.members.generation(),
 	})
@@ -485,7 +351,7 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 
 // handleMembers reports the current roster with live status.
 func (c *Coordinator) handleMembers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"workers": c.workerStatuses(),
 		"epoch":   c.members.generation(),
 		"healthy": c.healthyCount(),
@@ -496,43 +362,32 @@ func (c *Coordinator) handleMembers(w http.ResponseWriter, r *http.Request) {
 // both /metrics and /debug/obs render (per-worker series ride next to it
 // on /metrics, and as the workers section of /debug/obs).
 func (c *Coordinator) gauges() map[string]int64 {
-	draining := int64(0)
-	if c.isDraining() {
-		draining = 1
-	}
 	return map[string]int64{
 		"fleet_workers":         int64(c.members.size()),
 		"fleet_workers_healthy": int64(c.healthyCount()),
 		"fleet_min_workers":     int64(c.cfg.MinWorkers),
 		"fleet_epoch":           int64(c.members.generation()),
 		"fleet_cache_entries":   int64(c.tier.Len()),
-		"draining":              draining,
 	}
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := c.stats.Snapshot()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := snap.WritePrometheus(w, c.cfg.MetricsPrefix); err != nil {
-		return
-	}
+	gw := c.WriteMetrics(w, c.gauges())
 	now := time.Now()
-	gw := obs.NewGaugeWriter(w)
-	gw.Gauges(c.cfg.MetricsPrefix, c.gauges())
 	for _, wk := range c.members.all() {
 		label := map[string]string{"worker": wk.addr}
 		healthy := int64(0)
 		if wk.healthy.Load() {
 			healthy = 1
 		}
-		gw.Gauge(c.cfg.MetricsPrefix+"fleet_worker_healthy", label, healthy)
-		gw.Gauge(c.cfg.MetricsPrefix+"fleet_worker_inflight", label, int64(len(wk.sem)))
-		gw.Gauge(c.cfg.MetricsPrefix+"fleet_worker_breaker_state", label, int64(wk.brk.State()))
+		gw.Gauge(server.MetricsPrefix+"fleet_worker_healthy", label, healthy)
+		gw.Gauge(server.MetricsPrefix+"fleet_worker_inflight", label, int64(len(wk.sem)))
+		gw.Gauge(server.MetricsPrefix+"fleet_worker_breaker_state", label, int64(wk.brk.State()))
 		backoff := int64(0)
 		if until := wk.backoffUntil.Load(); until > now.UnixNano() {
 			backoff = (until - now.UnixNano()) / int64(time.Millisecond)
 		}
-		gw.Gauge(c.cfg.MetricsPrefix+"fleet_worker_backoff_ms", label, backoff)
+		gw.Gauge(server.MetricsPrefix+"fleet_worker_backoff_ms", label, backoff)
 	}
 }
 
@@ -545,8 +400,8 @@ type debugObsDoc struct {
 }
 
 func (c *Coordinator) handleDebugObs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, debugObsDoc{
-		DebugDoc: obs.NewDebugDoc(c.stats, c.gauges()),
+	server.WriteJSON(w, http.StatusOK, debugObsDoc{
+		DebugDoc: c.DebugDoc(c.gauges()),
 		Workers:  c.workerStatuses(),
 	})
 }

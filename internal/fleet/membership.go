@@ -5,7 +5,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/server"
 )
@@ -24,15 +23,13 @@ import (
 // property-tested in rebalance_test.go).
 type membership struct {
 	mu      sync.RWMutex
-	vnodes  int
 	ring    *ring
 	workers map[string]*worker
 	epoch   uint64 // bumps on every add/remove; exported as a gauge
 }
 
-func newMembership(vnodes int) *membership {
+func newMembership() *membership {
 	return &membership{
-		vnodes:  vnodes,
 		ring:    newRing(),
 		workers: make(map[string]*worker),
 	}
@@ -47,7 +44,7 @@ func (m *membership) add(w *worker) bool {
 		return false
 	}
 	m.workers[w.addr] = w
-	m.ring.add(w.addr, m.vnodes)
+	m.ring.add(w.addr, vnodes)
 	m.epoch++
 	return true
 }
@@ -175,10 +172,7 @@ func (c *Coordinator) Join(addr string) (joined, healthy bool, err error) {
 	if err := validateWorkerAddr(addr); err != nil {
 		return false, false, err
 	}
-	c.mu.Lock()
-	draining := c.draining
-	c.mu.Unlock()
-	if draining {
+	if c.Draining() {
 		return false, false, fmt.Errorf("fleet: coordinator is draining")
 	}
 	if w := c.members.get(addr); w != nil {
@@ -194,8 +188,8 @@ func (c *Coordinator) Join(addr string) (joined, healthy bool, err error) {
 		return false, false, nil
 	}
 	c.startProbe(w)
-	c.stats.Inc("fleet/joins")
-	c.cfg.Logger.Info("worker joined", "worker", addr, "healthy", w.healthy.Load(),
+	c.Stats.Inc("fleet/joins")
+	c.Log.Info("worker joined", "worker", addr, "healthy", w.healthy.Load(),
 		"workers", c.members.size(), "epoch", c.members.generation())
 	return true, w.healthy.Load(), nil
 }
@@ -212,8 +206,8 @@ func (c *Coordinator) Leave(addr string) bool {
 		return false
 	}
 	w.stopProbe()
-	c.stats.Inc("fleet/leaves")
-	c.cfg.Logger.Info("worker left", "worker", addr,
+	c.Stats.Inc("fleet/leaves")
+	c.Log.Info("worker left", "worker", addr,
 		"workers", c.members.size(), "epoch", c.members.generation())
 	return true
 }
@@ -232,8 +226,8 @@ func (c *Coordinator) evict(w *worker) bool {
 		return false // a concurrent Leave got there first
 	}
 	w.stopProbe()
-	c.stats.Inc("fleet/evictions")
-	c.cfg.Logger.Warn("worker evicted after sustained probe failure",
+	c.Stats.Inc("fleet/evictions")
+	c.Log.Warn("worker evicted after sustained probe failure",
 		"worker", w.addr, "probe_fails", w.probeFails.Load(),
 		"workers", c.members.size(), "epoch", c.members.generation())
 	return true
@@ -256,19 +250,4 @@ func (c *Coordinator) newWorker(addr string) *worker {
 func (c *Coordinator) startProbe(w *worker) {
 	c.probeWG.Add(1)
 	go c.probeLoop(w)
-}
-
-// waitHealthy polls until the fleet has at least min healthy workers or
-// the deadline passes; used by tests and the drill to sequence churn.
-func (c *Coordinator) waitHealthy(min int, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		if c.healthyCount() >= min {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }

@@ -81,8 +81,8 @@ func CellKey(bench, config string, verify bool) string {
 // flight is one in-flight computation followers wait on.
 type flight struct {
 	done chan struct{}
-	body []byte    // set before done closes
-	err  *reqError // set before done closes, nil on success
+	body []byte   // set before done closes
+	err  *Failure // set before done closes, nil on success
 }
 
 // flightGroup collapses duplicate concurrent requests for the same key
@@ -114,7 +114,7 @@ func (g *flightGroup) lead(key string) (*flight, bool) {
 }
 
 // land publishes the leader's outcome and releases the followers.
-func (g *flightGroup) land(key string, f *flight, body []byte, err *reqError) {
+func (g *flightGroup) land(key string, f *flight, body []byte, err *Failure) {
 	f.body, f.err = body, err
 	g.mu.Lock()
 	delete(g.m, key)

@@ -36,16 +36,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"runtime"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -53,11 +48,11 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/verify"
-	"repro/internal/workload"
 )
 
 // Config parameterizes a Server. The zero value gets sensible defaults
-// from New.
+// from New; the deadline, body-limit and logger defaults are the
+// Daemon's, shared with the fleet coordinator.
 type Config struct {
 	// Queue bounds concurrently admitted work items (running + waiting
 	// for a worker). Admission beyond it sheds with 429. Default 64.
@@ -91,44 +86,29 @@ type Config struct {
 	// Tracer, when non-nil, records one span per request (on a lane of
 	// its own, tagged with the request ID) for Chrome-trace export.
 	Tracer *obs.Tracer
-	// MetricsPrefix prefixes every /metrics series. Default "bschedd_".
-	MetricsPrefix string
 	// Logger receives structured request/error logs; every line carries
 	// the request ID, so a journal entry, a log line and an error body
 	// join on it. Nil discards.
 	Logger *slog.Logger
 }
 
-// Server serves compile/simulate requests. Create with New.
+// Server serves compile/simulate requests. Create with New; its embedded
+// Daemon runs the request lifecycle and the drain.
 type Server struct {
+	*Daemon
 	cfg     Config
 	runner  *exp.CellRunner
 	cache   *LRU
 	flights *flightGroup
 	brk     *breakers
-	jnl     *exp.Appender
-
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
 
 	admit chan struct{} // admission slots (capacity cfg.Queue)
 	work  chan struct{} // worker slots (capacity cfg.Workers)
-
-	reqSeq atomic.Uint64
-
-	// stats is the server's counter/histogram registry.
-	stats *obs.Stats
 
 	// waits aggregates the pipeline's shared-resource wait histograms
 	// (machine pool, front-end cache) across every served cell, via
 	// exp.Options.Contention. Lock-free; served by /debug/obs.
 	waits *obs.WaitProfile
-
-	mu       sync.Mutex
-	draining bool
-	inflight sync.WaitGroup
-	closeJnl sync.Once
-	jnlErr   error
 }
 
 // New builds a server. It returns an error only when the request journal
@@ -140,12 +120,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.DefaultDeadline <= 0 {
-		cfg.DefaultDeadline = 30 * time.Second
-	}
-	if cfg.MaxDeadline <= 0 {
-		cfg.MaxDeadline = 2 * time.Minute
-	}
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = 256
 	}
@@ -155,33 +129,20 @@ func New(cfg Config) (*Server, error) {
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 5 * time.Second
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
-	if cfg.MetricsPrefix == "" {
-		cfg.MetricsPrefix = "bschedd_"
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	jnl, err := exp.OpenAppender(cfg.Journal, nil)
+	d, err := NewDaemon("server", "r", cfg.Journal, cfg.DefaultDeadline, cfg.MaxDeadline, cfg.MaxBodyBytes, cfg.Logger)
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
-		cfg:        cfg,
-		runner:     exp.NewCellRunner(),
-		cache:      NewLRU(cfg.CacheEntries),
-		flights:    newFlightGroup(),
-		brk:        newBreakers(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		jnl:        jnl,
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		admit:      make(chan struct{}, cfg.Queue),
-		work:       make(chan struct{}, cfg.Workers),
-		stats:      obs.NewStats(),
-		waits:      obs.NewWaitProfile(),
+		Daemon:  d,
+		cfg:     cfg,
+		runner:  exp.NewCellRunner(),
+		cache:   NewLRU(cfg.CacheEntries),
+		flights: newFlightGroup(),
+		brk:     newBreakers(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		admit:   make(chan struct{}, cfg.Queue),
+		work:    make(chan struct{}, cfg.Workers),
+		waits:   obs.NewWaitProfile(),
 	}, nil
 }
 
@@ -191,7 +152,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/compile", s.handleCompile)
 	mux.HandleFunc("/v1/grid", s.handleGrid)
 	mux.HandleFunc("/v1/cache/", s.handleCacheExport)
-	mux.HandleFunc("/healthz", s.handleHealthz)
+	mux.HandleFunc("/healthz", s.HandleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/debug/obs", s.handleDebugObs)
@@ -206,52 +167,26 @@ func (s *Server) Handler() http.Handler {
 // just recomputing. Deliberately allowed while draining: exporting
 // already-computed bytes is how a dying worker's work survives it.
 func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
+	id := r.Header.Get("X-Request-Id")
 	if r.Method != http.MethodGet {
-		s.writeError(w, r.Header.Get("X-Request-Id"), &reqError{
-			status: http.StatusMethodNotAllowed, kind: "bad_request", msg: "GET only"})
+		s.Fail(w, id, &Failure{Status: http.StatusMethodNotAllowed, Kind: "bad_request", Msg: "GET only"})
 		return
 	}
 	key, err := url.PathUnescape(strings.TrimPrefix(r.URL.Path, "/v1/cache/"))
 	if err != nil || key == "" {
-		s.writeError(w, r.Header.Get("X-Request-Id"), badRequest("bad cache key"))
+		s.Fail(w, id, BadRequest("bad cache key"))
 		return
 	}
 	if body, ok := s.cache.Get(key); ok {
-		s.count("server/cache_export_hits")
+		s.Stats.Inc("server/cache_export_hits")
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Cache", "export")
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(body)
 		return
 	}
-	s.count("server/cache_export_misses")
-	s.writeError(w, r.Header.Get("X-Request-Id"), &reqError{
-		status: http.StatusNotFound, kind: "not_found",
-		msg: fmt.Sprintf("cell %q is not cached", key)})
-}
-
-func (s *Server) count(name string) { s.countN(name, 1) }
-
-func (s *Server) countN(name string, n int64) { s.stats.Add(name, n) }
-
-// observe records v into histogram name — the path that puts the
-// latency distributions on /metrics (counters alone cannot answer "how
-// long do requests queue?", which is exactly the question under load).
-func (s *Server) observe(name string, v int64) { s.stats.Observe(name, v) }
-
-// reqError is a structured request failure: the HTTP status, the machine-
-// readable kind, and — for pipeline deaths — the phase the work died in.
-type reqError struct {
-	status        int
-	kind          string
-	msg           string
-	bench, config string
-	phase         string
-	retryAfter    time.Duration
-	// ctxDeath marks failures caused by the executing request's own
-	// context (deadline or cancel): a singleflight follower with a live
-	// context retries instead of inheriting them.
-	ctxDeath bool
+	s.Stats.Inc("server/cache_export_misses")
+	s.Fail(w, id, &Failure{Status: http.StatusNotFound, Kind: "not_found", Msg: fmt.Sprintf("cell %q is not cached", key)})
 }
 
 // ErrorBody is the JSON error document every non-2xx response carries.
@@ -275,8 +210,8 @@ type ErrorBody struct {
 	// Phase is the pipeline stage the request died in (timeout/fault):
 	// "queue", "frontend", "compile", "sim" or "check".
 	Phase string `json:"phase,omitempty"`
-	// RetryAfterS mirrors the Retry-After header for shed/breaker
-	// rejections.
+	// RetryAfterS mirrors the Retry-After header of a retryable failure
+	// (Failure.RetryAfter).
 	RetryAfterS int `json:"retry_after_s,omitempty"`
 }
 
@@ -330,139 +265,36 @@ type GridResponse struct {
 	Cells []GridCell `json:"cells"`
 }
 
-// enter registers a request with the in-flight accounting; it fails once
-// draining has begun.
-func (s *Server) enter() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return false
-	}
-	s.inflight.Add(1)
-	return true
-}
-
-func (s *Server) leave() { s.inflight.Done() }
-
-// requestID honors the client's X-Request-Id or mints a sequential one.
-func (s *Server) requestID(r *http.Request) (string, uint64) {
-	seq := s.reqSeq.Add(1)
-	if id := r.Header.Get("X-Request-Id"); id != "" {
-		return id, seq
-	}
-	return fmt.Sprintf("r%06d", seq), seq
-}
-
-// requestCtx derives the request's working context: the client deadline
-// (bounded by MaxDeadline) layered over the HTTP request context, and
-// additionally canceled when the server's base context dies (drain
-// deadline).
-func (s *Server) requestCtx(r *http.Request, deadlineMS int64) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultDeadline
-	if deadlineMS > 0 {
-		d = time.Duration(deadlineMS) * time.Millisecond
-		if d > s.cfg.MaxDeadline {
-			d = s.cfg.MaxDeadline
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	return ctx, func() { stop(); cancel() }
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
-func (s *Server) writeError(w http.ResponseWriter, id string, e *reqError) {
-	s.cfg.Logger.Warn("request failed",
-		"request_id", id, "kind", e.kind, "status", e.status,
-		"bench", e.bench, "config", e.config, "phase", e.phase,
-		"err", e.msg)
-	body := ErrorBody{
-		RequestID: id,
-		Kind:      e.kind, Error: e.msg,
-		Bench: e.bench, Config: e.config, Phase: e.phase,
-	}
-	if e.retryAfter > 0 {
-		secs := int(e.retryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		body.RetryAfterS = secs
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
-	writeJSON(w, e.status, body)
-}
-
-func badRequest(format string, args ...any) *reqError {
-	return &reqError{status: http.StatusBadRequest, kind: "bad_request", msg: fmt.Sprintf(format, args...)}
-}
-
-// JitterRetryAfter spreads a Retry-After hint over [base, 1.5*base+1s)
-// so shed or breaker-rejected clients do not reconverge on the same
-// instant — the thundering-herd half of admission control. Both bschedd
-// modes draw their hints from it; the fleet coordinator also honors its
-// workers' hints per worker.
-func JitterRetryAfter(base time.Duration) time.Duration {
-	if base <= 0 {
-		base = time.Second
-	}
-	return base + rand.N(base/2+time.Second)
-}
-
-// decodeBody decodes the request body under the server's size limit;
-// an oversized body becomes a structured 413 (not an unbounded read,
-// not a generic 400).
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) *reqError {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.count("server/too_large")
-			return &reqError{
-				status: http.StatusRequestEntityTooLarge, kind: "too_large",
-				msg: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
-			}
-		}
-		return badRequest("decoding request: %v", err)
-	}
-	return nil
-}
-
 // ctxError classifies a dead context into the structured timeout/canceled
-// error, naming the phase the request was in.
-func ctxError(err error, bench, config, phase string) *reqError {
-	e := &reqError{bench: bench, config: config, phase: phase, ctxDeath: true}
+// failure, naming the phase the request was in.
+func ctxError(err error, bench, config, phase string) *Failure {
+	f := &Failure{Bench: bench, Config: config, Phase: phase, ctxDeath: true}
 	if errors.Is(err, context.DeadlineExceeded) {
-		e.status = http.StatusGatewayTimeout
-		e.kind = "timeout"
-		e.msg = fmt.Sprintf("deadline exceeded in %s for %s/%s", phase, bench, config)
+		f.Status = http.StatusGatewayTimeout
+		f.Kind = "timeout"
+		f.Msg = fmt.Sprintf("deadline exceeded in %s for %s/%s", phase, bench, config)
 	} else {
-		e.status = http.StatusServiceUnavailable
-		e.kind = "canceled"
-		e.msg = fmt.Sprintf("request canceled in %s for %s/%s", phase, bench, config)
+		f.Status = http.StatusServiceUnavailable
+		f.Kind = "canceled"
+		f.Msg = fmt.Sprintf("request canceled in %s for %s/%s", phase, bench, config)
 	}
-	return e
+	return f
 }
 
 // cell serves one (benchmark, config) result: LRU hit, singleflight
 // share, or a fresh pipeline execution behind admission control and the
 // benchmark's circuit breaker. cache reports how the bytes were obtained
 // ("hit", "shared" or "miss").
-func (s *Server) cell(ctx context.Context, id, bench string, cfg core.Config, verifyFlag bool) (body []byte, cache string, rerr *reqError) {
+func (s *Server) cell(ctx context.Context, id, bench string, cfg core.Config, verifyFlag bool) (body []byte, cache string, fail *Failure) {
 	key := CellKey(bench, cfg.Name(), verifyFlag)
 	if b, ok := s.cache.Get(key); ok {
-		s.count("server/cache_hits")
+		s.Stats.Inc("server/cache_hits")
 		return b, "hit", nil
 	}
 	for {
 		f, leader := s.flights.lead(key)
 		if !leader {
-			s.count("server/singleflight_shared")
+			s.Stats.Inc("server/singleflight_shared")
 			select {
 			case <-f.done:
 				if f.err == nil {
@@ -479,12 +311,12 @@ func (s *Server) cell(ctx context.Context, id, bench string, cfg core.Config, ve
 				return nil, "", ctxError(ctx.Err(), bench, cfg.Name(), "queue")
 			}
 		}
-		body, rerr := s.compute(ctx, id, bench, cfg, verifyFlag)
-		if rerr == nil {
+		body, fail := s.compute(ctx, id, bench, cfg, verifyFlag)
+		if fail == nil {
 			s.cache.Add(key, body)
 		}
-		s.flights.land(key, f, body, rerr)
-		return body, "miss", rerr
+		s.flights.land(key, f, body, fail)
+		return body, "miss", fail
 	}
 }
 
@@ -492,28 +324,28 @@ func (s *Server) cell(ctx context.Context, id, bench string, cfg core.Config, ve
 // queue is full), breaker check, worker slot (waiting here is "queued"
 // time charged against the request's deadline), then the fault-isolated
 // cell execution.
-func (s *Server) compute(ctx context.Context, id, bench string, cfg core.Config, verifyFlag bool) ([]byte, *reqError) {
+func (s *Server) compute(ctx context.Context, id, bench string, cfg core.Config, verifyFlag bool) ([]byte, *Failure) {
 	select {
 	case s.admit <- struct{}{}:
 	default:
-		s.count("server/shed")
-		return nil, &reqError{
-			status: http.StatusTooManyRequests, kind: "shed",
-			msg:   fmt.Sprintf("admission queue full (%d items)", cap(s.admit)),
-			bench: bench, config: cfg.Name(),
-			retryAfter: JitterRetryAfter(time.Second),
+		s.Stats.Inc("server/shed")
+		return nil, &Failure{
+			Status: http.StatusTooManyRequests, Kind: "shed",
+			Msg:   fmt.Sprintf("admission queue full (%d items)", cap(s.admit)),
+			Bench: bench, Config: cfg.Name(),
+			RetryAfter: JitterRetryAfter(time.Second),
 		}
 	}
 	defer func() { <-s.admit }()
 
 	brk := s.brk.get(bench)
 	if ok, retry := brk.Allow(time.Now()); !ok {
-		s.count("server/breaker_rejects")
-		return nil, &reqError{
-			status: http.StatusServiceUnavailable, kind: "breaker_open",
-			msg:   fmt.Sprintf("circuit breaker open for %s", bench),
-			bench: bench, config: cfg.Name(),
-			retryAfter: JitterRetryAfter(retry),
+		s.Stats.Inc("server/breaker_rejects")
+		return nil, &Failure{
+			Status: http.StatusServiceUnavailable, Kind: "breaker_open",
+			Msg:   fmt.Sprintf("circuit breaker open for %s", bench),
+			Bench: bench, Config: cfg.Name(),
+			RetryAfter: JitterRetryAfter(retry),
 		}
 	}
 
@@ -524,14 +356,17 @@ func (s *Server) compute(ctx context.Context, id, bench string, cfg core.Config,
 		brk.CancelProbe()
 		return nil, ctxError(ctx.Err(), bench, cfg.Name(), "queue")
 	}
-	s.observe("server/queue_wait_ms", time.Since(queued).Milliseconds())
+	// The latency histograms put the distributions on /metrics: counters
+	// alone cannot answer "how long do requests queue?", which is exactly
+	// the question under load.
+	s.Stats.Observe("server/queue_wait_ms", time.Since(queued).Milliseconds())
 	runStart := time.Now()
 	res, err := s.runner.Run(ctx, bench, cfg, exp.Options{
 		Verify:     verifyFlag || s.cfg.Verify,
 		Contention: &obs.Contention{Waits: s.waits},
 	})
 	<-s.work
-	s.observe("server/cell_latency_ms", time.Since(runStart).Milliseconds())
+	s.Stats.Observe("server/cell_latency_ms", time.Since(runStart).Milliseconds())
 
 	if err != nil {
 		var ce *exp.CellError
@@ -539,44 +374,44 @@ func (s *Server) compute(ctx context.Context, id, bench string, cfg core.Config,
 			// Only workload.ByName fails outside the cell machinery, and
 			// the handler validated the benchmark already.
 			brk.CancelProbe()
-			return nil, badRequest("%v", err)
+			return nil, BadRequest("%v", err)
 		}
 		switch {
 		case ce.Canceled, ce.Timeout && ctx.Err() != nil:
 			// The request's own context died; not the benchmark's fault.
 			brk.CancelProbe()
-			s.count("server/" + map[bool]string{true: "timeouts", false: "canceled"}[ce.Timeout])
+			s.Stats.Inc("server/" + map[bool]string{true: "timeouts", false: "canceled"}[ce.Timeout])
 			return nil, ctxError(ctx.Err(), bench, cfg.Name(), ce.Phase)
 		case verify.IsVerification(ce.Err):
 			// The pipeline produced a wrong result — the most serious
 			// outcome, reported as an internal error.
 			if brk.Failure(time.Now()) {
-				s.count("server/breaker_opens")
+				s.Stats.Inc("server/breaker_opens")
 			}
-			s.count("server/verify_failures")
-			s.cfg.Logger.Error("verification failure",
+			s.Stats.Inc("server/verify_failures")
+			s.Log.Error("verification failure",
 				"request_id", id, "bench", bench, "config", cfg.Name(),
 				"phase", ce.Phase, "err", ce.Error())
-			return nil, &reqError{
-				status: http.StatusInternalServerError, kind: "verify",
-				msg:   fmt.Sprintf("request %s: %s", id, ce.Error()),
-				bench: bench, config: cfg.Name(), phase: ce.Phase,
+			return nil, &Failure{
+				Status: http.StatusInternalServerError, Kind: "verify",
+				Msg:   fmt.Sprintf("request %s: %s", id, ce.Error()),
+				Bench: bench, Config: cfg.Name(), Phase: ce.Phase,
 			}
 		default:
 			// Pipeline fault (panic, injected error, compile failure):
 			// retryable from the client's side, counted by the breaker.
 			if brk.Failure(time.Now()) {
-				s.count("server/breaker_opens")
+				s.Stats.Inc("server/breaker_opens")
 			}
-			s.count("server/faults")
-			s.cfg.Logger.Error("pipeline fault",
+			s.Stats.Inc("server/faults")
+			s.Log.Error("pipeline fault",
 				"request_id", id, "bench", bench, "config", cfg.Name(),
 				"phase", ce.Phase, "err", ce.Error())
-			return nil, &reqError{
-				status: http.StatusServiceUnavailable, kind: "fault",
-				msg:   fmt.Sprintf("request %s: %s", id, ce.Error()),
-				bench: bench, config: cfg.Name(), phase: ce.Phase,
-				retryAfter: JitterRetryAfter(time.Second),
+			return nil, &Failure{
+				Status: http.StatusServiceUnavailable, Kind: "fault",
+				Msg:   fmt.Sprintf("request %s: %s", id, ce.Error()),
+				Bench: bench, Config: cfg.Name(), Phase: ce.Phase,
+				RetryAfter: JitterRetryAfter(time.Second),
 			}
 		}
 	}
@@ -584,7 +419,7 @@ func (s *Server) compute(ctx context.Context, id, bench string, cfg core.Config,
 	doc := ResultDoc{Bench: res.Bench, Config: res.Config.Name(), Metrics: res.Metrics}
 	body, merr := json.Marshal(doc)
 	if merr != nil {
-		return nil, &reqError{status: http.StatusInternalServerError, kind: "fault", msg: merr.Error()}
+		return nil, &Failure{Status: http.StatusInternalServerError, Kind: "fault", Msg: merr.Error()}
 	}
 	return append(body, '\n'), nil
 }
@@ -599,63 +434,55 @@ func (s *Server) span(seq uint64, id, endpoint string) *obs.Span {
 		Arg("id", id).Arg("endpoint", endpoint)
 }
 
+// reject answers f and records its status and kind in the request's
+// journal line.
+func (s *Server) reject(w http.ResponseWriter, rec *journalRecord, f *Failure) {
+	rec.Status, rec.Kind = f.Status, f.Kind
+	s.Fail(w, rec.ID, f)
+}
+
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	id, seq := s.requestID(r)
-	w.Header().Set("X-Request-Id", id)
+	id, seq := s.RequestID(w, r)
 	sp := s.span(seq, id, "compile")
 	defer sp.End()
-	s.count("server/requests")
-	if r.Method != http.MethodPost {
-		s.writeError(w, id, &reqError{status: http.StatusMethodNotAllowed, kind: "bad_request", msg: "POST only"})
+	if !s.Enter(w, r, id) {
 		return
 	}
-	if !s.enter() {
-		s.writeError(w, id, &reqError{status: http.StatusServiceUnavailable, kind: "draining", msg: "server is draining", retryAfter: JitterRetryAfter(time.Second)})
-		return
-	}
-	defer s.leave()
+	defer s.Exit()
 
 	rec := journalRecord{ID: id, Endpoint: "compile"}
 	defer func() {
 		rec.DurationMS = time.Since(start).Milliseconds()
-		s.jnl.Append(rec)
+		s.Journal(rec)
 	}()
 
 	var req CompileRequest
-	if rerr := s.decodeBody(w, r, &req); rerr != nil {
-		rec.Status, rec.Kind = rerr.status, rerr.kind
-		s.writeError(w, id, rerr)
+	if f := s.Decode(w, r, &req); f != nil {
+		s.reject(w, &rec, f)
 		return
 	}
 	rec.Bench, rec.Config = req.Bench, req.Config
-	if _, err := workload.ByName(req.Bench); err != nil {
-		rec.Status, rec.Kind = http.StatusBadRequest, "bad_request"
-		s.writeError(w, id, badRequest("%v", err))
-		return
-	}
-	cfg, err := core.ParseConfig(req.Config)
-	if err != nil {
-		rec.Status, rec.Kind = http.StatusBadRequest, "bad_request"
-		s.writeError(w, id, badRequest("%v", err))
+	cfg, f := ParseCell(req.Bench, req.Config)
+	if f != nil {
+		s.reject(w, &rec, f)
 		return
 	}
 	sp.Arg("bench", req.Bench).Arg("config", cfg.Name())
 
-	ctx, cancel := s.requestCtx(r, req.DeadlineMS)
+	ctx, cancel := s.RequestContext(r, req.DeadlineMS)
 	defer cancel()
-	body, cache, rerr := s.cell(ctx, id, req.Bench, cfg, req.Verify)
-	if rerr != nil {
-		rec.Status, rec.Kind = rerr.status, rerr.kind
-		s.writeError(w, id, rerr)
+	body, cache, f := s.cell(ctx, id, req.Bench, cfg, req.Verify)
+	if f != nil {
+		s.reject(w, &rec, f)
 		return
 	}
 	if cache == "miss" {
-		s.count("server/cache_misses")
+		s.Stats.Inc("server/cache_misses")
 	}
-	s.count("server/ok")
+	s.Stats.Inc("server/ok")
 	rec.Status, rec.Cache = http.StatusOK, cache
-	s.cfg.Logger.Info("compile served",
+	s.Log.Info("compile served",
 		"request_id", id, "bench", req.Bench, "config", cfg.Name(),
 		"cache", cache, "duration_ms", time.Since(start).Milliseconds())
 	w.Header().Set("Content-Type", "application/json")
@@ -666,116 +493,65 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	id, seq := s.requestID(r)
-	w.Header().Set("X-Request-Id", id)
+	id, seq := s.RequestID(w, r)
 	sp := s.span(seq, id, "grid")
 	defer sp.End()
-	s.count("server/requests")
-	if r.Method != http.MethodPost {
-		s.writeError(w, id, &reqError{status: http.StatusMethodNotAllowed, kind: "bad_request", msg: "POST only"})
+	if !s.Enter(w, r, id) {
 		return
 	}
-	if !s.enter() {
-		s.writeError(w, id, &reqError{status: http.StatusServiceUnavailable, kind: "draining", msg: "server is draining", retryAfter: JitterRetryAfter(time.Second)})
-		return
-	}
-	defer s.leave()
+	defer s.Exit()
 
 	rec := journalRecord{ID: id, Endpoint: "grid"}
 	defer func() {
 		rec.DurationMS = time.Since(start).Milliseconds()
-		s.jnl.Append(rec)
+		s.Journal(rec)
 	}()
 
 	var req GridRequest
-	if rerr := s.decodeBody(w, r, &req); rerr != nil {
-		rec.Status, rec.Kind = rerr.status, rerr.kind
-		s.writeError(w, id, rerr)
+	var cfgs []core.Config
+	f := s.Decode(w, r, &req)
+	if f == nil {
+		cfgs, f = ParseGrid(req)
+	}
+	if f != nil {
+		s.reject(w, &rec, f)
 		return
-	}
-	if len(req.Benches) == 0 {
-		rec.Status, rec.Kind = http.StatusBadRequest, "bad_request"
-		s.writeError(w, id, badRequest("no benchmarks requested"))
-		return
-	}
-	for _, b := range req.Benches {
-		if _, err := workload.ByName(b); err != nil {
-			rec.Status, rec.Kind = http.StatusBadRequest, "bad_request"
-			s.writeError(w, id, badRequest("%v", err))
-			return
-		}
-	}
-	cfgs := make([]core.Config, 0, len(req.Configs))
-	if len(req.Configs) == 0 {
-		cfgs = exp.Cells()
-	} else {
-		for _, name := range req.Configs {
-			cfg, err := core.ParseConfig(name)
-			if err != nil {
-				rec.Status, rec.Kind = http.StatusBadRequest, "bad_request"
-				s.writeError(w, id, badRequest("%v", err))
-				return
-			}
-			cfgs = append(cfgs, cfg)
-		}
 	}
 
-	ctx, cancel := s.requestCtx(r, req.DeadlineMS)
+	ctx, cancel := s.RequestContext(r, req.DeadlineMS)
 	defer cancel()
 	// Cells run sequentially through the same cache/singleflight/breaker
 	// path as /v1/compile; each cell degrades independently (a shed,
 	// breaker-open or timed-out cell becomes a structured entry, the rest
 	// of the grid still runs — while the deadline lasts).
 	var resp GridResponse
+	failed := 0
 	for _, bench := range req.Benches {
 		for _, cfg := range cfgs {
-			cell := GridCell{Bench: bench, Config: cfg.Name()}
+			var body []byte
+			var f *Failure
 			if err := ctx.Err(); err != nil {
-				e := ctxError(err, bench, cfg.Name(), "queue")
-				cell.Error, cell.Kind, cell.Phase = e.msg, e.kind, e.phase
-				resp.Cells = append(resp.Cells, cell)
-				continue
+				f = ctxError(err, bench, cfg.Name(), "queue")
+			} else {
+				body, _, f = s.cell(ctx, id, bench, cfg, req.Verify)
 			}
-			body, _, rerr := s.cell(ctx, id, bench, cfg, req.Verify)
-			if rerr != nil {
-				cell.Error, cell.Kind, cell.Phase = rerr.msg, rerr.kind, rerr.phase
-				resp.Cells = append(resp.Cells, cell)
-				continue
+			cell := NewGridCell(bench, cfg.Name(), body, f)
+			if cell.Error != "" {
+				failed++
 			}
-			var doc ResultDoc
-			if err := json.Unmarshal(body, &doc); err != nil {
-				cell.Error, cell.Kind = err.Error(), "fault"
-				resp.Cells = append(resp.Cells, cell)
-				continue
-			}
-			cell.Metrics = doc.Metrics
 			resp.Cells = append(resp.Cells, cell)
 		}
 	}
-	s.count("server/ok")
+	s.Stats.Inc("server/ok")
 	rec.Status = http.StatusOK
-	failed := 0
-	for _, c := range resp.Cells {
-		if c.Error != "" {
-			failed++
-		}
-	}
-	s.cfg.Logger.Info("grid served",
+	s.Log.Info("grid served",
 		"request_id", id, "cells", len(resp.Cells), "failed", failed,
 		"duration_ms", time.Since(start).Milliseconds())
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = io.WriteString(w, "ok\n")
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
+	draining := s.Draining()
 	saturated := s.brk.saturated()
 	states := map[string]string{}
 	for bench, st := range s.brk.states() {
@@ -790,18 +566,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if draining || saturated {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, body)
+	WriteJSON(w, status, body)
 }
 
 // gauges is the server's point-in-time gauge set — the one list both
 // /metrics and /debug/obs render.
 func (s *Server) gauges() map[string]int64 {
-	s.mu.Lock()
-	draining := int64(0)
-	if s.draining {
-		draining = 1
-	}
-	s.mu.Unlock()
 	poolHits, poolMisses := sim.PoolCounters()
 	return map[string]int64{
 		"queue_depth":         int64(len(s.admit)),
@@ -809,22 +579,15 @@ func (s *Server) gauges() map[string]int64 {
 		"workers_busy":        int64(len(s.work)),
 		"workers_capacity":    int64(cap(s.work)),
 		"cache_entries":       int64(s.cache.Len()),
-		"draining":            draining,
 		"machine_pool_hits":   poolHits,
 		"machine_pool_misses": poolMisses,
 	}
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.stats.Snapshot()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := snap.WritePrometheus(w, s.cfg.MetricsPrefix); err != nil {
-		return
-	}
-	gw := obs.NewGaugeWriter(w)
-	gw.Gauges(s.cfg.MetricsPrefix, s.gauges())
+	gw := s.WriteMetrics(w, s.gauges())
 	for bench, st := range s.brk.states() {
-		gw.Gauge(s.cfg.MetricsPrefix+"breaker_state", map[string]string{"bench": bench}, int64(st))
+		gw.Gauge(MetricsPrefix+"breaker_state", map[string]string{"bench": bench}, int64(st))
 	}
 }
 
@@ -846,44 +609,9 @@ func (s *Server) handleDebugObs(w http.ResponseWriter, r *http.Request) {
 	for bench, st := range s.brk.states() {
 		breakers[bench] = BreakerStateName(st)
 	}
-	writeJSON(w, http.StatusOK, debugObsDoc{
-		DebugDoc:   obs.NewDebugDoc(s.stats, s.gauges()),
+	WriteJSON(w, http.StatusOK, debugObsDoc{
+		DebugDoc:   s.DebugDoc(s.gauges()),
 		Breakers:   breakers,
 		Contention: &obs.ContentionSnapshot{Waits: s.waits.Snapshot()},
 	})
-}
-
-// StartDrain flips the server into draining mode: /readyz goes not-ready
-// and new compile/grid requests are rejected with 503. In-flight requests
-// keep running.
-func (s *Server) StartDrain() {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-}
-
-// Drain gracefully shuts the serving layer down: stop admitting, let
-// in-flight requests finish — and when ctx expires first, cancel them so
-// they finish promptly with structured canceled/timeout responses — then
-// flush and close the request journal. Every admitted request is
-// journaled before Drain returns. Safe to call once; the returned error
-// is the journal's.
-func (s *Server) Drain(ctx context.Context) error {
-	s.StartDrain()
-	done := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		// Drain deadline: cancel in-flight work. The pipeline aborts at
-		// its next phase boundary, handlers journal and respond, and the
-		// wait completes.
-		s.baseCancel()
-		<-done
-	}
-	s.closeJnl.Do(func() { s.jnlErr = s.jnl.Close() })
-	return s.jnlErr
 }

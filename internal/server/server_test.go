@@ -86,10 +86,12 @@ func TestBadRequests(t *testing.T) {
 	cases := []struct {
 		name string
 		req  any
+		// bench and config are the cell the 400 body must name.
+		bench, config string
 	}{
-		{"unknown bench", CompileRequest{Bench: "no-such", Config: "BS"}},
-		{"bad config", CompileRequest{Bench: "tomcatv", Config: "XYZ"}},
-		{"bad json", "not an object"},
+		{"unknown bench", CompileRequest{Bench: "no-such", Config: "BS"}, "no-such", "BS"},
+		{"bad config", CompileRequest{Bench: "tomcatv", Config: "XYZ"}, "tomcatv", "XYZ"},
+		{"bad json", "not an object", "", ""},
 	}
 	for _, tc := range cases {
 		resp, body := post(t, ts.URL+"/v1/compile", tc.req)
@@ -97,8 +99,12 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, resp.StatusCode, body)
 			continue
 		}
-		if e := decodeError(t, body); e.Kind != "bad_request" {
+		e := decodeError(t, body)
+		if e.Kind != "bad_request" {
 			t.Errorf("%s: kind %q, want bad_request", tc.name, e.Kind)
+		}
+		if e.Bench != tc.bench || e.Config != tc.config {
+			t.Errorf("%s: body names cell %q/%q, want %q/%q", tc.name, e.Bench, e.Config, tc.bench, tc.config)
 		}
 	}
 
@@ -448,5 +454,5 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 
 // counters snapshots the server's counter registry for assertions.
 func counters(s *Server) map[string]int64 {
-	return s.stats.Snapshot().Counters
+	return s.Stats.Snapshot().Counters
 }
