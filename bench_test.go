@@ -438,7 +438,9 @@ func BenchmarkAblationPressureControl(b *testing.B) {
 	}
 }
 
-// BenchmarkProfileCollection measures the execution-driven edge profiler.
+// BenchmarkProfileCollection measures the execution-driven edge profiler:
+// one functional-only walk (sim.Machine.CountEdges) of DYFESM on a fresh
+// machine.
 func BenchmarkProfileCollection(b *testing.B) {
 	bm, err := workload.ByName("DYFESM")
 	if err != nil {

@@ -15,7 +15,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -397,6 +399,15 @@ func ExecutePooled(c *Compiled, data *Data, width int, pool *sim.Pool) (met *sim
 		pool.Put(m)
 	}
 	return met, sum, reused, nil
+}
+
+// SameExecution reports whether executing a and b on the same data must
+// give identical metrics and checksums at any issue width: the simulator
+// reads the same code (sim.SameCode), InitMachine reads the same array
+// mapping and Checksum the same outputs.
+func SameExecution(a, b *Compiled) bool {
+	return sim.SameCode(a.Fn, b.Fn) && maps.Equal(a.ArrayID, b.ArrayID) &&
+		slices.Equal(a.Program.Outputs, b.Program.Outputs)
 }
 
 // Checksum hashes the program outputs in simulator memory, bit-compatible

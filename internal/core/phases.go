@@ -34,7 +34,9 @@ type PhaseTimes struct {
 	// Regalloc is time in register allocation.
 	Regalloc time.Duration `json:"regalloc"`
 	// Sim is time simulating the compiled code (filled by the experiment
-	// engine, not by Compile).
+	// engine, not by Compile). A grid cell whose code is identical to an
+	// earlier cell's reuses that cell's run and records only its lookup
+	// time here.
 	Sim time.Duration `json:"sim"`
 }
 

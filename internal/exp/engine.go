@@ -40,7 +40,10 @@ import (
 // histogram), so every finished cell is on disk when its worker moves on
 // and a crash can tear only the final line. Every cell of a run draws
 // its simulation machines from one sim.Pool: Machine.Reset re-lays a
-// machine for any function, so one pool serves every benchmark. With
+// machine for any function, so one pool serves every benchmark. A cell
+// whose final code is identical to an earlier cell's of the same
+// benchmark does not simulate at all: it copies that cell's run from
+// the benchmark's memo (memo.go), one memo per benchmark per run. With
 // Options.Contention set, the machine pool, front-ends and journal
 // record their waits in named wait histograms, and forEach adds every
 // task's duration to one busy total: the scale report's two inputs
@@ -148,9 +151,11 @@ type cellResult struct {
 // input data, the reference interpreter's checksum and the per-benchmark
 // profile cache. It is built once — by the grid's pre-phase, or by the
 // first CellRunner request for the benchmark — and every cell reads it
-// without copying.
+// without copying. A grid's front-ends also carry the benchmark's timing
+// run memo for that run (sims); CellRunner's carry none.
 type frontEnd struct {
 	b        workload.Benchmark
+	sims     *simMemo
 	once     sync.Once
 	built    atomic.Bool
 	p        *hlir.Program
@@ -213,7 +218,8 @@ func (p *phaseTracker) name() string { return phaseNames[p.v.Load()] }
 // deltas are snapshotted into the result. ctx is consulted at stage
 // boundaries so an expired attempt stops promptly instead of running the
 // remaining widths. Machines for the profiling run and every width come
-// from pool.
+// from pool; a width whose run the benchmark's memo already holds for
+// identical code reuses it, and every verified fresh run is stored there.
 func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, ob *obs.Obs, opt Options, ph *phaseTracker) (*cellResult, error) {
 	ph.set(phaseFrontend)
 	p, d, want, profiles, err := fe.get(ob)
@@ -258,16 +264,28 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, o
 		ph.set(phaseSim)
 		simSpan := ob.Begin("sim", "sim").Arg("width", strconv.Itoa(w))
 		start := time.Now()
-		met, got, reused, err := core.ExecutePooled(c, d, w, pool)
-		out.phases.Sim += time.Since(start)
-		simSpan.End()
-		if st != nil {
-			if reused {
+		k := fe.sims.key(c, w)
+		met, got, memoized := fe.sims.lookup(k, c)
+		var err error
+		if memoized {
+			// The reused run stands in for a simulation, fault point
+			// included, so a fault plan sees the same sim/run hits.
+			err = faultinject.Hit("sim/run", c.Fn.Name)
+			st.Inc("sim/reused")
+		} else {
+			var pooled bool
+			met, got, pooled, err = core.ExecutePooled(c, d, w, pool)
+			// Registered at zero, so every cell's snapshot has the same
+			// keys whichever of two identical cells happened to run first.
+			st.Add("sim/reused", 0)
+			if pooled {
 				st.Inc("sim/machine_pool_hits")
 			} else {
 				st.Inc("sim/machine_pool_misses")
 			}
 		}
+		out.phases.Sim += time.Since(start)
+		simSpan.End()
 		if err != nil {
 			return nil, fmt.Errorf("exp: %s %s w%d: %w", fe.b.Name, spec.cfg.Name(), w, err)
 		}
@@ -277,6 +295,9 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, o
 		ph.set(phaseCheck)
 		if err := verify.Checksums(fe.b.Name, spec.cfg.Name(), got, want); err != nil {
 			return nil, fmt.Errorf("exp: %s %s w%d: %w", fe.b.Name, spec.cfg.Name(), w, err)
+		}
+		if !memoized && ctx.Err() == nil {
+			fe.sims.store(k, c, met, got)
 		}
 		out.mets[w] = met
 		if w == 1 && st != nil {
@@ -539,7 +560,7 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 	var queue []task
 	var pre []*frontEnd
 	for _, b := range benches {
-		fe := &frontEnd{b: b}
+		fe := &frontEnd{b: b, sims: &simMemo{}}
 		for _, spec := range specs {
 			if e, ok := journaled[b.Name+"\x00"+spec.cfg.Name()]; ok {
 				r := cellResult{

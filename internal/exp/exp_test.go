@@ -299,6 +299,17 @@ func TestFullGridShape(t *testing.T) {
 	if sp := speedup(met(s, "BDNA", tsNone), met(s, "BDNA", bsNone)); sp < 1.0 {
 		t.Errorf("BDNA BS/TS = %.2f; its huge blocks should favour balanced scheduling", sp)
 	}
+
+	// 6. On the single-issue machine every cycle issues one instruction
+	//    or sits in exactly one stall bucket, in all 272 cells.
+	for _, b := range s.Benchmarks {
+		for _, cfg := range Cells() {
+			m := met(s, b, cfg)
+			if sum := m.Instrs + m.LoadInterlock + m.FixedInterlock + m.FetchStall + m.BranchStall + m.StoreStall; sum != m.Cycles {
+				t.Errorf("%s/%s: %d cycles, but instructions and stall buckets sum to %d", b, cfg.Name(), m.Cycles, sum)
+			}
+		}
+	}
 }
 
 func TestSuiteGetMissing(t *testing.T) {

@@ -3,7 +3,10 @@
 // basic-block execution frequencies, which then guide the Multiflow
 // compiler's trace selection (Section 4.2). We run the program once on the
 // functional side of the simulator with the experiment's inputs and record
-// every control-flow edge traversal.
+// every control-flow edge traversal: sim.Machine.CountEdges walks the
+// predecoded code executing values, memory and branch outcomes only,
+// skipping the caches, predictor and stall accounting that edge counts
+// cannot depend on.
 package profile
 
 import (
@@ -55,8 +58,7 @@ func CollectPooled(fn *ir.Func, init func(m *sim.Machine), pool *sim.Pool) (edge
 	if init != nil {
 		init(m)
 	}
-	edges = Edges{}
-	_, err = m.Run(func(b, si int) { edges[[2]int{b, si}]++ })
+	counts, err := m.CountEdges()
 	if pool != nil {
 		// Trace scheduling rewrites the profiled function in place after
 		// this returns, so the machine's predecoded stream must not be
@@ -66,6 +68,13 @@ func CollectPooled(fn *ir.Func, init func(m *sim.Machine), pool *sim.Pool) (edge
 	}
 	if err != nil {
 		return nil, reused, err
+	}
+	// counts is indexed 2·block+successor; untraversed edges stay absent.
+	edges = Edges{}
+	for i, c := range counts {
+		if c != 0 {
+			edges[[2]int{i / 2, i % 2}] = c
+		}
 	}
 	Annotate(fn, edges)
 	return edges, reused, nil

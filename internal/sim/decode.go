@@ -10,11 +10,15 @@ package sim
 // observable behaviour — every Metrics field, every hierarchy counter,
 // the memory image, edge callbacks and error strings — is bit-identical
 // to the reference stepper (reference.go); differential tests enforce it.
+// Fingerprint and SameCode, next to decodeInstr, cover exactly the parts
+// of a function that decoding reads, so callers can tell when two
+// functions must simulate identically.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/ir"
@@ -170,6 +174,90 @@ func (m *Machine) decodeInstr(in *ir.Instr, code uint64) decoded {
 		}
 	}
 	return d
+}
+
+// Fingerprint hashes the parts of fn a timing run reads, and nothing
+// else: the name (error messages and the "sim/run" fault key), the entry
+// block, the register count, each array's size, the blocks in layout
+// order with their successors, and per instruction what decodeInstr
+// copies — op, destination, sources, immediate form, integer immediate,
+// the bits of the float immediate, spill kind and, for a memory
+// operation without a base register, the array it addresses. SameCode
+// compares exactly these parts, so functions it accepts have equal
+// fingerprints and run bit-identically on the same memory image at the
+// same issue width. (New also runs fn.Validate, which reads more, but
+// only to reject malformed code.)
+func Fingerprint(fn *ir.Func) uint64 {
+	h := uint64(14695981039346656037)
+	add := func(vs ...uint64) {
+		for _, v := range vs {
+			h = (h ^ v) * 1099511628211
+		}
+	}
+	for i := 0; i < len(fn.Name); i++ {
+		add(uint64(fn.Name[i]))
+	}
+	add(uint64(len(fn.Name)), uint64(fn.Entry), uint64(fn.NumRegs), uint64(len(fn.Arrays)), uint64(len(fn.Blocks)))
+	for _, a := range fn.Arrays {
+		add(uint64(a.Size))
+	}
+	for _, b := range fn.Blocks {
+		add(uint64(len(b.Succs)), uint64(len(b.Instrs)))
+		for _, s := range b.Succs {
+			add(uint64(s))
+		}
+		for _, in := range b.Instrs {
+			add(uint64(in.Op), uint64(in.Dst), uint64(in.Src[0]), uint64(in.Src[1]), uint64(b2i(in.UseImm)),
+				uint64(in.Imm), math.Float64bits(in.FImm), uint64(in.Spill), uint64(absArray(in)))
+		}
+	}
+	return h
+}
+
+// SameCode reports whether a and b are the same program to a timing run:
+// equal in every part Fingerprint hashes.
+func SameCode(a, b *ir.Func) bool {
+	if a.Name != b.Name || a.Entry != b.Entry || a.NumRegs != b.NumRegs ||
+		len(a.Arrays) != len(b.Arrays) || len(a.Blocks) != len(b.Blocks) {
+		return false
+	}
+	for i := range a.Arrays {
+		if a.Arrays[i].Size != b.Arrays[i].Size {
+			return false
+		}
+	}
+	for i, ab := range a.Blocks {
+		bb := b.Blocks[i]
+		if !slices.Equal(ab.Succs, bb.Succs) || len(ab.Instrs) != len(bb.Instrs) {
+			return false
+		}
+		for j, x := range ab.Instrs {
+			y := bb.Instrs[j]
+			if x.Op != y.Op || x.Dst != y.Dst || x.Src != y.Src || x.UseImm != y.UseImm ||
+				x.Imm != y.Imm || math.Float64bits(x.FImm) != math.Float64bits(y.FImm) ||
+				x.Spill != y.Spill || absArray(x) != absArray(y) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// absArray is the array a memory operation without a base register
+// addresses — the one part of in.Mem that decodeInstr reads — and -1
+// for every other instruction or when the annotation is missing.
+func absArray(in *ir.Instr) int {
+	if !in.Op.IsMem() && in.Op != ir.OpPrefetch {
+		return -1
+	}
+	base := in.Src[0]
+	if in.Op.IsStore() {
+		base = in.Src[1]
+	}
+	if base != ir.NoReg || in.Mem == nil {
+		return -1
+	}
+	return in.Mem.Array
 }
 
 // runFast is the predecoded hot loop. Structure and cycle accounting

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"testing"
 
 	"repro/internal/cache"
@@ -14,7 +15,9 @@ import (
 // *ir.Instr-walking reference stepper (Machine.Reference) — and everything
 // observable must be bit-identical: all Metrics fields (via Metrics.Each, so
 // new fields are covered automatically), the edge-profile callback stream,
-// the hierarchy's hit/miss counters, and the final memory image.
+// the hierarchy's hit/miss counters, and the final memory image. The
+// functional-only walk (CountEdges) runs a third time and must match the
+// edge stream and the memory image.
 
 // runOutcome captures everything a run exposes.
 type runOutcome struct {
@@ -98,7 +101,34 @@ func diffRun(t *testing.T, f *ir.Func, init func(*Machine), width int) {
 	if init != nil {
 		init(ref)
 	}
-	diffOutcomes(t, observe(t, fast), observe(t, ref))
+	fo := observe(t, fast)
+	diffOutcomes(t, fo, observe(t, ref))
+
+	// The functional-only walk must count the same edges and leave the
+	// same memory image.
+	walk, err := New(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if init != nil {
+		init(walk)
+	}
+	counts, err := walk.CountEdges()
+	if err != nil {
+		t.Fatal(err)
+	}
+	walked := map[[2]int]int64{}
+	for i, c := range counts {
+		if c != 0 {
+			walked[[2]int{i / 2, i % 2}] = c
+		}
+	}
+	if !maps.Equal(walked, fo.edges) {
+		t.Errorf("walk edges %v, timing run %v", walked, fo.edges)
+	}
+	if !bytes.Equal(walk.mem, fo.mem) {
+		t.Errorf("walk's final memory image differs from the timing run's")
+	}
 }
 
 // buildMissy sums a large array (well beyond the 8KB L1D) while issuing a

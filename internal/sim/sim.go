@@ -15,7 +15,9 @@
 // allocations per instruction in steady state. The original
 // *ir.Instr-walking stepper (reference.go) stays available behind the
 // Reference option; the two produce bit-identical metrics, memory images
-// and hierarchy counters, which the differential tests enforce.
+// and hierarchy counters, which the differential tests enforce. Edge
+// profiles need no timing at all: CountEdges (walk.go) walks the
+// predecoded stream for values and control flow only.
 package sim
 
 import (
@@ -241,8 +243,10 @@ func (m *Machine) ReadI64(id int, off int64) int64 {
 func (m *Machine) Hierarchy() *cache.Hierarchy { return m.hier }
 
 // Run executes the function to completion and returns its metrics.
-// EdgeCounts, when non-nil, receives per-(block,successor-index) traversal
-// counts for the profiler.
+// edges, when non-nil, is called with (block, successor index) for every
+// control-flow edge the timing run traverses. Profiles come from
+// CountEdges, which walks the same edges without the timing model; the
+// differential tests compare its counts against this stream.
 func (m *Machine) Run(edges func(block, succIdx int)) (*Metrics, error) {
 	if err := faultinject.Hit("sim/run", m.fn.Name); err != nil {
 		return nil, err

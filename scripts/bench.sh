@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
 # bench.sh runs the performance-tracking benchmark set (simulator cores,
-# grid engine, scheduler kernels) and writes the parsed results as JSON:
-# a host-provenance header (go version, GOOS/GOARCH, CPU count, effective
-# GOMAXPROCS) plus one object per benchmark line, so runs can be diffed
-# across commits *and* across hosts — a scaling number without the core
-# count that produced it is noise.
+# grid engine, scheduler kernels, the edge-profile walk) and writes the
+# parsed results as JSON: a host-provenance header (go version,
+# GOOS/GOARCH, CPU count, effective GOMAXPROCS) plus one object per
+# benchmark line, so runs can be diffed across commits *and* across
+# hosts — a scaling number without the core count that produced it is
+# noise.
 #
 # Environment:
 #   COUNT     repetitions per benchmark (default 3)
@@ -18,7 +19,7 @@ cd "$(dirname "$0")/.."
 
 COUNT="${COUNT:-3}"
 BENCHTIME="${BENCHTIME:-}"
-FILTER="${FILTER:-Simulator|GridEngine|ListSchedule|BalancedWeights}"
+FILTER="${FILTER:-Simulator|GridEngine|ListSchedule|BalancedWeights|ProfileCollection}"
 OUT="${OUT:-BENCH_10.json}"
 
 GOVERSION="$(go env GOVERSION)"
