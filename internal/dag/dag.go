@@ -33,7 +33,9 @@ type Graph struct {
 	// Nodes holds the region's instructions in original order.
 	Nodes []*Node
 
-	edge  map[[2]int]bool
+	// edge is the n×n edge index: bit a*n+b is set when a→b exists.
+	edge  []uint64
+	edges int
 	stats *obs.Stats
 }
 
@@ -48,17 +50,21 @@ func (g *Graph) addEdge(a, b *Node) {
 	if a == b {
 		return
 	}
-	k := [2]int{a.Index, b.Index}
-	if g.edge[k] {
+	k := uint(a.Index*len(g.Nodes) + b.Index)
+	if g.edge[k/64]&(1<<(k%64)) != 0 {
 		return
 	}
-	g.edge[k] = true
+	g.edge[k/64] |= 1 << (k % 64)
+	g.edges++
 	a.Succs = append(a.Succs, b)
 	b.Preds = append(b.Preds, a)
 }
 
 // HasEdge reports whether a direct dependence a→b exists.
-func (g *Graph) HasEdge(a, b *Node) bool { return g.edge[[2]int{a.Index, b.Index}] }
+func (g *Graph) HasEdge(a, b *Node) bool {
+	k := uint(a.Index*len(g.Nodes) + b.Index)
+	return g.edge[k/64]&(1<<(k%64)) != 0
+}
 
 // Options configure DAG construction.
 type Options struct {
@@ -92,10 +98,13 @@ type Options struct {
 
 // Build constructs the dependence DAG for the instruction sequence instrs.
 func Build(instrs []*ir.Instr, opts Options) *Graph {
-	g := &Graph{edge: make(map[[2]int]bool), stats: opts.Stats}
-	g.Nodes = make([]*Node, len(instrs))
+	n := len(instrs)
+	g := &Graph{edge: make([]uint64, (n*n+63)/64), stats: opts.Stats}
+	g.Nodes = make([]*Node, n)
+	slab := make([]Node, n)
 	for i, in := range instrs {
-		g.Nodes[i] = &Node{Index: i, Instr: in}
+		slab[i] = Node{Index: i, Instr: in}
+		g.Nodes[i] = &slab[i]
 	}
 
 	g.addRegisterEdges()
@@ -105,7 +114,7 @@ func Build(instrs []*ir.Instr, opts Options) *Graph {
 
 	g.stats.Inc("dag/regions")
 	g.stats.Add("dag/nodes", int64(len(g.Nodes)))
-	g.stats.Add("dag/edges", int64(len(g.edge)))
+	g.stats.Add("dag/edges", int64(g.edges))
 	g.stats.Observe("dag/region_size", int64(len(g.Nodes)))
 	return g
 }
@@ -113,28 +122,40 @@ func Build(instrs []*ir.Instr, opts Options) *Graph {
 // addRegisterEdges adds true (RAW), anti (WAR) and output (WAW) register
 // dependences.
 func (g *Graph) addRegisterEdges() {
-	lastDef := map[ir.Reg]*Node{}
-	lastUses := map[ir.Reg][]*Node{}
+	// Per register: its last definition and the uses since then.
+	type regDeps struct {
+		def  *Node
+		uses []*Node
+	}
+	var top ir.Reg
 	var buf [3]ir.Reg
+	for _, n := range g.Nodes {
+		for _, r := range n.Instr.Uses(buf[:0]) {
+			top = max(top, r)
+		}
+		top = max(top, n.Instr.Def())
+	}
+	regs := make([]regDeps, top+1)
 	for _, n := range g.Nodes {
 		uses := n.Instr.Uses(buf[:0])
 		for _, r := range uses {
-			if d := lastDef[r]; d != nil {
+			if d := regs[r].def; d != nil {
 				g.addEdge(d, n) // RAW
 			}
 		}
 		if d := n.Instr.Def(); d != ir.NoReg {
-			if prev := lastDef[d]; prev != nil {
-				g.addEdge(prev, n) // WAW
+			rd := &regs[d]
+			if rd.def != nil {
+				g.addEdge(rd.def, n) // WAW
 			}
-			for _, u := range lastUses[d] {
+			for _, u := range rd.uses {
 				g.addEdge(u, n) // WAR
 			}
-			lastDef[d] = n
-			lastUses[d] = nil
+			rd.def = n
+			rd.uses = rd.uses[:0]
 		}
 		for _, r := range uses {
-			lastUses[r] = append(lastUses[r], n)
+			regs[r].uses = append(regs[r].uses, n)
 		}
 	}
 }
@@ -166,26 +187,31 @@ func (g *Graph) addMemoryEdges() {
 // addLocalityEdges orders predicted-miss loads before the predicted-hit
 // loads of the same reuse group, so scheduling cannot float a hit above
 // the miss that fetches its cache line (paper Section 4.2).
+//
+// A load belongs to one group, so scanning misses and then hits in node
+// order gives each node's edges the same order a per-group walk would.
 func (g *Graph) addLocalityEdges() {
-	groups := map[int][]*Node{}
-	for _, n := range g.Nodes {
-		if n.Instr.Op.IsLoad() && n.Instr.Mem != nil && n.Instr.Mem.Group >= 0 {
-			groups[n.Instr.Mem.Group] = append(groups[n.Instr.Mem.Group], n)
+	for _, miss := range g.Nodes {
+		group := reuseGroup(miss.Instr)
+		if group < 0 || miss.Instr.Hint != ir.HintMiss {
+			continue
 		}
-	}
-	for _, ns := range groups {
-		for _, miss := range ns {
-			if miss.Instr.Hint != ir.HintMiss {
-				continue
-			}
-			for _, hit := range ns {
-				if hit.Instr.Hint == ir.HintHit && hit.Index > miss.Index {
-					g.stats.Inc("dag/locality_edges")
-					g.addEdge(miss, hit)
-				}
+		for _, hit := range g.Nodes[miss.Index+1:] {
+			if hit.Instr.Hint == ir.HintHit && reuseGroup(hit.Instr) == group {
+				g.stats.Inc("dag/locality_edges")
+				g.addEdge(miss, hit)
 			}
 		}
 	}
+}
+
+// reuseGroup returns a load's locality reuse group, or -1 when the
+// instruction is not a grouped load.
+func reuseGroup(in *ir.Instr) int {
+	if !in.Op.IsLoad() || in.Mem == nil {
+		return -1
+	}
+	return in.Mem.Group
 }
 
 // addControlEdges constrains motion across branches. In basic-block mode

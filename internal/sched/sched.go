@@ -148,8 +148,8 @@ func Schedule(g *dag.Graph, regClass []ir.RegClass) []*ir.Instr {
 	n := len(g.Nodes)
 	order := make([]*ir.Instr, 0, n)
 	unscheduledPreds := make([]int, n)
-	readyAt := make([]int64, n) // cycle when all operands are available
-	var avail []*dag.Node       // predecessors all scheduled
+	readyAt := make([]int64, n)      // cycle when all operands are available
+	avail := make([]*dag.Node, 0, n) // predecessors all scheduled
 	for _, nd := range g.Nodes {
 		unscheduledPreds[nd.Index] = len(nd.Preds)
 		if len(nd.Preds) == 0 {
@@ -239,9 +239,15 @@ func Schedule(g *dag.Graph, regClass []ir.RegClass) []*ir.Instr {
 // pressure estimates live register counts per bank during scheduling.
 type pressure struct {
 	regClass []ir.RegClass
-	lastUse  map[ir.Reg]int // node index of the final use within the region
-	liveNow  map[ir.Reg]bool
+	regs     []regLife // indexed by register; covers every register of the region
 	count    [2]int
+}
+
+// regLife is the pressure tracker's view of one register.
+type regLife struct {
+	lastUse int32 // node index of the final use within the region
+	liveNow bool
+	defined bool // defined by an instruction already seen (construction only)
 }
 
 func newPressure(g *dag.Graph, regClass []ir.RegClass) *pressure {
@@ -249,21 +255,27 @@ func newPressure(g *dag.Graph, regClass []ir.RegClass) *pressure {
 	if regClass == nil {
 		return p
 	}
-	p.lastUse = map[ir.Reg]int{}
-	p.liveNow = map[ir.Reg]bool{}
-	defined := map[ir.Reg]bool{}
+	var top ir.Reg
 	var buf [3]ir.Reg
 	for _, nd := range g.Nodes {
 		for _, r := range nd.Instr.Uses(buf[:0]) {
-			p.lastUse[r] = nd.Index
-			if !defined[r] && !p.liveNow[r] {
+			top = max(top, r)
+		}
+		top = max(top, nd.Instr.Def())
+	}
+	p.regs = make([]regLife, top+1)
+	for _, nd := range g.Nodes {
+		for _, r := range nd.Instr.Uses(buf[:0]) {
+			rl := &p.regs[r]
+			rl.lastUse = int32(nd.Index)
+			if !rl.defined && !rl.liveNow {
 				// Live into the region: occupies a register from the start.
-				p.liveNow[r] = true
+				rl.liveNow = true
 				p.count[p.cls(r)]++
 			}
 		}
 		if d := nd.Instr.Def(); d != ir.NoReg {
-			defined[d] = true
+			p.regs[d].defined = true
 		}
 	}
 	return p
@@ -289,11 +301,11 @@ func (p *pressure) grows(n *dag.Node) bool {
 	var delta [2]int
 	var buf [3]ir.Reg
 	for _, r := range n.Instr.Uses(buf[:0]) {
-		if p.liveNow[r] && p.lastUse[r] == n.Index {
+		if p.dies(r, n) {
 			delta[p.cls(r)]--
 		}
 	}
-	if d := n.Instr.Def(); d != ir.NoReg && !p.liveNow[d] && p.lastUse[d] > n.Index {
+	if d := n.Instr.Def(); d != ir.NoReg && p.born(d, n) {
 		delta[p.cls(d)]++
 	}
 	for c := 0; c < 2; c++ {
@@ -311,15 +323,28 @@ func (p *pressure) issue(n *dag.Node) {
 	}
 	var buf [3]ir.Reg
 	for _, r := range n.Instr.Uses(buf[:0]) {
-		if p.liveNow[r] && p.lastUse[r] == n.Index {
-			p.liveNow[r] = false
+		if p.dies(r, n) {
+			p.regs[r].liveNow = false
 			p.count[p.cls(r)]--
 		}
 	}
-	if d := n.Instr.Def(); d != ir.NoReg && !p.liveNow[d] && p.lastUse[d] > n.Index {
-		p.liveNow[d] = true
+	if d := n.Instr.Def(); d != ir.NoReg && p.born(d, n) {
+		p.regs[d].liveNow = true
 		p.count[p.cls(d)]++
 	}
+}
+
+// dies reports whether n is the final use of the live register r.
+func (p *pressure) dies(r ir.Reg, n *dag.Node) bool {
+	rl := p.regs[r]
+	return rl.liveNow && int(rl.lastUse) == n.Index
+}
+
+// born reports whether n's definition of d starts a live range: d is not
+// live yet and a later instruction of the region uses it.
+func (p *pressure) born(d ir.Reg, n *dag.Node) bool {
+	rl := p.regs[d]
+	return !rl.liveNow && int(rl.lastUse) > n.Index
 }
 
 // better reports whether a should be selected over b. st, when non-nil,
@@ -397,51 +422,51 @@ func exposes(n *dag.Node, unscheduledPreds []int) int {
 func balanceLoads(g *dag.Graph, includeFixed bool) {
 	n := len(g.Nodes)
 	words := (n + 63) / 64
-	// reach[i] = forward reachability bitset from node i (including i).
-	// Node indices are topologically ordered (edges go forward), so a
-	// reverse sweep completes each set before it is consumed.
-	reach := make([][]uint64, n)
+	// reach[i*words:][:words] = forward reachability bitset from node i
+	// (including i). Node indices are topologically ordered (edges go
+	// forward), so a reverse sweep completes each set before it is
+	// consumed.
+	reach := make([]uint64, n*words)
 	for i := n - 1; i >= 0; i-- {
-		r := make([]uint64, words)
+		r := reach[i*words : (i+1)*words]
 		r[i/64] |= 1 << (uint(i) % 64)
 		for _, s := range g.Nodes[i].Succs {
-			sr := reach[s.Index]
+			sr := reach[s.Index*words : (s.Index+1)*words]
 			for w := range r {
 				r[w] |= sr[w]
 			}
 		}
-		reach[i] = r
+	}
+	forward := func(a, b int) bool { // a reaches b
+		return reach[a*words+b/64]&(1<<(uint(b)%64)) != 0
 	}
 	path := func(a, b int) bool { // a reaches b or b reaches a
-		return reach[a][b/64]&(1<<(uint(b)%64)) != 0 ||
-			reach[b][a/64]&(1<<(uint(a)%64)) != 0
-	}
-	forward := func(a, b int) bool {
-		return reach[a][b/64]&(1<<(uint(b)%64)) != 0
+		return forward(a, b) || forward(b, a)
 	}
 
 	// Candidate loads for balancing: not predicted hits. Under the
 	// BalancedFixed extension, multi-cycle fixed-latency operations join
 	// the needy set: they dilute the cover shares (and so the load
-	// weights) but keep their own architectural weights.
+	// weights) but keep their own architectural weights. weightIdx maps
+	// a node to its candidate position, -1 for non-candidates.
 	var cand []*dag.Node
-	weightIdx := make(map[int]int)
-	for _, l := range g.Loads() {
-		if l.Instr.Hint == ir.HintHit {
-			continue
+	weightIdx := make([]int32, n)
+	for _, nd := range g.Nodes {
+		weightIdx[nd.Index] = -1
+		if nd.Instr.Op.IsLoad() && nd.Instr.Hint != ir.HintHit {
+			weightIdx[nd.Index] = int32(len(cand))
+			cand = append(cand, nd)
 		}
-		weightIdx[l.Index] = len(cand)
-		cand = append(cand, l)
 	}
 	nLoads := len(cand)
 	if nLoads == 0 {
 		return
 	}
 	if includeFixed {
-		for _, n := range g.Nodes {
-			if longFixed(n.Instr.Op) {
-				weightIdx[n.Index] = len(cand)
-				cand = append(cand, n)
+		for _, nd := range g.Nodes {
+			if longFixed(nd.Instr.Op) {
+				weightIdx[nd.Index] = int32(len(cand))
+				cand = append(cand, nd)
 			}
 		}
 	}
@@ -451,13 +476,16 @@ func balanceLoads(g *dag.Graph, includeFixed bool) {
 	}
 	isNeedyOnly := func(pos int) bool { return pos >= nLoads }
 
+	// Per-node scratch, indexed by avail position.
 	avail := make([]*dag.Node, 0, len(cand))
-	comp := make([]int, len(cand)) // component id per avail position
+	comp := make([]int, len(cand))     // union-find parent
+	chain := make([]int, len(cand))    // longest load chain ending here
+	maxChain := make([]int, len(cand)) // longest chain per component root
 	for _, i := range g.Nodes {
 		if i.Instr.Op.IsBranch() {
 			continue // branches do not hide load latency
 		}
-		if _, isCand := weightIdx[i.Index]; isCand {
+		if weightIdx[i.Index] >= 0 {
 			continue // balanced loads don't cover each other
 		}
 		avail = avail[:0]
@@ -474,25 +502,16 @@ func balanceLoads(g *dag.Graph, includeFixed bool) {
 		for k := range avail {
 			comp[k] = k
 		}
-		var find func(int) int
-		find = func(x int) int {
-			for comp[x] != x {
-				comp[x] = comp[comp[x]]
-				x = comp[x]
-			}
-			return x
-		}
 		for a := 0; a < len(avail); a++ {
 			for b := a + 1; b < len(avail); b++ {
 				if path(avail[a].Index, avail[b].Index) {
-					comp[find(a)] = find(b)
+					comp[find(comp, a)] = find(comp, b)
 				}
 			}
 		}
 		// Longest chain of loads (in component) along dependence paths:
 		// DP over index order, since reachability only runs forward.
-		chain := make([]int, len(avail))
-		maxChain := map[int]int{}
+		clear(maxChain[:len(avail)])
 		for a := 0; a < len(avail); a++ {
 			chain[a] = 1
 			for b := 0; b < a; b++ {
@@ -500,13 +519,13 @@ func balanceLoads(g *dag.Graph, includeFixed bool) {
 					chain[a] = chain[b] + 1
 				}
 			}
-			root := find(a)
+			root := find(comp, a)
 			if chain[a] > maxChain[root] {
 				maxChain[root] = chain[a]
 			}
 		}
 		for a := 0; a < len(avail); a++ {
-			weights[weightIdx[avail[a].Index]] += 1 / float64(maxChain[find(a)])
+			weights[weightIdx[avail[a].Index]] += 1 / float64(maxChain[find(comp, a)])
 		}
 	}
 
@@ -523,4 +542,13 @@ func balanceLoads(g *dag.Graph, includeFixed bool) {
 		}
 		l.Weight = w
 	}
+}
+
+// find returns x's union-find root in comp, halving the path on the way.
+func find(comp []int, x int) int {
+	for comp[x] != x {
+		comp[x] = comp[comp[x]]
+		x = comp[x]
+	}
+	return x
 }

@@ -7,6 +7,8 @@ import (
 	"repro/internal/dag"
 	"repro/internal/ir"
 	"repro/internal/machine"
+	"repro/internal/obs"
+	"repro/internal/verify"
 )
 
 func ins(op ir.Op, dst ir.Reg, srcs ...ir.Reg) *ir.Instr {
@@ -248,6 +250,75 @@ func TestScheduleRandomDAGsProperty(t *testing.T) {
 			}
 		}
 	}
+
+	// Pressure trials: 48 registers and up to 60 instructions keep more
+	// than PressureLimit values live, and a register-class table of
+	// random length, often shorter than the largest register used,
+	// drives the pressure tracker under every policy.
+	st := obs.NewStats()
+	for trial := 0; trial < 200; trial++ {
+		instrs := pressureRegion(rng, 3+rng.Intn(58))
+		regClass := make([]ir.RegClass, rng.Intn(50))
+		for i := range regClass {
+			regClass[i] = ir.RegClass(rng.Intn(2))
+		}
+		for _, p := range []Policy{Traditional, Balanced, BalancedFixed, Auto} {
+			g := dag.Build(instrs, dag.Options{Stats: st})
+			AssignWeights(g, p)
+			order := Schedule(g, regClass)
+			validOrder(t, g, order)
+			if err := verify.DAG(g, "random"); err != nil {
+				t.Fatalf("pressure trial %d, %v: %v", trial, p, err)
+			}
+			if err := verify.Schedule(g, order, "random"); err != nil {
+				t.Fatalf("pressure trial %d, %v: %v", trial, p, err)
+			}
+		}
+	}
+	overrides := st.Counter("sched/pressure_overrides")
+	if overrides == 0 {
+		t.Error("no pressure trial reached the pressure tracker's override")
+	}
+	t.Logf("%d pressure overrides", overrides)
+}
+
+// pressureRegion returns n random instructions over registers 1..48:
+// integer and floating-point arithmetic, long-latency divides,
+// conditional moves (whose destination is also a source), loads with
+// locality hints and reuse groups, and stores.
+func pressureRegion(rng *rand.Rand, n int) []*ir.Instr {
+	r := func() ir.Reg { return ir.Reg(1 + rng.Intn(48)) }
+	mem := func() *ir.MemRef {
+		return &ir.MemRef{Array: rng.Intn(3), Base: rng.Intn(2), Disp: int64(rng.Intn(8)) * 8, Width: 8, Group: rng.Intn(4) - 1}
+	}
+	instrs := make([]*ir.Instr, n)
+	for i := range instrs {
+		var in *ir.Instr
+		switch rng.Intn(9) {
+		case 0:
+			in = ins(ir.OpMovi, r())
+		case 1:
+			in = ins(ir.OpAdd, r(), r(), r())
+		case 2:
+			in = ins(ir.OpMul, r(), r(), r())
+		case 3:
+			in = ins(ir.OpFAdd, r(), r(), r())
+		case 4:
+			in = ins(ir.OpFDiv, r(), r(), r())
+		case 5:
+			in = ins(ir.OpCmovNe, r(), r(), r())
+		case 6, 7:
+			in = ins(ir.OpLdF, r(), r())
+			in.Mem = mem()
+			in.Hint = ir.CacheHint(rng.Intn(3))
+		default:
+			in = ins(ir.OpStF, ir.NoReg, r(), r())
+			in.Mem = mem()
+		}
+		in.Seq = i
+		instrs[i] = in
+	}
+	return instrs
 }
 
 func TestPolicyString(t *testing.T) {
