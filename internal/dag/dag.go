@@ -169,18 +169,25 @@ func (g *Graph) addMemoryEdges() {
 			mems = append(mems, n)
 		}
 	}
+	var conflicts, disjoint int64
 	for i, a := range mems {
 		for _, b := range mems[i+1:] {
 			if a.Instr.Op.IsLoad() && b.Instr.Op.IsLoad() {
 				continue // loads commute
 			}
 			if a.Instr.Mem.Conflicts(b.Instr.Mem) {
-				g.stats.Inc("dag/mem_conflicts")
+				conflicts++
 				g.addEdge(a, b)
 			} else {
-				g.stats.Inc("dag/mem_disjoint")
+				disjoint++
 			}
 		}
+	}
+	if conflicts > 0 {
+		g.stats.Add("dag/mem_conflicts", conflicts)
+	}
+	if disjoint > 0 {
+		g.stats.Add("dag/mem_disjoint", disjoint)
 	}
 }
 

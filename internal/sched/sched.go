@@ -13,7 +13,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/ir"
 	"repro/internal/machine"
-	"repro/internal/obs"
 )
 
 // Policy selects a load-weight algorithm.
@@ -158,6 +157,9 @@ func Schedule(g *dag.Graph, regClass []ir.RegClass) []*ir.Instr {
 	}
 	press := newPressure(g, regClass)
 	st := g.Stats()
+	// Selection counters, tallied per region and added to st once.
+	var picks [len(pickCounters)]int64
+	var overrides int64
 	var cycle int64
 	for len(order) < n {
 		st.Observe("sched/ready_len", int64(len(avail)))
@@ -169,7 +171,7 @@ func Schedule(g *dag.Graph, regClass []ir.RegClass) []*ir.Instr {
 			if readyAt[cand.Index] > cycle {
 				continue
 			}
-			if best == nil || better(cand, best, unscheduledPreds, st) {
+			if best == nil || better(cand, best, unscheduledPreds, &picks) {
 				best = cand
 			}
 			if !press.grows(cand) {
@@ -180,7 +182,7 @@ func Schedule(g *dag.Graph, regClass []ir.RegClass) []*ir.Instr {
 		}
 		if press.high() && bestEasy != nil {
 			if best != bestEasy {
-				st.Inc("sched/pressure_overrides")
+				overrides++
 			}
 			best = bestEasy
 		}
@@ -232,6 +234,14 @@ func Schedule(g *dag.Graph, regClass []ir.RegClass) []*ir.Instr {
 			}
 		}
 		cycle++
+	}
+	for tier, c := range picks {
+		if c > 0 {
+			st.Add(pickCounters[tier], c)
+		}
+	}
+	if overrides > 0 {
+		st.Add("sched/pressure_overrides", overrides)
 	}
 	return order
 }
@@ -347,31 +357,43 @@ func (p *pressure) born(d ir.Reg, n *dag.Node) bool {
 	return !rl.liveNow && int(rl.lastUse) > n.Index
 }
 
-// better reports whether a should be selected over b. st, when non-nil,
-// counts which selection tier decided each comparison — the tie-breaker
-// usage profile of the heuristic stack (only primary selection
-// comparisons are counted; the pressure tier's duplicates are not).
-func better(a, b *dag.Node, unscheduledPreds []int, st *obs.Stats) bool {
+// pickCounters names better's selection tiers, in the order it consults
+// them.
+var pickCounters = [...]string{"sched/pick_by_priority", "sched/pick_by_pressure", "sched/pick_by_exposes", "sched/pick_by_seq"}
+
+// better reports whether a should be selected over b. picks, when
+// non-nil, counts which selection tier decided each comparison — the
+// tie-breaker usage profile of the heuristic stack (only primary
+// selection comparisons are counted; the pressure tier's duplicates are
+// not).
+func better(a, b *dag.Node, unscheduledPreds []int, picks *[len(pickCounters)]int64) bool {
 	// Primary: highest priority (critical path).
 	if a.Priority != b.Priority {
-		st.Inc("sched/pick_by_priority")
+		count(picks, 0)
 		return a.Priority > b.Priority
 	}
 	// Tie-break 1: control register pressure — prefer the instruction
 	// with the largest (consumed − defined) register count.
 	if pa, pb := pressureDelta(a.Instr), pressureDelta(b.Instr); pa != pb {
-		st.Inc("sched/pick_by_pressure")
+		count(picks, 1)
 		return pa > pb
 	}
 	// Tie-break 2: expose the most successors (successors whose only
 	// remaining unscheduled predecessor is this node).
 	if ea, eb := exposes(a, unscheduledPreds), exposes(b, unscheduledPreds); ea != eb {
-		st.Inc("sched/pick_by_exposes")
+		count(picks, 2)
 		return ea > eb
 	}
 	// Tie-break 3: original program order.
-	st.Inc("sched/pick_by_seq")
+	count(picks, 3)
 	return a.Instr.Seq < b.Instr.Seq
+}
+
+// count adds one decision of the given tier to picks (nil: not counted).
+func count(picks *[len(pickCounters)]int64, tier int) {
+	if picks != nil {
+		picks[tier]++
+	}
 }
 
 // pressureDelta returns consumed-minus-defined register count: scheduling
