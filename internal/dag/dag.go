@@ -33,7 +33,8 @@ type Graph struct {
 	// Nodes holds the region's instructions in original order.
 	Nodes []*Node
 
-	// edge is the n×n edge index: bit a*n+b is set when a→b exists.
+	// edge is the n×n edge index: bit a*n+b is set when a→b exists;
+	// edges counts the set bits.
 	edge  []uint64
 	edges int
 	stats *obs.Stats

@@ -157,7 +157,8 @@ func Schedule(g *dag.Graph, regClass []ir.RegClass) []*ir.Instr {
 	}
 	press := newPressure(g, regClass)
 	st := g.Stats()
-	// Selection counters, tallied per region and added to st once.
+	// Selection counters are tallied per region and added to st once:
+	// a registry update per comparison takes a lock and a map write.
 	var picks [len(pickCounters)]int64
 	var overrides int64
 	var cycle int64
@@ -369,28 +370,28 @@ var pickCounters = [...]string{"sched/pick_by_priority", "sched/pick_by_pressure
 func better(a, b *dag.Node, unscheduledPreds []int, picks *[len(pickCounters)]int64) bool {
 	// Primary: highest priority (critical path).
 	if a.Priority != b.Priority {
-		count(picks, 0)
+		tally(picks, 0)
 		return a.Priority > b.Priority
 	}
 	// Tie-break 1: control register pressure — prefer the instruction
 	// with the largest (consumed − defined) register count.
 	if pa, pb := pressureDelta(a.Instr), pressureDelta(b.Instr); pa != pb {
-		count(picks, 1)
+		tally(picks, 1)
 		return pa > pb
 	}
 	// Tie-break 2: expose the most successors (successors whose only
 	// remaining unscheduled predecessor is this node).
 	if ea, eb := exposes(a, unscheduledPreds), exposes(b, unscheduledPreds); ea != eb {
-		count(picks, 2)
+		tally(picks, 2)
 		return ea > eb
 	}
 	// Tie-break 3: original program order.
-	count(picks, 3)
+	tally(picks, 3)
 	return a.Instr.Seq < b.Instr.Seq
 }
 
-// count adds one decision of the given tier to picks (nil: not counted).
-func count(picks *[len(pickCounters)]int64, tier int) {
+// tally adds one decision of the given tier to picks (nil: not counted).
+func tally(picks *[len(pickCounters)]int64, tier int) {
 	if picks != nil {
 		picks[tier]++
 	}
