@@ -499,7 +499,7 @@ func balanceLoads(g *dag.Graph, includeFixed bool) {
 	}
 	isNeedyOnly := func(pos int) bool { return pos >= nLoads }
 
-	// Per-node scratch, indexed by avail position.
+	// Buffers reused for every node, indexed by avail position.
 	avail := make([]*dag.Node, 0, len(cand))
 	comp := make([]int, len(cand))     // union-find parent
 	chain := make([]int, len(cand))    // longest load chain ending here
