@@ -27,6 +27,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/unroll"
 	"repro/internal/workload"
 )
 
@@ -245,6 +246,24 @@ func BenchmarkListSchedule(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sched.Schedule(g, res.Fn.RegClass)
+	}
+}
+
+// BenchmarkLower measures lowering with address analysis on tomcatv
+// unrolled by 4 (255 instructions); run with -benchmem for its allocation
+// shape.
+func BenchmarkLower(b *testing.B) {
+	bm, err := workload.ByName("tomcatv")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, _ := bm.Build()
+	p = unroll.Apply(p, 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lower.Lower(p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,19 +1,27 @@
 package hlir
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 )
 
-// Affine is a linear form over integer scalar variables: C + Σ Terms[v]·v.
+// Term is one variable term of an affine form: Co·Var.
+type Term struct {
+	Var string
+	Co  int64
+}
+
+// Affine is a linear form over integer scalar variables: C + Σ Co·Var.
 // It is the analysis currency shared by address lowering (base/displacement
 // splitting) and locality analysis (stride and alignment reasoning).
 type Affine struct {
 	// C is the constant term.
 	C int64
-	// Terms maps variable names to coefficients (no zero entries).
-	Terms map[string]int64
+	// Terms holds the variable terms in ascending order of name, with no
+	// zero coefficients. Forms built from one another may share a term
+	// slice, so treat it as immutable: never append to it or assign its
+	// elements.
+	Terms []Term
 	// OK reports whether the analysed expression was affine at all.
 	OK bool
 }
@@ -29,7 +37,7 @@ func AffineOf(e Expr) Affine {
 		if e.K != KInt {
 			return bad
 		}
-		return Affine{Terms: map[string]int64{e.Name: 1}, OK: true}
+		return Affine{Terms: []Term{{Var: e.Name, Co: 1}}, OK: true}
 	case *Bin:
 		x := AffineOf(e.X)
 		y := AffineOf(e.Y)
@@ -42,14 +50,7 @@ func AffineOf(e Expr) Affine {
 			if e.Op == OpSub {
 				sign = -1
 			}
-			out := Affine{C: x.C + sign*y.C, OK: true, Terms: map[string]int64{}}
-			for v, co := range x.Terms {
-				out.Terms[v] += co
-			}
-			for v, co := range y.Terms {
-				out.Terms[v] += sign * co
-			}
-			return out.norm()
+			return Affine{C: x.C + sign*y.C, Terms: addTerms(x.Terms, y.Terms, sign), OK: true}
 		case OpMul:
 			if x.OK && len(x.Terms) == 0 {
 				x, y = y, x
@@ -57,11 +58,7 @@ func AffineOf(e Expr) Affine {
 			if !x.OK || !y.OK || len(y.Terms) != 0 {
 				return bad
 			}
-			out := Affine{C: x.C * y.C, OK: true, Terms: map[string]int64{}}
-			for v, co := range x.Terms {
-				out.Terms[v] = co * y.C
-			}
-			return out.norm()
+			return Affine{C: x.C * y.C, Terms: addTerms(nil, x.Terms, y.C), OK: true}
 		}
 		return bad
 	default:
@@ -69,52 +66,85 @@ func AffineOf(e Expr) Affine {
 	}
 }
 
-func (a Affine) norm() Affine {
-	for v, co := range a.Terms {
-		if co == 0 {
-			delete(a.Terms, v)
+// addTerms returns the sorted, zero-free terms of x + k·y. It returns x or
+// y itself when the other side contributes nothing, so the result may
+// share either input's backing array.
+func addTerms(x, y []Term, k int64) []Term {
+	switch {
+	case len(y) == 0 || k == 0:
+		return x
+	case len(x) == 0 && k == 1:
+		return y
+	}
+	out := make([]Term, 0, len(x)+len(y))
+	i, j := 0, 0
+	for i < len(x) || j < len(y) {
+		var t Term
+		switch {
+		case j == len(y) || i < len(x) && x[i].Var < y[j].Var:
+			t = x[i]
+			i++
+		case i == len(x) || y[j].Var < x[i].Var:
+			t = Term{Var: y[j].Var, Co: k * y[j].Co}
+			j++
+		default:
+			t = Term{Var: x[i].Var, Co: x[i].Co + k*y[j].Co}
+			i++
+			j++
+		}
+		if t.Co != 0 {
+			out = append(out, t)
 		}
 	}
-	return a
+	if len(out) == 0 {
+		return nil
+	}
+	return out
 }
 
 // Coeff returns the coefficient of variable v (zero if absent).
-func (a Affine) Coeff(v string) int64 { return a.Terms[v] }
+func (a Affine) Coeff(v string) int64 {
+	for _, t := range a.Terms {
+		if t.Var == v {
+			return t.Co
+		}
+	}
+	return 0
+}
 
 // IsConst reports whether the form has no variable terms.
 func (a Affine) IsConst() bool { return a.OK && len(a.Terms) == 0 }
 
-// Key canonicalises the variable part of the form, for CSE and base-ID
-// naming; two forms with equal Key differ only by their constant.
+// Key canonicalises the variable part of the form as "v*co;" per term in
+// name order, for CSE and base-ID naming; two forms with equal Key differ
+// only by their constant.
 func (a Affine) Key() string {
-	vs := make([]string, 0, len(a.Terms))
-	for v := range a.Terms {
-		vs = append(vs, v)
+	b := make([]byte, 0, 16*len(a.Terms))
+	for _, t := range a.Terms {
+		b = append(b, t.Var...)
+		b = append(b, '*')
+		b = strconv.AppendInt(b, t.Co, 10)
+		b = append(b, ';')
 	}
-	sort.Strings(vs)
-	var b strings.Builder
-	for _, v := range vs {
-		fmt.Fprintf(&b, "%s*%d;", v, a.Terms[v])
-	}
-	return b.String()
+	return string(b)
 }
 
 // Vars returns the form's variables in sorted order.
 func (a Affine) Vars() []string {
-	vs := make([]string, 0, len(a.Terms))
-	for v := range a.Terms {
-		vs = append(vs, v)
+	vs := make([]string, len(a.Terms))
+	for i, t := range a.Terms {
+		vs[i] = t.Var
 	}
-	sort.Strings(vs)
 	return vs
 }
 
 // DropVar returns the form with variable v removed (its term deleted).
 func (a Affine) DropVar(v string) Affine {
-	out := Affine{C: a.C, OK: a.OK, Terms: map[string]int64{}}
-	for k, co := range a.Terms {
-		if k != v {
-			out.Terms[k] = co
+	out := Affine{C: a.C, Terms: a.Terms, OK: a.OK}
+	for i, t := range a.Terms {
+		if t.Var == v {
+			out.Terms = slices.Concat(a.Terms[:i], a.Terms[i+1:])
+			break
 		}
 	}
 	return out
@@ -124,7 +154,7 @@ func (a Affine) DropVar(v string) Affine {
 // index (row-major). It reports !OK when any index expression is
 // non-affine.
 func (r *Ref) LinearAffine() Affine {
-	lin := Affine{OK: true, Terms: map[string]int64{}}
+	lin := Affine{OK: true}
 	stride := int64(1)
 	for d := len(r.Idx) - 1; d >= 0; d-- {
 		ia := AffineOf(r.Idx[d])
@@ -132,10 +162,8 @@ func (r *Ref) LinearAffine() Affine {
 			return Affine{}
 		}
 		lin.C += ia.C * stride
-		for v, co := range ia.Terms {
-			lin.Terms[v] += co * stride
-		}
+		lin.Terms = addTerms(lin.Terms, ia.Terms, stride)
 		stride *= int64(r.A.Dims[d])
 	}
-	return lin.norm()
+	return lin
 }

@@ -124,11 +124,8 @@ func Classify(ref *hlir.Ref, v string) (Predicate, int64, bool) {
 	// Alignment must not depend on other variables: their coefficients
 	// must be whole lines (e.g. a row length divisible by the line size —
 	// the paper's "array dimensions known at compile time" requirement).
-	for _, ov := range lin.Vars() {
-		if ov == v {
-			continue
-		}
-		if lin.Terms[ov]%lineElems != 0 {
+	for _, t := range lin.Terms {
+		if t.Var != v && t.Co%lineElems != 0 {
 			return Predicate{}, 0, false
 		}
 	}
@@ -279,8 +276,8 @@ func markSpatial(body []hlir.Stmt, v string, j0 int64, g *grouper) {
 		if s <= 0 || s >= lineElems || lineElems%s != 0 {
 			return
 		}
-		for _, ov := range lin.Vars() {
-			if ov != v && lin.Terms[ov]%lineElems != 0 {
+		for _, t := range lin.Terms {
+			if t.Var != v && t.Co%lineElems != 0 {
 				return
 			}
 		}

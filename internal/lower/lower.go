@@ -15,7 +15,7 @@ package lower
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/hlir"
 	"repro/internal/ir"
@@ -38,7 +38,7 @@ func Lower(p *hlir.Program) (*Result, error) {
 		vars:    map[string]ir.Reg{},
 		arrayID: map[*hlir.Array]int{},
 		baseID:  map[string]int{},
-		cse:     map[string]cseEntry{},
+		cse:     map[cseKey]cseEntry{},
 		vers:    map[string]int{},
 	}
 	for _, a := range p.Arrays {
@@ -55,9 +55,28 @@ func Lower(p *hlir.Program) (*Result, error) {
 	return &Result{Fn: c.fn, ArrayID: c.arrayID}, nil
 }
 
+// cseKind tells what a cached value is, and so what cseKey.n means.
+type cseKind uint8
+
+const (
+	cseConst  cseKind = iota // integer constant n
+	cseArray                 // address of array n
+	cseScaled                // scalar v times n
+	cseBase                  // address base with base ID n
+)
+
+// cseKey names a value in the per-block CSE cache.
+type cseKey struct {
+	kind cseKind
+	v    string
+	n    int64
+}
+
 type cseEntry struct {
-	reg  ir.Reg
-	deps []string // scalar names the cached value depends on
+	reg ir.Reg
+	// deps holds the terms whose scalars the cached value depends on. It
+	// may share the term slice of the affine form it came from.
+	deps []hlir.Term
 }
 
 type ctx struct {
@@ -65,9 +84,12 @@ type ctx struct {
 	cur     *ir.Block
 	vars    map[string]ir.Reg
 	arrayID map[*hlir.Array]int
-	baseID  map[string]int
-	cse     map[string]cseEntry
-	seq     int
+	// baseID numbers address bases in first-seen order, keyed by their
+	// versioned rendering; keyBuf is the buffer that rendering reuses.
+	baseID map[string]int
+	keyBuf []byte
+	cse    map[cseKey]cseEntry
+	seq    int
 	// vers counts assignments per scalar. Symbolic address bases are
 	// keyed by (variable, version) pairs so two references share a
 	// MemRef base — and thus disambiguate by displacement — only when no
@@ -87,10 +109,10 @@ func (c *ctx) emit(in *ir.Instr) *ir.Instr {
 }
 
 // newBlock starts a new current block; the caller wires predecessor edges.
-// The CSE cache is dropped: cached values need not dominate the new block.
+// The CSE cache is emptied: cached values need not dominate the new block.
 func (c *ctx) newBlock() *ir.Block {
 	c.cur = c.fn.NewBlock()
-	c.cse = map[string]cseEntry{}
+	clear(c.cse)
 	return c.cur
 }
 
@@ -100,7 +122,7 @@ func (c *ctx) invalidate(name string) {
 	c.vers[name]++
 	for k, e := range c.cse {
 		for _, d := range e.deps {
-			if d == name {
+			if d.Var == name {
 				delete(c.cse, k)
 				break
 			}
@@ -108,14 +130,31 @@ func (c *ctx) invalidate(name string) {
 	}
 }
 
-// versionedKey renders the variable part of an affine form with each
-// variable's current assignment version.
-func (c *ctx) versionedKey(lin hlir.Affine) string {
-	var b strings.Builder
-	for _, v := range lin.Vars() {
-		fmt.Fprintf(&b, "%s@%d*%d;", v, c.vers[v], lin.Terms[v])
+// baseIDOf returns the base ID of array aid's address base lin, numbering
+// new bases in first-seen order. A base is named by the array and the
+// variable part of lin, each variable rendered with its current assignment
+// version ("a<aid>|" then "<var>@<version>*<coeff>;" per term in name
+// order); the rendering goes into a reused buffer, so a known base
+// allocates nothing.
+func (c *ctx) baseIDOf(aid int, lin hlir.Affine) int {
+	b := append(c.keyBuf[:0], 'a')
+	b = strconv.AppendInt(b, int64(aid), 10)
+	b = append(b, '|')
+	for _, t := range lin.Terms {
+		b = append(b, t.Var...)
+		b = append(b, '@')
+		b = strconv.AppendInt(b, int64(c.vers[t.Var]), 10)
+		b = append(b, '*')
+		b = strconv.AppendInt(b, t.Co, 10)
+		b = append(b, ';')
 	}
-	return b.String()
+	c.keyBuf = b
+	if bid, ok := c.baseID[string(b)]; ok {
+		return bid
+	}
+	bid := len(c.baseID)
+	c.baseID[string(b)] = bid
+	return bid
 }
 
 // varReg returns (creating on first use) the register backing scalar name.
@@ -361,7 +400,7 @@ func (c *ctx) tryPredicate(st *hlir.If) (bool, error) {
 func (c *ctx) expr(e hlir.Expr) (ir.Reg, error) {
 	switch e := e.(type) {
 	case *hlir.ConstI:
-		return c.cached(fmt.Sprintf("ci:%d", e.V), nil, func() ir.Reg {
+		return c.cached(cseKey{kind: cseConst, n: e.V}, nil, func() ir.Reg {
 			dst := c.fn.NewReg(ir.RegInt)
 			c.emit(&ir.Instr{Op: ir.OpMovi, Dst: dst, Imm: e.V})
 			return dst
@@ -385,7 +424,7 @@ func (c *ctx) expr(e hlir.Expr) (ir.Reg, error) {
 
 // cached returns the register for key from the CSE cache, or materialises
 // it by running gen and remembering the produced register.
-func (c *ctx) cached(key string, deps []string, gen func() ir.Reg) ir.Reg {
+func (c *ctx) cached(key cseKey, deps []hlir.Term, gen func() ir.Reg) ir.Reg {
 	if e, ok := c.cse[key]; ok {
 		return e.reg
 	}
@@ -535,7 +574,7 @@ func (c *ctx) un(e *hlir.Un) (ir.Reg, error) {
 			c.emit(&ir.Instr{Op: ir.OpFNeg, Dst: r, Src: [2]ir.Reg{x}})
 			return r, nil
 		}
-		z := c.cached("ci:0", nil, func() ir.Reg {
+		z := c.cached(cseKey{kind: cseConst}, nil, func() ir.Reg {
 			dst := c.fn.NewReg(ir.RegInt)
 			c.emit(&ir.Instr{Op: ir.OpMovi, Dst: dst, Imm: 0})
 			return dst
@@ -600,14 +639,8 @@ func (c *ctx) address(r *hlir.Ref) (ir.Reg, int64, *ir.MemRef, error) {
 	}
 
 	es := a.ElemSize()
-	baseKey := fmt.Sprintf("a%d|%s", aid, c.versionedKey(lin))
-	bid, seen := c.baseID[baseKey]
-	if !seen {
-		bid = len(c.baseID)
-		c.baseID[baseKey] = bid
-	}
-	deps := lin.Vars()
-	base := c.cached("addr:"+baseKey, deps, func() ir.Reg {
+	bid := c.baseIDOf(aid, lin)
+	base := c.cached(cseKey{kind: cseBase, n: int64(bid)}, lin.Terms, func() ir.Reg {
 		return c.materialiseBase(aid, lin, es)
 	})
 	disp := lin.C * es
@@ -619,9 +652,9 @@ func (c *ctx) address(r *hlir.Ref) (ir.Reg, int64, *ir.MemRef, error) {
 // returns the register holding it.
 func (c *ctx) materialiseBase(aid int, lin hlir.Affine, es int64) ir.Reg {
 	cur := c.arrayBaseReg(aid)
-	for _, v := range lin.Vars() {
-		co := lin.Terms[v] * es
-		vr := c.varReg(v, hlir.KInt)
+	for i, t := range lin.Terms {
+		co := t.Co * es
+		vr := c.varReg(t.Var, hlir.KInt)
 		next := c.fn.NewReg(ir.RegInt)
 		switch co {
 		case 8:
@@ -629,7 +662,7 @@ func (c *ctx) materialiseBase(aid int, lin hlir.Affine, es int64) ir.Reg {
 		case 4:
 			c.emit(&ir.Instr{Op: ir.OpS4Add, Dst: next, Src: [2]ir.Reg{vr, cur}})
 		default:
-			scaled := c.cached(fmt.Sprintf("scl:%s*%d", v, co), []string{v}, func() ir.Reg {
+			scaled := c.cached(cseKey{kind: cseScaled, v: t.Var, n: co}, lin.Terms[i:i+1], func() ir.Reg {
 				d := c.fn.NewReg(ir.RegInt)
 				c.emit(&ir.Instr{Op: ir.OpMul, Dst: d, Src: [2]ir.Reg{vr}, UseImm: true, Imm: co})
 				return d
@@ -643,7 +676,7 @@ func (c *ctx) materialiseBase(aid int, lin hlir.Affine, es int64) ir.Reg {
 
 // arrayBaseReg returns (CSE-cached) a register holding &array aid.
 func (c *ctx) arrayBaseReg(aid int) ir.Reg {
-	return c.cached(fmt.Sprintf("lda:%d", aid), nil, func() ir.Reg {
+	return c.cached(cseKey{kind: cseArray, n: int64(aid)}, nil, func() ir.Reg {
 		d := c.fn.NewReg(ir.RegInt)
 		c.emit(&ir.Instr{Op: ir.OpLdA, Dst: d, Imm: int64(aid)})
 		return d

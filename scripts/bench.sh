@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # bench.sh runs the performance-tracking benchmark set (simulator cores,
-# grid engine, scheduler kernels, the edge-profile walk) and writes the
-# parsed results as JSON: a host-provenance header (go version,
+# grid engine, scheduler kernels, the edge-profile walk, lowering) and
+# writes the parsed results as JSON: a host-provenance header (go version,
 # GOOS/GOARCH, CPU count, effective GOMAXPROCS) plus one object per
 # benchmark line, so runs can be diffed across commits *and* across
 # hosts — a scaling number without the core count that produced it is
@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 
 COUNT="${COUNT:-3}"
 BENCHTIME="${BENCHTIME:-}"
-FILTER="${FILTER:-Simulator|GridEngine|ListSchedule|BalancedWeights|ProfileCollection}"
+FILTER="${FILTER:-Simulator|GridEngine|ListSchedule|BalancedWeights|ProfileCollection|Lower}"
 OUT="${OUT:-BENCH_10.json}"
 
 GOVERSION="$(go env GOVERSION)"
