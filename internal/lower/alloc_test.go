@@ -3,26 +3,10 @@ package lower_test
 import (
 	"testing"
 
-	"repro/internal/hlir"
 	"repro/internal/lower"
 	"repro/internal/unroll"
 	"repro/internal/workload"
 )
-
-// buildBench returns the named analog's program, unrolled by factor when
-// factor > 1.
-func buildBench(t *testing.T, name string, factor int) *hlir.Program {
-	t.Helper()
-	b, err := workload.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _ := b.Build()
-	if factor > 1 {
-		p = unroll.Apply(p, factor)
-	}
-	return p
-}
 
 // TestLowerAllocations pins lowering's allocation shape: address analysis
 // builds small sorted term slices, and the base-ID and CSE tables are
@@ -39,7 +23,14 @@ func TestLowerAllocations(t *testing.T) {
 		{"tomcatv", 4, 255, 1100},
 		{"BDNA", 1, 143, 330},
 	} {
-		p := buildBench(t, c.name, c.factor)
+		b, err := workload.ByName(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := b.Build()
+		if c.factor > 1 {
+			p = unroll.Apply(p, c.factor)
+		}
 		res, err := lower.Lower(p)
 		if err != nil {
 			t.Fatal(err)
