@@ -96,9 +96,6 @@ func addTerms(x, y []Term, k int64) []Term {
 			out = append(out, t)
 		}
 	}
-	if len(out) == 0 {
-		return nil
-	}
 	return out
 }
 
@@ -116,8 +113,7 @@ func (a Affine) Coeff(v string) int64 {
 func (a Affine) IsConst() bool { return a.OK && len(a.Terms) == 0 }
 
 // Key canonicalises the variable part of the form as "v*co;" per term in
-// name order, for CSE and base-ID naming; two forms with equal Key differ
-// only by their constant.
+// name order; two forms with equal Key differ only by their constant.
 func (a Affine) Key() string {
 	b := make([]byte, 0, 16*len(a.Terms))
 	for _, t := range a.Terms {
