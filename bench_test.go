@@ -283,10 +283,12 @@ func BenchmarkRegalloc(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, blk := range res.Fn.Blocks {
-			trace.ScheduleBlock(res.Fn, blk, sched.Balanced)
+			if err := trace.ScheduleBlock(res.Fn, blk, sched.Balanced, nil, false); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.StartTimer()
-		if _, err := regalloc.Allocate(res.Fn); err != nil {
+		if _, err := regalloc.Allocate(res.Fn, nil, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -435,7 +437,7 @@ func BenchmarkAblationPressureControl(b *testing.B) {
 			}
 			blk.Instrs = sched.Schedule(g, classes)
 		}
-		if _, err := regalloc.Allocate(res.Fn); err != nil {
+		if _, err := regalloc.Allocate(res.Fn, nil, false); err != nil {
 			b.Fatal(err)
 		}
 		m, err := sim.New(res.Fn)
@@ -472,9 +474,9 @@ func BenchmarkProfileCollection(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := profile.Collect(res.Fn, func(m *sim.Machine) {
+		if _, _, err := profile.Collect(res.Fn, func(m *sim.Machine) {
 			core.InitMachine(m, res.ArrayID, d)
-		}); err != nil {
+		}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

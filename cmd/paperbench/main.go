@@ -13,7 +13,6 @@
 //	           [-verify] [-cell-timeout d] [-journal cells.jsonl] [-resume]
 //	           [-out file] [-tracefile out.json] [-metrics out.txt]
 //	           [-cpuprofile out.pb.gz] [-memprofile out.pb.gz] [-gotrace out.trace]
-//	           [-scalereport [-scalereport-json scale_report.json]]
 //
 // With no flags it prints every table (1-9). -jobs bounds concurrent
 // cells (default GOMAXPROCS); -json emits the raw grid — per-cell metrics,
@@ -41,11 +40,6 @@
 // chrome://tracing. -metrics dumps the merged compiler/simulator counter
 // registry as Prometheus-style text. -cpuprofile/-memprofile write pprof
 // profiles and -gotrace a Go execution trace of the whole run.
-// -scalereport sweeps the grid over jobs=1,2,4,…,GOMAXPROCS with
-// contention attribution enabled and prints per-width parallel
-// efficiency plus an Amdahl-style breakdown of the gap by cause
-// (machine-pool lock waits, compute dilation, idle workers), writing the
-// same data as JSON to -scalereport-json.
 package main
 
 import (
@@ -87,8 +81,6 @@ func realMain(args []string) int {
 	ext := fs.Bool("ext", false, "also run the extension experiments (E1 superscalar, E2 policies, E3 prefetching)")
 	genN := fs.Int("gen", 0, "run the reduced grid over N generated programs (internal/hlirgen) and print per-stratum statistics instead of the paper tables")
 	genSeed := fs.Uint64("genseed", 1, "corpus seed for -gen; the same (N, seed) reproduces the same corpus and table byte for byte")
-	scaleReport := fs.Bool("scalereport", false, "run the grid at jobs=1,2,4,...,GOMAXPROCS and print a parallel-scaling report with contention attribution")
-	scaleJSON := fs.String("scalereport-json", "scale_report.json", "JSON artifact path for -scalereport ('' = skip)")
 	jobs := fs.Int("jobs", 0, "max concurrently executing grid cells (0 = GOMAXPROCS)")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON (per-cell metrics, phase timings + counters) instead of tables")
 	verbose := fs.Bool("v", false, "print live per-cell progress")
@@ -175,14 +167,6 @@ func realMain(args []string) int {
 			fmt.Fprintf(os.Stderr, "[%6.1fs] %3d/%d %s %s\n",
 				time.Since(start).Seconds(), done, total, bench, config)
 		}
-	}
-
-	if *scaleReport {
-		if *jsonOut || *ext || *table != 0 || *genN > 0 {
-			fmt.Fprintln(os.Stderr, "paperbench: -scalereport is a measurement mode; it cannot combine with -json, -ext, -table or -gen")
-			return 1
-		}
-		return commit(runScaleReport(w, names, opt, *scaleJSON))
 	}
 
 	if *genN > 0 {
@@ -281,32 +265,6 @@ func realMain(args []string) int {
 		t.Write(w)
 	}
 	return commit(code)
-}
-
-// runScaleReport is the -scalereport measurement mode: sweep the grid
-// over worker widths, attribute each width's shortfall from ideal
-// speedup to a named resource, print the human table, and drop the JSON
-// artifact for CI and trend tracking.
-func runScaleReport(w io.Writer, names []string, opt exp.Options, jsonPath string) int {
-	rep, err := exp.RunScaleReport(names, opt)
-	if err != nil {
-		var ge *exp.GridError
-		if !errors.As(err, &ge) {
-			return fail(err)
-		}
-		// A degraded grid poisons the timing: report and bail without
-		// pretending the numbers mean anything.
-		fmt.Fprintln(os.Stderr, "paperbench:", err)
-		return reportDegraded(ge)
-	}
-	rep.WriteText(w)
-	if jsonPath != "" {
-		if err := rep.WriteJSONFile(jsonPath); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "paperbench: wrote %s\n", jsonPath)
-	}
-	return 0
 }
 
 // runGenerated is the -gen statistics mode: mint a seeded corpus, run

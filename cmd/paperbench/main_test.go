@@ -250,47 +250,3 @@ func TestInterruptDrainsGracefully(t *testing.T) {
 		}
 	}
 }
-
-// TestScaleReportMode drives -scalereport end-to-end on a reduced grid:
-// exit 0, a human table on stdout, and a JSON artifact that parses and
-// names at least one attributed resource per width.
-func TestScaleReportMode(t *testing.T) {
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "scale_report.json")
-	code, out, errOut := runSelf(t, "-scalereport", "-bench", "tomcatv",
-		"-scalereport-json", jsonPath)
-	if code != 0 {
-		t.Fatalf("exit code %d, want 0\nstderr:\n%s", code, errOut)
-	}
-	if !strings.Contains(out, "Parallel scaling report") {
-		t.Errorf("stdout missing report header:\n%s", out)
-	}
-
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("artifact not written: %v", err)
-	}
-	var rep struct {
-		GOMAXPROCS int `json:"gomaxprocs"`
-		Widths     []struct {
-			Jobs        int                `json:"jobs"`
-			Attribution map[string]float64 `json:"attribution_seconds"`
-		} `json:"widths"`
-	}
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("artifact is not JSON: %v", err)
-	}
-	if len(rep.Widths) == 0 || rep.Widths[0].Jobs != 1 {
-		t.Fatalf("artifact widths malformed: %+v", rep.Widths)
-	}
-	for _, w := range rep.Widths {
-		if len(w.Attribution) == 0 {
-			t.Errorf("jobs=%d carries no attribution", w.Jobs)
-		}
-	}
-
-	// Mode exclusivity: -scalereport cannot combine with -json.
-	if code, _, _ := runSelf(t, "-scalereport", "-json"); code != 1 {
-		t.Errorf("-scalereport -json: exit code %d, want 1", code)
-	}
-}

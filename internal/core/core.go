@@ -269,7 +269,7 @@ func Compile(p *hlir.Program, cfg Config, data *Data, opt Options) (*Compiled, e
 		collect := func() (profile.Edges, error) {
 			var e profile.Edges
 			perr := phase("profile", &out.Phases.Profile, func() error {
-				ee, reused, err := profile.CollectPooled(res.Fn, func(m *sim.Machine) {
+				ee, reused, err := profile.Collect(res.Fn, func(m *sim.Machine) {
 					InitMachine(m, res.ArrayID, data)
 				}, opt.Pool)
 				if opt.Pool != nil {
@@ -302,7 +302,7 @@ func Compile(p *hlir.Program, cfg Config, data *Data, opt Options) (*Compiled, e
 			st.Inc("core/profile_cache_hits")
 		}
 		err := phase("trace", &out.Phases.Trace, func() error {
-			rep, err := trace.ScheduleAllChecked(res.Fn, edges, cfg.Policy, st, opt.Verify)
+			rep, err := trace.ScheduleAll(res.Fn, edges, cfg.Policy, st, opt.Verify)
 			out.Trace = rep
 			return err
 		})
@@ -315,7 +315,7 @@ func Compile(p *hlir.Program, cfg Config, data *Data, opt Options) (*Compiled, e
 	} else {
 		err := phase("sched", &out.Phases.Sched, func() error {
 			for _, b := range res.Fn.Blocks {
-				if err := trace.ScheduleBlockChecked(res.Fn, b, cfg.Policy, st, opt.Verify); err != nil {
+				if err := trace.ScheduleBlock(res.Fn, b, cfg.Policy, st, opt.Verify); err != nil {
 					return err
 				}
 			}
@@ -327,7 +327,7 @@ func Compile(p *hlir.Program, cfg Config, data *Data, opt Options) (*Compiled, e
 	}
 
 	err := phase("regalloc", &out.Phases.Regalloc, func() error {
-		alloc, err := regalloc.AllocateChecked(res.Fn, st, opt.Verify)
+		alloc, err := regalloc.Allocate(res.Fn, st, opt.Verify)
 		out.Alloc = alloc
 		return err
 	})

@@ -325,46 +325,6 @@ func (g *Graph) Loads() []*Node {
 	return ls
 }
 
-// Reach computes forward reachability from node a: reach[i] is true when a
-// dependence path a→...→i exists. The result includes a itself.
-func (g *Graph) Reach(a *Node) []bool {
-	seen := make([]bool, len(g.Nodes))
-	var stack []*Node
-	seen[a.Index] = true
-	stack = append(stack, a)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range n.Succs {
-			if !seen[s.Index] {
-				seen[s.Index] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return seen
-}
-
-// ReachBack computes backward reachability to node a (its ancestors,
-// including a itself).
-func (g *Graph) ReachBack(a *Node) []bool {
-	seen := make([]bool, len(g.Nodes))
-	var stack []*Node
-	seen[a.Index] = true
-	stack = append(stack, a)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range n.Preds {
-			if !seen[p.Index] {
-				seen[p.Index] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	return seen
-}
-
 // ComputePriorities fills Priority from Weight: priority = weight + max
 // over successors of their priority (the longest weighted path to the
 // region end). Weights must be set first.

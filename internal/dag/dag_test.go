@@ -171,24 +171,6 @@ func TestTraceModeRules(t *testing.T) {
 	}
 }
 
-func TestReach(t *testing.T) {
-	instrs := []*ir.Instr{
-		ins(ir.OpMovi, 1),
-		ins(ir.OpAdd, 2, 1, 1),
-		ins(ir.OpAdd, 3, 2, 2),
-		ins(ir.OpMovi, 4),
-	}
-	g := Build(instrs, Options{})
-	fwd := g.Reach(g.Nodes[0])
-	if !fwd[0] || !fwd[1] || !fwd[2] || fwd[3] {
-		t.Errorf("Reach = %v", fwd)
-	}
-	back := g.ReachBack(g.Nodes[2])
-	if !back[0] || !back[1] || !back[2] || back[3] {
-		t.Errorf("ReachBack = %v", back)
-	}
-}
-
 func TestEdgesAreForwardOnly(t *testing.T) {
 	// Property: Build never creates an edge from a later to an earlier
 	// index, for random instruction mixes. This underpins the reverse

@@ -45,9 +45,7 @@ import (
 // benchmark does not simulate at all: it copies that cell's run from
 // the benchmark's memo (memo.go), one memo per benchmark per run. With
 // Options.Contention set, the machine pool, front-ends and journal
-// record their waits in named wait histograms, and forEach adds every
-// task's duration to one busy total: the scale report's two inputs
-// besides the wall clock.
+// record their waits in named wait histograms.
 //
 // The main grid (Run), the extension grids (E1/E2/E3) and the fuzzing
 // harness all execute through runGrid.
@@ -84,10 +82,8 @@ type Options struct {
 	Tracer *obs.Tracer
 	// Contention, when non-nil, enables contention attribution: every
 	// shared resource — machine pool, front-ends, journal — wraps its
-	// blocking operation in a named wait histogram, and each worker adds
-	// the time it spends building a front-end or running a cell to the
-	// bundle's busy total. Off (nil) it costs one nil check per site,
-	// no clock reads and zero allocations.
+	// blocking operation in a named wait histogram. Off (nil) it costs
+	// one nil check per site, no clock reads and zero allocations.
 	Contention *obs.Contention
 	// Observe enables the per-cell counter registry: each cell collects
 	// compiler counters (dag/sched/regalloc/unroll/...), simulator
@@ -422,9 +418,8 @@ func runCellAttempts(parent context.Context, fe *frontEnd, spec cellSpec, pool *
 // forEach calls fn(lane, i) for every i in [0, n) on at most jobs
 // goroutines and returns once every call has. Indices come from one
 // shared counter, one at a time, so a worker that draws short tasks
-// simply draws more of them. Each call's duration is added to c's busy
-// total; a nil c reads no clock.
-func forEach(n, jobs int, c *obs.Contention, fn func(lane, i int)) {
+// simply draws more of them.
+func forEach(n, jobs int, fn func(lane, i int)) {
 	if jobs > n {
 		jobs = n
 	}
@@ -435,13 +430,7 @@ func forEach(n, jobs int, c *obs.Contention, fn func(lane, i int)) {
 		go func(lane int) {
 			defer wg.Done()
 			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				if c == nil {
-					fn(lane, i)
-					continue
-				}
-				start := time.Now()
 				fn(lane, i)
-				c.AddBusy(time.Since(start))
 			}
 		}(lane)
 	}
@@ -588,12 +577,12 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 	// Front-end pre-phase: no cell ever waits on another's build. Build
 	// errors stay sticky on the frontEnd; each of its cells surfaces the
 	// same error.
-	forEach(len(pre), nw, opt.Contention, func(lane, i int) {
+	forEach(len(pre), nw, func(lane, i int) {
 		pre[i].get(&obs.Obs{Tracer: opt.Tracer, Lane: lane})
 	})
 
 	results := make([]*cellResult, len(queue))
-	forEach(len(queue), nw, opt.Contention, func(lane, i int) {
+	forEach(len(queue), nw, func(lane, i int) {
 		t := queue[i]
 		// A dead run context skips queued cells without starting them:
 		// each becomes a canceled CellError so the grid still accounts

@@ -97,24 +97,3 @@ func Compute(fn *ir.Func) *Info {
 	}
 	return info
 }
-
-// LiveAcross computes, for block b, the registers live after each
-// instruction index (i.e. live-out of the instruction): result[k] is the
-// set live immediately after b.Instrs[k]. Used by the register allocator.
-func LiveAcross(fn *ir.Func, info *Info, b *ir.Block) []Set {
-	n := len(b.Instrs)
-	res := make([]Set, n)
-	cur := info.LiveOut[b.ID].Clone()
-	var buf [3]ir.Reg
-	for k := n - 1; k >= 0; k-- {
-		res[k] = cur.Clone()
-		in := b.Instrs[k]
-		if d := in.Def(); d != ir.NoReg {
-			cur.Remove(d)
-		}
-		for _, r := range in.Uses(buf[:0]) {
-			cur.Add(r)
-		}
-	}
-	return res
-}

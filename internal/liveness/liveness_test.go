@@ -111,17 +111,3 @@ func TestComputeLoopCarried(t *testing.T) {
 		t.Error("register live past its last use")
 	}
 }
-
-func TestLiveAcross(t *testing.T) {
-	f := buildDiamond()
-	info := Compute(f)
-	la := LiveAcross(f, info, f.Blocks[0])
-	// After instruction 0 (def r1): r1 live (used by branch and later).
-	if !la[0].Has(1) {
-		t.Error("r1 dead right after its definition")
-	}
-	// After the branch, r1 and r2 both live (successors need them).
-	if !la[2].Has(1) || !la[2].Has(2) {
-		t.Error("branch live-out wrong")
-	}
-}

@@ -10,8 +10,7 @@ import (
 // into the obs layer: goroutine count, GC pauses and the scheduler's
 // goroutine-latency distribution are exactly the signals that separate
 // "our workers are blocked on our locks" from "the Go scheduler or the
-// GC is the serialization". The scale report samples before/after each
-// width and ships the deltas; bschedd's /debug/obs samples live.
+// GC is the serialization". bschedd's /debug/obs samples it live.
 
 // runtimeSamples is the fixed set of runtime/metrics this bridge reads.
 var runtimeSamples = []string{
@@ -162,19 +161,4 @@ func boundNS(buckets []float64, i int) int64 {
 		b = 0
 	}
 	return int64(b * 1e9)
-}
-
-// Delta returns the change from prev to s for the cumulative fields
-// (GC cycles, GC CPU, distribution counts); instantaneous fields
-// (goroutines, heap) carry s's values. Used by the scale report to
-// attribute runtime activity to one grid width.
-func (s RuntimeSample) Delta(prev RuntimeSample) RuntimeSample {
-	d := s
-	d.GCCycles -= prev.GCCycles
-	d.GCCPUSeconds -= prev.GCCPUSeconds
-	d.SchedLatency.Count -= prev.SchedLatency.Count
-	d.SchedLatency.SumNS -= prev.SchedLatency.SumNS
-	d.GCPauses.Count -= prev.GCPauses.Count
-	d.GCPauses.SumNS -= prev.GCPauses.SumNS
-	return d
 }

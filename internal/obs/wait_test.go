@@ -94,11 +94,10 @@ func TestWaitDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTimelineDisabledZeroAlloc proves a worker's timeline costs nothing
-// when it is off: spans on a worker's trace lane through a nil *Tracer
-// or nil *Obs, and the busy-time and wait accounting of a nil
-// *Contention, allocate nothing.
-func TestTimelineDisabledZeroAlloc(t *testing.T) {
+// TestDisabledInstrumentsZeroAlloc proves the engine's instruments cost
+// nothing when they are off: spans through a nil *Tracer or nil *Obs,
+// and the wait accounting of a nil *Contention, allocate nothing.
+func TestDisabledInstrumentsZeroAlloc(t *testing.T) {
 	var tr *Tracer
 	var o *Obs
 	var c *Contention
@@ -106,16 +105,14 @@ func TestTimelineDisabledZeroAlloc(t *testing.T) {
 		tr.Begin(3, "cell", "exp").End()
 		o.Begin("cell", "exp").End()
 		c.Hist("pool").Observe(time.Microsecond)
-		c.AddBusy(time.Microsecond)
-		_ = c.Busy()
 	})
 	if allocs != 0 {
-		t.Fatalf("disabled timeline path allocates %.1f per op, want 0", allocs)
+		t.Fatalf("nil Tracer/Obs/Contention allocates %.1f per op, want 0", allocs)
 	}
 }
 
 // TestRuntimeSample sanity-checks the runtime bridge: a live process has
-// goroutines, and Delta subtracts cumulative fields.
+// goroutines and a timestamp.
 func TestRuntimeSample(t *testing.T) {
 	s := SampleRuntime()
 	if s.Goroutines < 1 {
@@ -123,12 +120,5 @@ func TestRuntimeSample(t *testing.T) {
 	}
 	if s.When.IsZero() {
 		t.Error("sample has zero timestamp")
-	}
-	d := SampleRuntime().Delta(s)
-	if d.GCCycles < 0 {
-		t.Errorf("delta GC cycles negative: %d", d.GCCycles)
-	}
-	if d.Goroutines < 1 {
-		t.Errorf("delta keeps instantaneous goroutines, got %d", d.Goroutines)
 	}
 }

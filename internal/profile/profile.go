@@ -35,17 +35,11 @@ func (e Edges) BestSucc(fn *ir.Func, b int) int {
 // Collect executes fn once with memory prepared by init (may be nil) and
 // returns the edge counts. Block frequencies (entry counts) are stored
 // into fn.Blocks[i].Freq as a side effect, ready for trace formation.
-func Collect(fn *ir.Func, init func(m *sim.Machine)) (Edges, error) {
-	e, _, err := CollectPooled(fn, init, nil)
-	return e, err
-}
-
-// CollectPooled is Collect drawing its simulation machine from pool so
-// the profiling run reuses an existing memory image instead of
-// allocating one (a nil pool behaves exactly like Collect). reused
-// reports whether the machine came out of the pool, for the caller's
-// pool-efficiency counters.
-func CollectPooled(fn *ir.Func, init func(m *sim.Machine), pool *sim.Pool) (edges Edges, reused bool, err error) {
+// The simulation machine comes from pool when it is non-nil, so the
+// profiling run reuses an existing memory image instead of allocating
+// one; reused reports whether it did, for the caller's pool-efficiency
+// counters.
+func Collect(fn *ir.Func, init func(m *sim.Machine), pool *sim.Pool) (edges Edges, reused bool, err error) {
 	var m *sim.Machine
 	if pool == nil {
 		m, err = sim.New(fn)

@@ -19,7 +19,7 @@ func TestCollectCountsLoopEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges, err := Collect(res.Fn, nil)
+	edges, _, err := Collect(res.Fn, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestBestSucc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges, err := Collect(res.Fn, nil)
+	edges, _, err := Collect(res.Fn, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestAnnotateFrequencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Collect(res.Fn, nil); err != nil {
+	if _, _, err := Collect(res.Fn, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if res.Fn.Blocks[res.Fn.Entry].Freq != 1 {

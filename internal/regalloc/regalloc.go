@@ -71,23 +71,13 @@ func IsSpillScratch(r ir.Reg) bool {
 
 // Allocate rewrites fn in place onto physical registers, inserting spill
 // code as needed, and returns a report. The function must not already be
-// allocated.
-func Allocate(fn *ir.Func) (*Report, error) {
-	return AllocateChecked(fn, nil, false)
-}
-
-// AllocateObserved is Allocate recording allocator counters (interval
-// count, per-bank peak pressure, spill traffic) into st. A nil st is free.
-func AllocateObserved(fn *ir.Func, st *obs.Stats) (*Report, error) {
-	return AllocateChecked(fn, st, false)
-}
-
-// AllocateChecked is AllocateObserved with optional post-condition
-// verification: no two overlapping live intervals share a physical
-// register, and the rewritten function passes the regalloc checks of
-// internal/verify (spill/restore pairing, scratch discipline, frame
-// layout).
-func AllocateChecked(fn *ir.Func, st *obs.Stats, check bool) (*Report, error) {
+// allocated. Allocator counters (interval count, per-bank peak pressure,
+// spill traffic) go into st; a nil st is free. When check is set, the
+// post-conditions are verified: no two overlapping live intervals share
+// a physical register, and the rewritten function passes the regalloc
+// checks of internal/verify (spill/restore pairing, scratch discipline,
+// frame layout).
+func Allocate(fn *ir.Func, st *obs.Stats, check bool) (*Report, error) {
 	if err := faultinject.Hit("regalloc/allocate", fn.Name); err != nil {
 		return nil, err
 	}

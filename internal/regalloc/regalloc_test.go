@@ -49,7 +49,7 @@ func runAllocated(t *testing.T, p *hlir.Program, a *hlir.Array, vals []float64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Allocate(res.Fn)
+	rep, err := Allocate(res.Fn, nil, false)
 	if err != nil {
 		t.Fatalf("Allocate: %v", err)
 	}
@@ -137,10 +137,10 @@ func TestAllocateRejectsDoubleAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Allocate(res.Fn); err != nil {
+	if _, err := Allocate(res.Fn, nil, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Allocate(res.Fn); err == nil {
+	if _, err := Allocate(res.Fn, nil, false); err == nil {
 		t.Error("second allocation accepted")
 	}
 }
@@ -151,7 +151,7 @@ func TestAllocatedRegistersInRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Allocate(res.Fn); err != nil {
+	if _, err := Allocate(res.Fn, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	var buf [3]ir.Reg
@@ -191,7 +191,7 @@ func TestUnrollEightRaisesSpillPressure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Allocate(res.Fn)
+		rep, err := Allocate(res.Fn, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestCmovWithEverythingSpilled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Allocate(res.Fn)
+	rep, err := Allocate(res.Fn, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,13 +293,13 @@ func TestSpillSlotsDoNotAliasArrays(t *testing.T) {
 	checkAgainstInterp(t, pr, a, vals, res, m)
 }
 
-func TestAllocateCheckedVerifiesRealFunction(t *testing.T) {
+func TestAllocateVerifiesRealFunction(t *testing.T) {
 	p, _, _ := polyProgram(40) // beyond the FP bank: forces spill traffic
 	res, err := lower.Lower(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AllocateChecked(res.Fn, nil, true)
+	rep, err := Allocate(res.Fn, nil, true)
 	if err != nil {
 		t.Fatalf("checked allocation of a spilling function failed: %v", err)
 	}
@@ -339,7 +339,7 @@ func TestAllocateFaultSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AllocateChecked(res.Fn, nil, false); !faultinject.IsInjected(err) {
+	if _, err := Allocate(res.Fn, nil, false); !faultinject.IsInjected(err) {
 		t.Fatalf("expected injected error, got %v", err)
 	}
 }

@@ -594,8 +594,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // debugObsDoc is the /debug/obs response: one JSON document joining the
 // shared daemon section (counter/histogram registry, gauges, runtime
 // sample), breaker states and the pipeline's shared-resource wait
-// histograms — the live complement to paperbench -scalereport for a
-// daemon you cannot restart under a measurement harness.
+// histograms, read live from a daemon you cannot restart under a
+// measurement harness.
 type debugObsDoc struct {
 	obs.DebugDoc
 	// Breakers maps benchmark to its circuit-breaker state name.

@@ -34,7 +34,7 @@ import (
 const predictorBits = 11
 
 // Machine is a simulation instance for one ir.Func. Create it with New,
-// initialise array contents through ArrayBase/Memory, then call Run.
+// initialise array contents through WriteF64/WriteI64, then call Run.
 // After a run the machine can be rewound for another function (or the
 // same one) with Reset instead of being reallocated.
 type Machine struct {
@@ -213,9 +213,6 @@ func growBool(s []bool, n int) []bool {
 	clear(s)
 	return s
 }
-
-// ArrayBase returns the simulated base address of array id.
-func (m *Machine) ArrayBase(id int) uint64 { return m.arrayBase[id] }
 
 // WriteF64 stores v at byte offset off within array id, for initialising
 // inputs before Run.

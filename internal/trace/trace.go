@@ -176,23 +176,13 @@ func splitSideEntrances(fn *ir.Func, blocks []int) []Trace {
 // ScheduleAll forms traces from the profile, schedules every multi-block
 // trace as one region with the given weight policy, and schedules the
 // remaining singleton blocks individually. It rewrites fn in place.
-func ScheduleAll(fn *ir.Func, edges profile.Edges, policy sched.Policy) (*Report, error) {
-	return ScheduleAllObserved(fn, edges, policy, nil)
-}
-
-// ScheduleAllObserved is ScheduleAll with an observability registry: every
-// DAG built for a trace or singleton block records its counters (and the
-// scheduler its selection profile) into st. A nil st is free.
-func ScheduleAllObserved(fn *ir.Func, edges profile.Edges, policy sched.Policy, st *obs.Stats) (*Report, error) {
-	return ScheduleAllChecked(fn, edges, policy, st, false)
-}
-
-// ScheduleAllChecked is ScheduleAllObserved with optional invariant
-// verification: when check is set, every scheduling region's DAG is
-// re-validated (acyclicity, dependence completeness) and every emitted
-// schedule is proven a dependence- and latency-respecting permutation of
-// its region before it replaces the original code.
-func ScheduleAllChecked(fn *ir.Func, edges profile.Edges, policy sched.Policy, st *obs.Stats, check bool) (*Report, error) {
+// Every DAG built for a trace or singleton block records its counters
+// (and the scheduler its selection profile) into st; a nil st is free.
+// When check is set, every scheduling region's DAG is re-validated
+// (acyclicity, dependence completeness) and every emitted schedule is
+// proven a dependence- and latency-respecting permutation of its region
+// before it replaces the original code.
+func ScheduleAll(fn *ir.Func, edges profile.Edges, policy sched.Policy, st *obs.Stats, check bool) (*Report, error) {
 	rep := &Report{}
 	traces := Form(fn, edges)
 	done := make(map[int]bool)
@@ -212,7 +202,7 @@ func ScheduleAllChecked(fn *ir.Func, edges profile.Edges, policy sched.Policy, s
 	// appended by compensation or re-splitting are already scheduled.
 	for _, tr := range traces {
 		if len(tr.Blocks) == 1 && !done[tr.Blocks[0]] {
-			if err := ScheduleBlockChecked(fn, fn.Blocks[tr.Blocks[0]], policy, st, check); err != nil {
+			if err := ScheduleBlock(fn, fn.Blocks[tr.Blocks[0]], policy, st, check); err != nil {
 				return rep, err
 			}
 		}
@@ -221,20 +211,10 @@ func ScheduleAllChecked(fn *ir.Func, edges profile.Edges, policy sched.Policy, s
 }
 
 // ScheduleBlock list-schedules a single basic block of fn in place with
-// the given weight policy.
-func ScheduleBlock(fn *ir.Func, b *ir.Block, policy sched.Policy) {
-	ScheduleBlockObserved(fn, b, policy, nil)
-}
-
-// ScheduleBlockObserved is ScheduleBlock recording DAG/scheduler counters
-// into st (nil = off).
-func ScheduleBlockObserved(fn *ir.Func, b *ir.Block, policy sched.Policy, st *obs.Stats) {
-	ScheduleBlockChecked(fn, b, policy, st, false) //nolint:errcheck // unchecked mode cannot fail
-}
-
-// ScheduleBlockChecked is ScheduleBlockObserved with optional DAG and
-// schedule verification; only verification can produce an error.
-func ScheduleBlockChecked(fn *ir.Func, b *ir.Block, policy sched.Policy, st *obs.Stats, check bool) error {
+// the given weight policy, recording DAG/scheduler counters into st (nil
+// = off). When check is set, the block's DAG and schedule are verified;
+// only verification can produce an error.
+func ScheduleBlock(fn *ir.Func, b *ir.Block, policy sched.Policy, st *obs.Stats, check bool) error {
 	if len(b.Instrs) < 2 {
 		return nil
 	}

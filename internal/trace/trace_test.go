@@ -58,7 +58,7 @@ func TestFormFollowsHotPath(t *testing.T) {
 	for k := range vals {
 		vals[k] = float64(k % 10) // always below threshold: hot = else side
 	}
-	edges, err := profile.Collect(res.Fn, initMachine(res, a, vals))
+	edges, _, err := profile.Collect(res.Fn, initMachine(res, a, vals), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func runPipeline(t *testing.T, p *hlir.Program, a *hlir.Array, vals []float64, p
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges, err := profile.Collect(res.Fn, initMachine(res, a, vals))
+	edges, _, err := profile.Collect(res.Fn, initMachine(res, a, vals), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ScheduleAll(res.Fn, edges, policy)
+	rep, err := ScheduleAll(res.Fn, edges, policy, nil, false)
 	if err != nil {
 		t.Fatalf("ScheduleAll: %v\n%v", err, res.Fn)
 	}
@@ -233,7 +233,7 @@ func TestFigure2Compensation(t *testing.T) {
 		{b4.ID, 0}: 100,
 	}
 	profile.Annotate(f, edges)
-	rep, err := ScheduleAll(f, edges, sched.Balanced)
+	rep, err := ScheduleAll(f, edges, sched.Balanced, nil, false)
 	if err != nil {
 		t.Fatalf("%v\n%v", err, f)
 	}
@@ -277,7 +277,9 @@ func TestScheduleBlockSingleton(t *testing.T) {
 		{Op: ir.OpFMovi, Dst: r2, FImm: 2, Seq: 1},
 		{Op: ir.OpRet, Seq: 2},
 	}
-	ScheduleBlock(f, b, sched.Balanced)
+	if err := ScheduleBlock(f, b, sched.Balanced, nil, false); err != nil {
+		t.Fatal(err)
+	}
 	if len(b.Instrs) != 3 || b.Instrs[2].Op != ir.OpRet {
 		t.Errorf("singleton scheduling broke the block: %v", b.Instrs)
 	}
@@ -307,11 +309,11 @@ func TestRandomProgramsTraceScheduleEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			edges, err := profile.Collect(res.Fn, initMachine(res, a, vals))
+			edges, _, err := profile.Collect(res.Fn, initMachine(res, a, vals), nil)
 			if err != nil {
 				t.Fatalf("trial %d: profile: %v", trial, err)
 			}
-			if _, err := ScheduleAll(res.Fn, edges, policy); err != nil {
+			if _, err := ScheduleAll(res.Fn, edges, policy, nil, false); err != nil {
 				t.Fatalf("trial %d policy %v: ScheduleAll: %v", trial, policy, err)
 			}
 			m, err := sim.New(res.Fn)

@@ -3,7 +3,6 @@ package verify
 import (
 	"fmt"
 	"math"
-	"strings"
 	"unicode"
 
 	"repro/internal/hlir"
@@ -578,22 +577,5 @@ func (c *progChecker) un(e *env, x *hlir.Un) (hlir.Kind, ival, error) {
 		return hlir.KInt, unknownIval, nil
 	default:
 		return 0, unknownIval, fmt.Errorf("unknown unary operator %d", x.Op)
-	}
-}
-
-// StmtSummary renders a one-line description of a statement for error
-// messages ("for i0", "A[...]=...", ...).
-func StmtSummary(st hlir.Stmt) string {
-	switch st := st.(type) {
-	case *hlir.Assign:
-		return strings.SplitN(hlir.ExprString(st.LHS), "[", 2)[0] + " = ..."
-	case *hlir.Loop:
-		return "for " + st.Var
-	case *hlir.If:
-		return "if (" + hlir.ExprString(st.Cond) + ")"
-	case *hlir.Prefetch:
-		return "prefetch"
-	default:
-		return fmt.Sprintf("%T", st)
 	}
 }
