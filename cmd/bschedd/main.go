@@ -14,9 +14,8 @@
 // Usage (coordinator mode):
 //
 //	bschedd -coordinator -workers host:port,host:port,...
-//	        [-addr :8344] [-inflight N] [-attempts N] [-hedge-after d]
-//	        [-probe-interval d] [-probe-max-interval d] [-evict-after N]
-//	        [-min-workers N] [-coord-cache N]
+//	        [-addr :8344] [-attempts N] [-probe-interval d]
+//	        [-evict-after N] [-min-workers N]
 //	        [-breaker-threshold N] [-breaker-cooldown d]
 //	        [-deadline d] [-max-deadline d] [-max-body N]
 //	        [-journal cells.jsonl] [-resume] [-drain-timeout d] [-v]
@@ -26,14 +25,16 @@
 // consistent hash on benchmark name (keeping each worker's per-benchmark
 // front-end and result caches hot), health-checked via /readyz with
 // exponential-backoff probing, dispatched under bounded per-worker
-// in-flight windows with per-cell retry, jittered backoff, failover to
-// the next healthy worker, and hedged dispatch for stragglers
-// (-hedge-after; 0 disables it). When every replica of a cell is
+// in-flight windows (8 cells) with per-cell retry, jittered backoff and
+// failover to the next healthy worker. A worker whose /readyz probe
+// gets no answer (dead, or frozen under SIGSTOP) loses its in-flight
+// cells to the failover at once, so -probe-interval plus the 1s probe
+// timeout bounds how long they wait. When every replica of a cell is
 // exhausted the cell degrades to a structured error entry — the grid
-// never fails whole. /v1/grid?stream=jsonl (or
-// sse) streams cells as they finish. The -workers flag is the initial
-// fleet roster: a comma-separated host:port list (in worker mode the
-// same flag is the pipeline concurrency bound).
+// never fails whole. /v1/grid?stream=jsonl (or sse) streams cells as
+// they finish. The -workers flag is the initial fleet roster: a
+// comma-separated host:port list (in worker mode the same flag is the
+// pipeline concurrency bound).
 //
 // The fleet is elastic: POST /v1/fleet/join {"addr":"host:port"} admits
 // a worker at runtime (it is probed synchronously and starts receiving
@@ -44,7 +45,7 @@
 // Membership changes mutate the consistent-hash ring incrementally, so
 // only ~1/n of benchmark keys remap and the surviving workers' caches
 // stay hot. Every served cell's bytes are promoted into a shared
-// result-cache tier (-coord-cache entries); failovers consult that tier
+// result-cache tier (4096 entries); failovers consult that tier
 // — then the surviving workers' own caches over GET /v1/cache/{key} —
 // before recomputing, so a worker death does not cost recomputation of
 // what it had already served. The coordinator's /readyz is quorum-aware:
@@ -124,14 +125,10 @@ func realMain(args []string) int {
 	verifyFlag := fs.Bool("verify", false, "run structural invariant verifiers inside every request")
 	maxBody := fs.Int64("max-body", 1<<20, "request-body size limit in bytes (413 beyond it)")
 	readHeaderTimeout := fs.Duration("read-header-timeout", 5*time.Second, "HTTP header read timeout (slow-loris protection)")
-	inflight := fs.Int("inflight", 8, "coordinator: bounded in-flight dispatch window per worker")
 	attempts := fs.Int("attempts", 0, "coordinator: max dispatch attempts per cell (0 = 2x fleet size)")
-	hedgeAfter := fs.Duration("hedge-after", 2*time.Second, "coordinator: hedge a straggler cell onto the next replica after this long (0 disables)")
-	probeInterval := fs.Duration("probe-interval", 500*time.Millisecond, "coordinator: /readyz health-check cadence for healthy workers")
-	probeMaxInterval := fs.Duration("probe-max-interval", 8*time.Second, "coordinator: exponential probe-backoff ceiling for unhealthy workers")
+	probeInterval := fs.Duration("probe-interval", 500*time.Millisecond, "coordinator: /readyz health-check cadence for healthy workers; a probe unanswered within 1s fails the worker's in-flight cells over")
 	evictAfter := fs.Int("evict-after", 0, "coordinator: evict a worker after this many consecutive failed probes (0 = never)")
 	minWorkers := fs.Int("min-workers", 1, "coordinator: /readyz quorum — 503 while fewer workers are healthy")
-	coordCache := fs.Int("coord-cache", 4096, "coordinator: shared result-cache tier capacity (entries)")
 	faultSpec := fs.String("faultspec", "", "deterministic fault-injection plan (chaos drills)")
 	faultSeed := fs.Int64("faultseed", 1, "seed for probabilistic fault-injection decisions")
 	traceFile := fs.String("tracefile", "", "write a Chrome trace-event JSON timeline of served requests at exit")
@@ -176,14 +173,10 @@ func realMain(args []string) int {
 		}
 		coord, err := fleet.New(fleet.Config{
 			Workers:          fleetAddrs,
-			Inflight:         *inflight,
 			Attempts:         *attempts,
-			HedgeAfter:       *hedgeAfter,
 			ProbeInterval:    *probeInterval,
-			ProbeMaxInterval: *probeMaxInterval,
 			EvictAfterFails:  *evictAfter,
 			MinWorkers:       *minWorkers,
-			CacheEntries:     *coordCache,
 			BreakerThreshold: *brkThreshold,
 			BreakerCooldown:  *brkCooldown,
 			DefaultDeadline:  *deadline,

@@ -244,7 +244,6 @@ func realMain(args []string) int {
 		ProbeInterval:   *probeInterval,
 		ProbeTimeout:    500 * time.Millisecond,
 		RetryBackoff:    10 * time.Millisecond,
-		HedgeAfter:      -1, // churn already exercises failover; hedging would blur attribution
 		EvictAfterFails: *evictAfter,
 		Attempts:        2 * (*workers + *churnOps),
 		Journal:         jnlPath,
@@ -384,7 +383,7 @@ func realMain(args []string) int {
 		return 1
 	}
 
-	snap := coord.StatsSnapshot()
+	snap := coord.Stats.Snapshot()
 	total := cellsOK + cellsBad
 	rep := report{
 		Seed:             *seed,

@@ -40,31 +40,6 @@ type PhaseTimes struct {
 	Sim time.Duration `json:"sim"`
 }
 
-// Total sums all recorded phases.
-func (t PhaseTimes) Total() time.Duration {
-	return t.Locality + t.Unroll + t.Prefetch + t.Lower + t.LICM +
-		t.Profile + t.Trace + t.Sched + t.Regalloc + t.Sim
-}
-
-// Add accumulates o into t (for aggregating across cells).
-func (t *PhaseTimes) Add(o PhaseTimes) {
-	t.Locality += o.Locality
-	t.Unroll += o.Unroll
-	t.Prefetch += o.Prefetch
-	t.Lower += o.Lower
-	t.LICM += o.LICM
-	t.Profile += o.Profile
-	t.Trace += o.Trace
-	t.Sched += o.Sched
-	t.Regalloc += o.Regalloc
-	t.Sim += o.Sim
-}
-
-func (t PhaseTimes) String() string {
-	return fmt.Sprintf("locality=%v unroll=%v prefetch=%v lower=%v licm=%v profile=%v trace=%v sched=%v regalloc=%v sim=%v",
-		t.Locality, t.Unroll, t.Prefetch, t.Lower, t.LICM, t.Profile, t.Trace, t.Sched, t.Regalloc, t.Sim)
-}
-
 // ProfileCache memoizes execution-driven edge profiles across the
 // configurations of one (program, data) pair. The profile is collected on
 // the lowered-but-unscheduled function, which depends only on the HLIR

@@ -8,7 +8,7 @@ import (
 )
 
 // fullPhases has every field non-zero and distinct, so a dropped or
-// mis-tagged field cannot cancel out in sums or survive a round trip.
+// mis-tagged field cannot survive a round trip.
 var fullPhases = PhaseTimes{
 	Locality: 1 * time.Millisecond,
 	Unroll:   2 * time.Millisecond,
@@ -20,23 +20,6 @@ var fullPhases = PhaseTimes{
 	Sched:    8 * time.Millisecond,
 	Regalloc: 9 * time.Millisecond,
 	Sim:      10 * time.Millisecond,
-}
-
-func TestPhaseTimesTotalCoversAllPhases(t *testing.T) {
-	if got, want := fullPhases.Total(), 55*time.Millisecond; got != want {
-		t.Errorf("Total() = %v, want %v — a phase is missing from the sum", got, want)
-	}
-}
-
-func TestPhaseTimesAddCoversAllPhases(t *testing.T) {
-	acc := fullPhases
-	acc.Add(fullPhases)
-	if got, want := acc.Total(), 110*time.Millisecond; got != want {
-		t.Errorf("after Add, Total() = %v, want %v", got, want)
-	}
-	if acc.Prefetch != 6*time.Millisecond || acc.LICM != 10*time.Millisecond {
-		t.Errorf("Add dropped the prefetch/licm phases: %+v", acc)
-	}
 }
 
 func TestPhaseTimesJSONRoundTrip(t *testing.T) {
@@ -58,15 +41,5 @@ func TestPhaseTimesJSONRoundTrip(t *testing.T) {
 	}
 	if back != fullPhases {
 		t.Errorf("round trip changed the value:\n got %+v\nwant %+v", back, fullPhases)
-	}
-}
-
-func TestPhaseTimesStringMentionsAllPhases(t *testing.T) {
-	s := fullPhases.String()
-	for _, name := range []string{"locality=", "unroll=", "prefetch=", "lower=",
-		"licm=", "profile=", "trace=", "sched=", "regalloc=", "sim="} {
-		if !strings.Contains(s, name) {
-			t.Errorf("String() missing %q: %s", name, s)
-		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -41,15 +40,55 @@ func (k *killSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func startKillableWorker(t *testing.T, dieAfter int64) (string, *killSwitch) {
+	ks := &killSwitch{dieAfter: dieAfter}
+	addr := startWorkerBehind(t, func(h http.Handler) http.Handler {
+		ks.inner = h
+		return ks
+	})
+	return addr, ks
+}
+
+// startWorkerBehind boots a real single-node worker whose handler wrap
+// decorates, and returns its host:port address.
+func startWorkerBehind(t *testing.T, wrap func(http.Handler) http.Handler) string {
 	t.Helper()
 	s, err := server.New(server.Config{})
 	if err != nil {
 		t.Fatalf("server.New: %v", err)
 	}
-	ks := &killSwitch{inner: s.Handler(), dieAfter: dieAfter}
-	ts := httptest.NewServer(ks)
+	ts := httptest.NewServer(wrap(s.Handler()))
 	t.Cleanup(ts.Close)
-	return strings.TrimPrefix(ts.URL, "http://"), ks
+	return strings.TrimPrefix(ts.URL, "http://")
+}
+
+// freezer wraps a worker's handler with a remotely armed freeze: once
+// frozen, every request — compiles and health probes alike — blocks
+// until test cleanup while its connection stays open, like a process
+// under SIGSTOP.
+type freezer struct {
+	inner   http.Handler
+	frozen  atomic.Bool
+	release chan struct{}
+}
+
+func (f *freezer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if f.frozen.Load() {
+		<-f.release
+		return
+	}
+	f.inner.ServeHTTP(w, r)
+}
+
+func startFreezableWorker(t *testing.T) (string, *freezer) {
+	f := &freezer{release: make(chan struct{})}
+	addr := startWorkerBehind(t, func(h http.Handler) http.Handler {
+		f.inner = h
+		return f
+	})
+	// Cleanups run last-in first-out: thaw before the server's Close,
+	// which waits for the blocked handlers.
+	t.Cleanup(func() { close(f.release) })
+	return addr, f
 }
 
 // TestGridSurvivesWorkerDeathMidGrid is the chaos proof for the fleet:
@@ -420,74 +459,99 @@ func TestCoordinatorHonorsRetryAfter(t *testing.T) {
 	}
 }
 
-// TestHedgedDispatchRescuesStraggler: the benchmark's owner stalls, the
-// hedge fires on the next replica after HedgeAfter, and the fast replica
-// wins without the stalled worker being counted as faulty.
-func TestHedgedDispatchRescuesStraggler(t *testing.T) {
-	var mu sync.Mutex
-	delays := map[string]time.Duration{}
-	mkStub := func() string {
-		// Each stub looks its own delay up by r.Host — its host:port
-		// address — so the script can stall one worker by address.
-		return stubWorker(t, func(w http.ResponseWriter, r *http.Request) {
-			mu.Lock()
-			d := delays[r.Host]
-			mu.Unlock()
-			select {
-			case <-time.After(d):
-			case <-r.Context().Done():
-				return
-			}
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write([]byte(`{"bench":"tomcatv","config":"BS","metrics":null}`))
-		})
-	}
-	addrA, addrB := mkStub(), mkStub()
-	c := newCoordinator(t, func(cfg *Config) {
-		cfg.HedgeAfter = 100 * time.Millisecond
-	}, addrA, addrB)
+// TestFrozenWorkerCellsFailOver: the benchmark's owner freezes with its
+// connections open. The cell in flight on it leaves as soon as a health
+// probe goes unanswered, long before the request deadline, and is served
+// by the replica; the abandoned attempt counts as the owner's transport
+// failure.
+func TestFrozenWorkerCellsFailOver(t *testing.T) {
+	addrA, fzA := startFreezableWorker(t)
+	addrB, fzB := startFreezableWorker(t)
+	c := newCoordinator(t, nil, addrA, addrB)
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
 
-	// Stall whichever worker owns the benchmark; its replica stays fast.
-	primary := c.OwnerAddr("tomcatv")
-	hedgeTarget := addrA
-	if primary == addrA {
-		hedgeTarget = addrB
+	owner, replica, fz := addrA, addrB, fzA
+	if c.OwnerAddr("tomcatv") == addrB {
+		owner, replica, fz = addrB, addrA, fzB
 	}
-	mu.Lock()
-	delays[primary] = 2 * time.Second
-	mu.Unlock()
+	fz.frozen.Store(true)
 
 	start := time.Now()
+	resp, body := postJSON(t, ts.URL+"/v1/compile",
+		server.CompileRequest{Bench: "tomcatv", Config: "BS", DeadlineMS: 10000})
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d after %s, body %s", resp.StatusCode, elapsed, body)
+	}
+	if got := resp.Header.Get("X-Served-By"); got != replica {
+		t.Errorf("X-Served-By = %q, want the replica %q (owner %s is frozen)", got, replica, owner)
+	}
+	if elapsed >= 3*time.Second {
+		t.Errorf("request took %s; the cell should leave the frozen owner once a probe goes unanswered", elapsed)
+	}
+	if got := counter(c, "fleet/worker_errors"); got < 1 {
+		t.Errorf("fleet/worker_errors = %d, want >= 1 (the abandoned attempt)", got)
+	}
+}
+
+// TestDrainingWorkerKeepsInflightCell: an answered probe never ends
+// in-flight work. The owner answers /readyz 503 while its compile runs,
+// so it is marked down and takes no new cells, but the cell already on
+// it completes there and no transport failure is counted.
+func TestDrainingWorkerKeepsInflightCell(t *testing.T) {
+	var draining atomic.Value // host:port of the worker that drains mid-cell
+	draining.Store("")
+	var busy atomic.Bool
+	var refusals atomic.Int64
+	refused := make(chan struct{})
+	wrap := func(inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Host == draining.Load().(string) {
+				switch {
+				case r.URL.Path == "/readyz" && busy.Load():
+					if refusals.Add(1) == 3 {
+						close(refused)
+					}
+					w.WriteHeader(http.StatusServiceUnavailable)
+					return
+				case r.URL.Path == "/v1/compile":
+					busy.Store(true)
+					defer busy.Store(false)
+					// Hold the cell until three probes have been refused.
+					select {
+					case <-refused:
+					case <-time.After(5 * time.Second):
+					}
+				}
+			}
+			inner.ServeHTTP(w, r)
+		})
+	}
+	addrA := startWorkerBehind(t, wrap)
+	addrB := startWorkerBehind(t, wrap)
+	c := newCoordinator(t, nil, addrA, addrB)
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	owner := c.OwnerAddr("tomcatv")
+	draining.Store(owner)
+
 	resp, body := postJSON(t, ts.URL+"/v1/compile",
 		server.CompileRequest{Bench: "tomcatv", Config: "BS"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d body %s", resp.StatusCode, body)
 	}
-	if elapsed := time.Since(start); elapsed >= 2*time.Second {
-		t.Errorf("request took %s; the hedge should have beaten the 2s straggler", elapsed)
+	if got := resp.Header.Get("X-Served-By"); got != owner {
+		t.Errorf("X-Served-By = %q, want the draining owner %q", got, owner)
 	}
-	if got := resp.Header.Get("X-Served-By"); got != hedgeTarget {
-		t.Errorf("X-Served-By = %q, want the hedge target %q", got, hedgeTarget)
+	if got := refusals.Load(); got < 3 {
+		t.Errorf("the owner refused %d probes while the cell ran, want >= 3", got)
 	}
-	if got := counter(c, "fleet/hedges"); got != 1 {
-		t.Errorf("fleet/hedges = %d, want 1", got)
+	if got := counter(c, "fleet/worker_down"); got < 1 {
+		t.Errorf("fleet/worker_down = %d; the refused probes never marked the owner down", got)
 	}
-	if got := counter(c, "fleet/hedge_wins"); got != 1 {
-		t.Errorf("fleet/hedge_wins = %d, want 1", got)
-	}
-	// The canceled straggler is not a fault: its worker stays healthy and
-	// its breaker closed.
-	for _, w := range c.members.all() {
-		if w.addr == primary {
-			if !w.healthy.Load() {
-				t.Error("stalled worker marked unhealthy by its canceled hedge loser")
-			}
-			if w.brk.State() != server.BreakerClosed {
-				t.Error("stalled worker's breaker tripped by its canceled hedge loser")
-			}
-		}
+	if got := counter(c, "fleet/worker_errors"); got != 0 {
+		t.Errorf("fleet/worker_errors = %d, want 0", got)
 	}
 }
 

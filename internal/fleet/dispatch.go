@@ -40,7 +40,7 @@ type dispatchResult struct {
 }
 
 // dispatchCell routes one cell to the fleet: resume-cache hit, or the
-// retry/failover/hedge loop over the cell's ring replicas. It never
+// retry/failover loop over the cell's ring replicas. It never
 // panics a grid: when attempts are exhausted or no worker is reachable
 // the cell comes back as a structured degraded failure.
 func (c *Coordinator) dispatchCell(ctx context.Context, id, bench, config string, verify bool, deadlineMS int64) dispatchResult {
@@ -68,7 +68,7 @@ func (c *Coordinator) dispatchCell(ctx context.Context, id, bench, config string
 		// fresh cells) immediately, and one that leaves stops being a
 		// dispatch target the moment the ring drops it.
 		order := c.members.replicaWorkers(bench)
-		w, next := c.pickFrom(order, rot, now)
+		w := c.pickFrom(order, rot, now)
 		if w == nil {
 			// Nothing dispatchable right now. A fully dead fleet degrades
 			// immediately; workers that are merely shedding (Retry-After)
@@ -104,13 +104,8 @@ func (c *Coordinator) dispatchCell(ctx context.Context, id, bench, config string
 				c.Stats.Inc("fleet/failovers")
 			}
 		}
-		var o outcome
-		if res.attempts == 1 {
-			o = c.hedged(ctx, id, w, next, bench, config, verify, deadlineMS, &res.worker)
-		} else {
-			o = c.attemptOn(ctx, id, w, bench, config, verify, deadlineMS)
-			res.worker = w.addr
-		}
+		o := c.attemptOn(ctx, id, w, bench, config, verify, deadlineMS)
+		res.worker = w.addr
 		if o.ok {
 			res.body = o.body
 			c.promote(key, o.body)
@@ -180,75 +175,38 @@ func degradedFailure(bench, config string, last *server.Failure, why string) *se
 	}
 }
 
-// hedged runs the cell's first attempt with straggler protection: if the
-// primary worker has not answered within HedgeAfter, the same cell is
-// dispatched to the next replica and the first result wins. The loser's
-// context is canceled; a canceled loser never counts against its
-// worker's breaker or health.
-func (c *Coordinator) hedged(ctx context.Context, id string, w, next *worker, bench, config string, verify bool, deadlineMS int64, served *string) outcome {
-	if c.cfg.HedgeAfter <= 0 || next == nil {
-		*served = w.addr
-		return c.attemptOn(ctx, id, w, bench, config, verify, deadlineMS)
-	}
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type legResult struct {
-		o     outcome
-		hedge bool
-		addr  string
-	}
-	ch := make(chan legResult, 2)
-	go func() {
-		ch <- legResult{c.attemptOn(actx, id, w, bench, config, verify, deadlineMS), false, w.addr}
-	}()
-	timer := time.NewTimer(c.cfg.HedgeAfter)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		*served = r.addr
-		return r.o
-	case <-timer.C:
-	}
-	c.Stats.Inc("fleet/hedges")
-	c.Log.Debug("hedging straggler cell",
-		"request_id", id, "bench", bench, "config", config,
-		"primary", w.addr, "hedge", next.addr)
-	go func() {
-		ch <- legResult{c.attemptOn(actx, id+"-hedge", next, bench, config, verify, deadlineMS), true, next.addr}
-	}()
-	var first *legResult
-	for i := 0; i < 2; i++ {
-		r := <-ch
-		if r.o.ok {
-			if r.hedge {
-				c.Stats.Inc("fleet/hedge_wins")
-			}
-			*served = r.addr
-			cancel() // the loser sees a canceled context, which is never a fault
-			return r.o
-		}
-		if first == nil {
-			rc := r
-			first = &rc
-		}
-	}
-	*served = first.addr
-	return first.o
-}
+// errProbeUnanswered is the transport failure of an attempt that the
+// worker's liveness context ended.
+var errProbeUnanswered = errors.New("health probe unanswered; in-flight attempt abandoned")
 
-// attemptOn dispatches one cell to one worker: breaker admission, the
-// bounded in-flight window, the HTTP round trip, and the classification
-// that decides retryability and what the worker's breaker, health flag
-// and backoff window learn from the outcome.
+// attemptOn dispatches one cell to one worker: breaker admission, then
+// the round trip under a context that ends with the request or with the
+// worker's liveness, whichever goes first. An attempt that the liveness
+// context ends while the request still lives is the worker's transport
+// failure, so the retry loop fails the cell over at once.
 func (c *Coordinator) attemptOn(ctx context.Context, id string, w *worker, bench, config string, verify bool, deadlineMS int64) outcome {
-	now := time.Now()
-	if ok, retry := w.brk.Allow(now); !ok {
+	if ok, retry := w.brk.Allow(time.Now()); !ok {
 		c.Stats.Inc("fleet/worker_breaker_rejects")
 		return outcome{retryable: true, fail: &server.Failure{
 			Status: http.StatusServiceUnavailable, Kind: "worker_breaker_open", Phase: "dispatch",
 			Msg: fmt.Sprintf("worker %s circuit breaker open (retry in %s)", w.addr, retry.Round(time.Millisecond)),
 		}}
 	}
+	actx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(w.liveCtx(), cancel)()
+	o := c.roundTrip(actx, id, w, bench, config, verify, deadlineMS)
+	if o.ctxDead && ctx.Err() == nil {
+		return c.transportFailure(w, bench, config, errProbeUnanswered)
+	}
+	return o
+}
+
+// roundTrip waits for a slot in the worker's bounded in-flight window,
+// performs the HTTP exchange and classifies the response: retryability,
+// and what the worker's breaker, health flag and backoff window learn
+// from it.
+func (c *Coordinator) roundTrip(ctx context.Context, id string, w *worker, bench, config string, verify bool, deadlineMS int64) outcome {
 	select {
 	case w.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -256,16 +214,11 @@ func (c *Coordinator) attemptOn(ctx context.Context, id string, w *worker, bench
 		return outcome{ctxDead: true}
 	}
 	defer func() { <-w.sem }()
-
 	c.Stats.Inc("fleet/dispatches")
-	start := time.Now()
-	o := c.roundTrip(ctx, id, w, bench, config, verify, deadlineMS)
-	c.Stats.Observe("fleet/dispatch_ms", time.Since(start).Milliseconds())
-	return o
-}
+	defer func(start time.Time) {
+		c.Stats.Observe("fleet/dispatch_ms", time.Since(start).Milliseconds())
+	}(time.Now())
 
-// roundTrip performs the HTTP exchange and classifies the response.
-func (c *Coordinator) roundTrip(ctx context.Context, id string, w *worker, bench, config string, verify bool, deadlineMS int64) outcome {
 	// The chaos drills sever specific coordinator→worker links here,
 	// upstream of the real transport.
 	if err := faultinject.Hit("fleet/dispatch", w.addr+"|"+bench); err != nil {

@@ -21,16 +21,20 @@
 //     steady cadence while healthy, exponential backoff while down —
 //     and dispatch-time transport failures mark a worker unhealthy
 //     immediately rather than waiting for the next probe. A probe loop
-//     lives exactly as long as its worker's membership.
+//     lives exactly as long as its worker's membership. A probe that
+//     gets no HTTP answer at all also ends every attempt in flight on
+//     that worker, so the cells of a frozen but still connected worker
+//     (one under SIGSTOP, say) fail over within one probe interval plus
+//     the probe timeout instead of hanging until the request deadline.
+//     Any answer, even a 503 from a draining worker, keeps in-flight
+//     work running.
 //   - Robustness: per-cell retry with jittered backoff fails over to
-//     the next healthy worker on the ring; straggler cells are hedged
-//     onto the next replica after a delay (first result wins); a
-//     worker-level circuit breaker (layered on the workers' own
-//     per-benchmark breakers) stops hammering a sick worker; 429/503
-//     Retry-After hints from shedding or draining workers are honored
-//     as per-worker backoff windows. When every replica is exhausted a
-//     cell degrades to a structured error entry — a grid response never
-//     fails whole.
+//     the next healthy worker on the ring; a worker-level circuit
+//     breaker (layered on the workers' own per-benchmark breakers)
+//     stops hammering a sick worker; 429/503 Retry-After hints from
+//     shedding or draining workers are honored as per-worker backoff
+//     windows. When every replica is exhausted a cell degrades to a
+//     structured error entry — a grid response never fails whole.
 //   - Shared cache tier: every served cell's bytes are promoted into a
 //     coordinator-side LRU, and a failover consults that tier — then
 //     the surviving workers' own result caches over GET /v1/cache/{key}
@@ -61,7 +65,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -73,28 +76,19 @@ type Config struct {
 	// least one is required at startup; the fleet is elastic afterwards
 	// (POST /v1/fleet/join and /v1/fleet/leave).
 	Workers []string
-	// Inflight bounds concurrently dispatched cells per worker — the
-	// bounded in-flight window that keeps one slow worker from absorbing
-	// the whole grid. Default 8.
-	Inflight int
 	// Attempts bounds dispatch attempts per cell (across workers).
 	// Default max(3, 2*len(Workers)).
 	Attempts int
 	// RetryBackoff is the base jittered backoff between a cell's
 	// attempts; it doubles per retry up to 2s. Default 50ms.
 	RetryBackoff time.Duration
-	// HedgeAfter is how long a cell's first attempt may run before a
-	// hedge attempt is dispatched to the next replica (first result
-	// wins). Zero or negative disables hedging; bschedd's -hedge-after
-	// passes 2s by default.
-	HedgeAfter time.Duration
 	// ProbeInterval is the /readyz health-check cadence for a healthy
-	// worker. Default 500ms.
+	// worker. Default 500ms. ProbeInterval + ProbeTimeout bounds how long
+	// the in-flight cells of a frozen worker wait before they fail over.
 	ProbeInterval time.Duration
-	// ProbeMaxInterval caps the exponential probe backoff for an
-	// unhealthy worker. Default 8s.
-	ProbeMaxInterval time.Duration
-	// ProbeTimeout bounds one health-check request. Default 1s.
+	// ProbeTimeout bounds one health-check request. Default 1s. A probe
+	// it cuts short, like one refused outright, ends every attempt in
+	// flight on the worker.
 	ProbeTimeout time.Duration
 	// EvictAfterFails removes a worker from the fleet after this many
 	// consecutive failed health probes (its probe loop stops, its keys
@@ -112,10 +106,6 @@ type Config struct {
 	// BreakerCooldown is how long an open worker breaker waits before a
 	// half-open probe dispatch. Default 5s.
 	BreakerCooldown time.Duration
-	// CacheEntries is the coordinator's shared result-cache tier
-	// capacity (entries). Every served cell's bytes are promoted here;
-	// failovers consult it before recomputing. Default 4096.
-	CacheEntries int
 	// DefaultDeadline is the per-request deadline when the client sets
 	// none. Default 30s.
 	DefaultDeadline time.Duration
@@ -137,6 +127,16 @@ type Config struct {
 const (
 	// vnodes is the number of virtual ring points per worker.
 	vnodes = 64
+	// inflight bounds concurrently dispatched cells per worker — the
+	// window that keeps one slow worker from absorbing a whole grid.
+	inflight = 8
+	// probeMaxInterval caps the exponential probe backoff for an
+	// unhealthy worker.
+	probeMaxInterval = 8 * time.Second
+	// tierEntries is the shared result-cache tier's capacity. Every
+	// served cell's bytes are promoted there; failovers consult it
+	// before recomputing.
+	tierEntries = 4096
 	// peerFetchTimeout bounds one GET /v1/cache/{key} peer-cache fetch
 	// during failover.
 	peerFetchTimeout = 750 * time.Millisecond
@@ -160,6 +160,13 @@ type worker struct {
 	backoffUntil atomic.Int64
 	// probeFails counts consecutive failed health probes.
 	probeFails atomic.Int64
+	// live is the context every dispatch to the worker runs under. The
+	// probe loop cancels it (liveLost) when a /readyz probe gets no
+	// answer and renews it only once a probe is answered again, so a
+	// dispatch that starts in between fails at once.
+	liveMu   sync.Mutex
+	live     context.Context
+	liveLost context.CancelFunc
 	// stop ends the worker's probe loop when it leaves or is evicted;
 	// stopOnce makes Leave and eviction race-safe.
 	stop     chan struct{}
@@ -167,6 +174,26 @@ type worker struct {
 }
 
 func (w *worker) stopProbe() { w.stopOnce.Do(func() { close(w.stop) }) }
+
+// liveCtx returns the worker's current liveness context.
+func (w *worker) liveCtx() context.Context {
+	w.liveMu.Lock()
+	defer w.liveMu.Unlock()
+	return w.live
+}
+
+// probed records whether a /readyz probe got an HTTP answer: no answer
+// cancels the liveness context, and an answer renews a canceled one.
+func (w *worker) probed(answered bool) {
+	w.liveMu.Lock()
+	defer w.liveMu.Unlock()
+	switch {
+	case !answered:
+		w.liveLost()
+	case w.live.Err() != nil:
+		w.live, w.liveLost = context.WithCancel(context.Background())
+	}
+}
 
 func (w *worker) backedOff(now time.Time) bool {
 	return now.UnixNano() < w.backoffUntil.Load()
@@ -210,9 +237,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("fleet: no workers configured")
 	}
-	if cfg.Inflight <= 0 {
-		cfg.Inflight = 8
-	}
 	if cfg.Attempts <= 0 {
 		cfg.Attempts = 2 * len(cfg.Workers)
 		if cfg.Attempts < 3 {
@@ -224,9 +248,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 500 * time.Millisecond
-	}
-	if cfg.ProbeMaxInterval <= 0 {
-		cfg.ProbeMaxInterval = 8 * time.Second
 	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = time.Second
@@ -243,9 +264,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 5 * time.Second
 	}
-	if cfg.CacheEntries <= 0 {
-		cfg.CacheEntries = 4096
-	}
 
 	d, err := server.NewDaemon("fleet", "c", cfg.Journal, cfg.DefaultDeadline, cfg.MaxDeadline, cfg.MaxBodyBytes, cfg.Logger)
 	if err != nil {
@@ -255,9 +273,9 @@ func New(cfg Config) (*Coordinator, error) {
 		Daemon:  d,
 		cfg:     cfg,
 		members: newMembership(),
-		tier:    server.NewLRU(cfg.CacheEntries),
+		tier:    server.NewLRU(tierEntries),
 		client: &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: cfg.Inflight + 2,
+			MaxIdleConnsPerHost: inflight + 2,
 			IdleConnTimeout:     90 * time.Second,
 		}},
 	}
@@ -296,17 +314,11 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// StatsSnapshot returns the coordinator's counter/histogram registry —
-// the same data /metrics renders — for in-process consumers like the
-// churn drill.
-func (c *Coordinator) StatsSnapshot() *obs.Snapshot {
-	return c.Stats.Snapshot()
-}
-
 // probeLoop health-checks one worker until it leaves the fleet or the
 // coordinator drains: steady ProbeInterval cadence while the worker
-// answers /readyz 200, exponential backoff up to ProbeMaxInterval while
+// answers /readyz 200, exponential backoff up to probeMaxInterval while
 // it does not, eviction after EvictAfterFails consecutive failures.
+// Whether a probe was answered at all sets the worker's liveness.
 func (c *Coordinator) probeLoop(w *worker) {
 	defer c.probeWG.Done()
 	interval := c.cfg.ProbeInterval
@@ -322,7 +334,12 @@ func (c *Coordinator) probeLoop(w *worker) {
 			return
 		}
 		c.Stats.Inc("fleet/probes")
-		if c.probeOnce(w) {
+		answered, ready := c.probeOnce(w)
+		if c.probeCtx.Err() != nil {
+			return // cut short by the coordinator's drain: no verdict
+		}
+		w.probed(answered)
+		if ready {
 			w.probeFails.Store(0)
 			if !w.healthy.Swap(true) {
 				c.Stats.Inc("fleet/worker_up")
@@ -339,30 +356,31 @@ func (c *Coordinator) probeLoop(w *worker) {
 				return
 			}
 			interval *= 2
-			if interval > c.cfg.ProbeMaxInterval {
-				interval = c.cfg.ProbeMaxInterval
+			if interval > probeMaxInterval {
+				interval = probeMaxInterval
 			}
 		}
 	}
 }
 
-// probeOnce asks one worker for readiness: only a 200 /readyz counts —
-// a draining or breaker-saturated worker answers 503 and takes no new
-// cells until it recovers.
-func (c *Coordinator) probeOnce(w *worker) bool {
+// probeOnce asks one worker for readiness. answered reports whether any
+// HTTP response came back within ProbeTimeout; ready whether it was a
+// 200 — a draining or breaker-saturated worker answers 503 and takes no
+// new cells until it recovers, but its in-flight cells run on.
+func (c *Coordinator) probeOnce(w *worker) (answered, ready bool) {
 	ctx, cancel := context.WithTimeout(c.probeCtx, c.cfg.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+"/readyz", nil)
 	if err != nil {
-		return false
+		return false, false
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return false
+		return false, false
 	}
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	return true, resp.StatusCode == http.StatusOK
 }
 
 // healthyCount reports how many members currently look dispatchable.
@@ -388,21 +406,15 @@ func (c *Coordinator) downWorkers() []string {
 }
 
 // pickFrom returns the first eligible worker scanning the cell's replica
-// order from rotation offset rot — healthy and not inside a Retry-After
-// window — plus the next eligible worker after it (the hedge target).
-func (c *Coordinator) pickFrom(order []*worker, rot int, now time.Time) (w, next *worker) {
+// order from rotation offset rot: healthy and not inside a Retry-After
+// window.
+func (c *Coordinator) pickFrom(order []*worker, rot int, now time.Time) *worker {
 	for i := 0; i < len(order); i++ {
-		cand := order[(rot+i)%len(order)]
-		if !cand.healthy.Load() || cand.backedOff(now) {
-			continue
-		}
-		if w == nil {
-			w = cand
-		} else if cand != w {
-			return w, cand
+		if w := order[(rot+i)%len(order)]; w.healthy.Load() && !w.backedOff(now) {
+			return w
 		}
 	}
-	return w, nil
+	return nil
 }
 
 // Drain gracefully shuts the coordinator down: stop probing, then the

@@ -39,7 +39,6 @@ func newCoordinator(t *testing.T, mutate func(*Config), addrs ...string) *Coordi
 		ProbeInterval: 50 * time.Millisecond,
 		ProbeTimeout:  500 * time.Millisecond,
 		RetryBackoff:  10 * time.Millisecond,
-		HedgeAfter:    -1, // disabled unless a test opts in
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -325,6 +324,33 @@ func TestBadRequestsDoNotRetry(t *testing.T) {
 	}
 }
 
+// TestOversizedGridRejected: a grid one cell over server.MaxGridCells
+// is a 400 naming its cell count, and no cell is dispatched.
+func TestOversizedGridRejected(t *testing.T) {
+	a, _ := startWorker(t)
+	c := newCoordinator(t, nil, a)
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+
+	configs := make([]string, server.MaxGridCells+1)
+	for i := range configs {
+		configs[i] = "BS"
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/grid",
+		server.GridRequest{Benches: []string{"tomcatv"}, Configs: configs})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d body %s, want 400", resp.StatusCode, body)
+	}
+	var eb server.ErrorBody
+	if err := json.Unmarshal(body, &eb); err != nil || eb.Kind != "bad_request" ||
+		!strings.Contains(eb.Error, strconv.Itoa(server.MaxGridCells+1)) {
+		t.Errorf("body %s (err %v), want a bad_request naming %d cells", body, err, server.MaxGridCells+1)
+	}
+	if got := counter(c, "fleet/dispatches"); got != 0 {
+		t.Errorf("fleet/dispatches = %d, want 0", got)
+	}
+}
+
 func TestCoordinatorBodyLimit(t *testing.T) {
 	a, _ := startWorker(t)
 	c := newCoordinator(t, func(cfg *Config) { cfg.MaxBodyBytes = 256 }, a)
@@ -389,15 +415,5 @@ func TestWriteFailureRetryAfterRange(t *testing.T) {
 	}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		t.Errorf("bad_request carries Retry-After %q", ra)
-	}
-}
-
-// TestHedgeAfterZeroDisablesHedging: HedgeAfter 0 means no hedging, as
-// the Config doc and bschedd's -hedge-after help say; New must not turn
-// it into a default delay.
-func TestHedgeAfterZeroDisablesHedging(t *testing.T) {
-	c := newCoordinator(t, func(cfg *Config) { cfg.HedgeAfter = 0 }, "127.0.0.1:1")
-	if c.cfg.HedgeAfter > 0 {
-		t.Errorf("HedgeAfter 0 became %s", c.cfg.HedgeAfter)
 	}
 }

@@ -84,12 +84,6 @@ func (c *Coordinator) handleCompile(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(dr.body)
 }
 
-// cellSpec is one grid cell to dispatch.
-type cellSpec struct {
-	bench  string
-	config string
-}
-
 type indexedCell struct {
 	idx  int
 	cell server.GridCell
@@ -113,12 +107,7 @@ func (c *Coordinator) handleGrid(w http.ResponseWriter, r *http.Request) {
 		c.Fail(w, id, f)
 		return
 	}
-	specs := make([]cellSpec, 0, len(req.Benches)*len(cfgs))
-	for _, b := range req.Benches {
-		for _, cfg := range cfgs {
-			specs = append(specs, cellSpec{bench: b, config: cfg.Name()})
-		}
-	}
+	total := len(req.Benches) * len(cfgs)
 
 	stream := streamMode(r)
 	ctx, cancel := c.RequestContext(r, req.DeadlineMS)
@@ -126,18 +115,19 @@ func (c *Coordinator) handleGrid(w http.ResponseWriter, r *http.Request) {
 
 	// All cells dispatch concurrently; each worker's bounded in-flight
 	// window is the real throttle, so a grid cannot stampede one worker
-	// no matter how wide it is.
+	// no matter how wide it is. Cell i is benchmark i/len(cfgs) under
+	// configuration i%len(cfgs), the single-node response's order.
 	results := make(chan indexedCell)
 	var wg sync.WaitGroup
-	for i, spec := range specs {
+	for i := 0; i < total; i++ {
 		wg.Add(1)
-		go func(i int, spec cellSpec) {
+		go func(i int) {
 			defer wg.Done()
 			cellStart := time.Now()
-			dr := c.dispatchCell(ctx, id, spec.bench, spec.config, req.Verify, req.DeadlineMS)
+			dr := c.dispatchCell(ctx, id, req.Benches[i/len(cfgs)], cfgs[i%len(cfgs)].Name(), req.Verify, req.DeadlineMS)
 			c.journalCell(id, dr, time.Since(cellStart))
 			results <- indexedCell{i, server.NewGridCell(dr.bench, dr.config, dr.body, dr.fail)}
-		}(i, spec)
+		}(i)
 	}
 	go func() {
 		wg.Wait()
@@ -147,9 +137,9 @@ func (c *Coordinator) handleGrid(w http.ResponseWriter, r *http.Request) {
 	failed := 0
 	if stream != "" {
 		c.Stats.Inc("fleet/stream_requests")
-		failed = c.streamGrid(w, stream, len(specs), results)
+		failed = c.streamGrid(w, stream, total, results)
 	} else {
-		cells := make([]server.GridCell, len(specs))
+		cells := make([]server.GridCell, total)
 		for ic := range results {
 			cells[ic.idx] = ic.cell
 		}
@@ -162,7 +152,7 @@ func (c *Coordinator) handleGrid(w http.ResponseWriter, r *http.Request) {
 	}
 	c.Stats.Inc("fleet/ok")
 	c.Log.Info("grid served",
-		"request_id", id, "cells", len(specs), "failed", failed,
+		"request_id", id, "cells", total, "failed", failed,
 		"stream", stream, "duration_ms", time.Since(start).Milliseconds())
 }
 

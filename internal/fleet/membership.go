@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sort"
@@ -144,12 +145,6 @@ func (c *Coordinator) WorkerAddrs() []string {
 	return out
 }
 
-// MembershipEpoch reports the membership generation counter; it bumps
-// on every join, leave and eviction.
-func (c *Coordinator) MembershipEpoch() uint64 {
-	return c.members.generation()
-}
-
 // validateWorkerAddr rejects join targets that are not host:port.
 func validateWorkerAddr(addr string) error {
 	host, port, err := net.SplitHostPort(addr)
@@ -179,7 +174,8 @@ func (c *Coordinator) Join(addr string) (joined, healthy bool, err error) {
 		return false, w.healthy.Load(), nil
 	}
 	w := c.newWorker(addr)
-	w.healthy.Store(c.probeOnce(w))
+	_, ready := c.probeOnce(w)
+	w.healthy.Store(ready)
 	if !c.members.add(w) {
 		// Lost a join race; the winner's worker is the member.
 		if cur := c.members.get(addr); cur != nil {
@@ -235,13 +231,15 @@ func (c *Coordinator) evict(w *worker) bool {
 
 // newWorker builds the coordinator's view of one worker daemon.
 func (c *Coordinator) newWorker(addr string) *worker {
-	return &worker{
+	w := &worker{
 		addr: addr,
 		base: "http://" + addr,
 		brk:  server.NewBreaker(c.cfg.BreakerThreshold, c.cfg.BreakerCooldown),
-		sem:  make(chan struct{}, c.cfg.Inflight),
+		sem:  make(chan struct{}, inflight),
 		stop: make(chan struct{}),
 	}
+	w.live, w.liveLost = context.WithCancel(context.Background())
+	return w
 }
 
 // startProbe launches w's health-probe loop. The loop exits when the

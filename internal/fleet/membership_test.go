@@ -36,7 +36,7 @@ func TestJoinAndLeaveOverHTTP(t *testing.T) {
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
 
-	epoch0 := c.MembershipEpoch()
+	epoch0 := c.members.generation()
 	resp, body := postJSON(t, ts.URL+"/v1/fleet/join", map[string]string{"addr": b})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("join: status %d body %s", resp.StatusCode, body)

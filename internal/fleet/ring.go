@@ -13,7 +13,7 @@ import "sort"
 //     edge-profile cache) and LRU result cache stay hot.
 //   - Stable failover order: walking the circle past the owner yields a
 //     deterministic sequence of distinct fallback workers, so retries
-//     and hedges always know "the next worker" without coordination.
+//     always know "the next worker" without coordination.
 //   - Bounded movement: membership is dynamic, and the ring mutates
 //     incrementally — add splices one worker's points into the sorted
 //     circle, remove filters them out — so a join moves only the keys

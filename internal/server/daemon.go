@@ -337,13 +337,26 @@ func ParseCell(bench, config string) (core.Config, *Failure) {
 	return cfg, nil
 }
 
+// MaxGridCells caps one grid request's benchmarks × configurations, 15×
+// the 272-cell paper grid. Duplicates count: both modes hold and answer
+// one entry per requested cell.
+const MaxGridCells = 4096
+
 // ParseGrid validates a grid request and returns its configurations: at
-// least one benchmark, every benchmark known, every configuration
-// parsed; no configurations means the paper's 16 (exp.Cells). A 400
-// names the offending benchmark or configuration.
+// least one benchmark, at most MaxGridCells cells, every benchmark known,
+// every configuration parsed; no configurations means the paper's 16
+// (exp.Cells). A 400 names the cell count, or the offending benchmark or
+// configuration.
 func ParseGrid(req GridRequest) ([]core.Config, *Failure) {
 	if len(req.Benches) == 0 {
 		return nil, BadRequest("no benchmarks requested")
+	}
+	cfgs, perBench := exp.Cells(), len(req.Configs)
+	if perBench == 0 {
+		perBench = len(cfgs)
+	}
+	if n := len(req.Benches) * perBench; n > MaxGridCells {
+		return nil, BadRequest("grid of %d cells exceeds the %d-cell limit", n, MaxGridCells)
 	}
 	for _, b := range req.Benches {
 		if _, err := workload.ByName(b); err != nil {
@@ -351,9 +364,9 @@ func ParseGrid(req GridRequest) ([]core.Config, *Failure) {
 		}
 	}
 	if len(req.Configs) == 0 {
-		return exp.Cells(), nil
+		return cfgs, nil
 	}
-	cfgs := make([]core.Config, 0, len(req.Configs))
+	cfgs = make([]core.Config, 0, len(req.Configs))
 	for _, name := range req.Configs {
 		cfg, err := core.ParseConfig(name)
 		if err != nil {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -82,7 +83,7 @@ func TestCompileHappyPath(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	cases := []struct {
 		name string
 		req  any
@@ -121,6 +122,22 @@ func TestBadRequests(t *testing.T) {
 	resp2, body := post(t, ts.URL+"/v1/grid", GridRequest{})
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty grid: status %d, want 400 (body %s)", resp2.StatusCode, body)
+	}
+
+	// One cell over the cap, duplicates included, is refused whole.
+	configs := make([]string, MaxGridCells+1)
+	for i := range configs {
+		configs[i] = "BS"
+	}
+	resp3, body := post(t, ts.URL+"/v1/grid", GridRequest{Benches: []string{"tomcatv"}, Configs: configs})
+	if resp3.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized grid: status %d, want 400 (body %s)", resp3.StatusCode, body)
+	}
+	if e := decodeError(t, body); e.Kind != "bad_request" || !strings.Contains(e.Error, fmt.Sprint(MaxGridCells+1)) {
+		t.Errorf("oversized grid: body %s, want a bad_request naming %d cells", body, MaxGridCells+1)
+	}
+	if n := s.cache.Len(); n != 0 {
+		t.Errorf("%d cells computed for rejected requests, want 0", n)
 	}
 }
 
