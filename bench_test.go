@@ -267,8 +267,8 @@ func BenchmarkLower(b *testing.B) {
 	}
 }
 
-// BenchmarkRegalloc measures register allocation with spilling on an
-// unrolled TRFD (the paper's spill-pressure case).
+// BenchmarkRegalloc measures register allocation on block-scheduled TRFD
+// (66 instructions in 7 blocks, allocated without spills).
 func BenchmarkRegalloc(b *testing.B) {
 	bm, err := workload.ByName("TRFD")
 	if err != nil {

@@ -94,6 +94,9 @@ func TestParseConfigRejects(t *testing.T) {
 		"BS+LA+NOPE",  // unknown trailing option
 		"TS++LU4",     // empty option
 		"BS+TrS+LU-4", // negative factor
+
+		"BS+LU17",       // unroll factor above unroll.MaxFactor
+		"BS+TrS+LU1024", // unroll factor above unroll.MaxFactor
 	}
 	for _, s := range bad {
 		if _, err := ParseConfig(s); err == nil {

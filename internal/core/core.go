@@ -27,16 +27,13 @@ import (
 	"repro/internal/ir"
 	"repro/internal/licm"
 	"repro/internal/locality"
-	"repro/internal/lower"
 	"repro/internal/obs"
-	"repro/internal/prefetch"
 	"repro/internal/profile"
 	"repro/internal/regalloc"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/unroll"
-	"repro/internal/verify"
 )
 
 // Options selects optional pipeline behaviour beyond the experimental
@@ -68,6 +65,13 @@ type Options struct {
 	// policy share one profiling run. The cache must be dedicated to the
 	// (program, data) pair being compiled.
 	Profiles *ProfileCache
+	// Prefixes, when non-nil, memoizes the transform prefix — locality
+	// analysis, unrolling, prefetching, lowering and LICM — so
+	// configurations differing solely in scheduler policy lower once and
+	// each schedules its own copy of the code. Nil lowers afresh. The
+	// memo must be dedicated to the (program, Verify) pair being
+	// compiled; see PrefixMemo.
+	Prefixes *PrefixMemo
 	// Obs, when non-nil, observes the pipeline: every phase runs under a
 	// trace span on its lane, and the phases record their counters into
 	// its registry. Nil tracer/stats inside it disable the corresponding
@@ -149,11 +153,12 @@ func NewData() *Data {
 type Compiled struct {
 	// Fn is the final, allocated machine code.
 	Fn *ir.Func
-	// ArrayID maps HLIR arrays to simulator array IDs.
+	// ArrayID maps HLIR arrays to simulator array IDs. Cells sharing a
+	// transform prefix share the map; it is read-only.
 	ArrayID map[*hlir.Array]int
-	// Program is the transformed HLIR the code was generated from; its
-	// Outputs (shared descriptors) locate results.
-	Program *hlir.Program
+	// Outputs lists the program's output arrays (the descriptors every
+	// transformed clone shares), which locate the results.
+	Outputs []*hlir.Array
 	// Config echoes the compilation configuration.
 	Config Config
 	// Locality and Trace report what the optional phases did (nil when
@@ -176,101 +181,38 @@ type Compiled struct {
 // compiling with traces (Section 4.2). Phase wall-clock accumulates into
 // the result's Phases.
 //
-// Immutability contract: Compile never mutates p or data. Every transform
-// (locality, unroll, prefetch) clones before rewriting, and a
-// pass-through configuration clones explicitly, so one front-end — a
-// built program, its input data and its Reference checksum — may be
-// shared read-only across any number of concurrent Compile calls. The
-// cell-parallel experiment engine (internal/exp) depends on this.
+// Compile never mutates p or data: every transform (locality, unroll,
+// prefetch) clones before rewriting and lowering only reads its input,
+// so one front-end — a built program, its input data and its Reference
+// checksum — may be shared read-only across any number of concurrent
+// Compile calls. The cell-parallel experiment engine (internal/exp)
+// depends on this. The code Compile schedules and allocates is always
+// the call's own: freshly lowered, or cloned from Options.Prefixes.
 func Compile(p *hlir.Program, cfg Config, data *Data, opt Options) (*Compiled, error) {
 	if err := faultinject.Hit("core/compile", p.Name); err != nil {
 		return nil, err
 	}
-	ob := opt.Obs
-	st := ob.Stat()
-	prog := p
+	st := opt.Obs.Stat()
 	out := &Compiled{Config: cfg}
-	// phase wraps one pipeline phase in a trace span while accumulating
-	// its wall-clock into the PhaseTimes slot d. A canceled or expired
-	// Options.Ctx aborts at the boundary, before the phase body runs.
-	phase := func(name string, d *time.Duration, f func() error) error {
-		if err := opt.err(); err != nil {
-			return fmt.Errorf("core: %s canceled before %s: %w", p.Name, name, err)
-		}
-		sp := ob.Begin(name, "compile")
-		start := time.Now()
-		err := f()
-		*d += time.Since(start)
-		sp.End()
-		return err
-	}
-	if cfg.Locality {
-		if err := phase("locality", &out.Phases.Locality, func() error {
-			prog, out.Locality = locality.Apply(prog, cfg.Unroll)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		st.Add("locality/loops_analyzed", int64(out.Locality.LoopsAnalyzed))
-		st.Add("locality/miss_marks", int64(out.Locality.Misses))
-		st.Add("locality/hit_marks", int64(out.Locality.Hits))
-	}
-	if cfg.Unroll > 0 {
-		// After locality analysis, reuse loops carry NoUnroll and keep
-		// their hit/miss marks; the general unroller handles the rest.
-		if err := phase("unroll", &out.Phases.Unroll, func() error {
-			prog = unroll.ApplyObserved(prog, cfg.Unroll, st)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Prefetch {
-		if err := phase("prefetch", &out.Phases.Prefetch, func() error {
-			prog, out.Prefetches = prefetch.Apply(prog)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		st.Add("prefetch/hints", int64(out.Prefetches))
-	}
-	if prog == p {
-		prog = p.Clone()
-	}
-	var res *lower.Result
-	if err := phase("lower", &out.Phases.Lower, func() error {
-		r, err := lower.Lower(prog)
-		res = r
-		return err
-	}); err != nil {
+	c := &compilation{p: p, cfg: cfg, opt: opt, out: out}
+	phase := c.phase
+	pre, fn, err := c.prefix(st)
+	if err != nil {
 		return nil, err
 	}
-	out.Fn = res.Fn
-	out.ArrayID = res.ArrayID
-	out.Program = prog
-	if opt.Verify {
-		if err := verify.Func(res.Fn); err != nil {
-			return nil, fmt.Errorf("core: lowering %s: %w", p.Name, err)
-		}
-		st.Inc("verify/checks")
-	}
-	if cfg.LICM {
-		if err := phase("licm", &out.Phases.LICM, func() error {
-			out.LICM = licm.Apply(res.Fn)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		st.Add("licm/loops", int64(out.LICM.Loops))
-		st.Add("licm/hoisted", int64(out.LICM.Hoisted))
-	}
+	out.Fn = fn
+	out.ArrayID = pre.arrayID
+	out.Outputs = pre.outputs
+	out.Locality = pre.locality
+	out.Prefetches = pre.prefetches
+	out.LICM = pre.licm
 
 	if cfg.Trace {
 		collect := func() (profile.Edges, error) {
 			var e profile.Edges
 			perr := phase("profile", &out.Phases.Profile, func() error {
-				ee, reused, err := profile.Collect(res.Fn, func(m *sim.Machine) {
-					InitMachine(m, res.ArrayID, data)
+				ee, reused, err := profile.Collect(fn, func(m *sim.Machine) {
+					InitMachine(m, out.ArrayID, data)
 				}, opt.Pool)
 				if opt.Pool != nil {
 					if reused {
@@ -298,11 +240,11 @@ func Compile(p *hlir.Program, cfg Config, data *Data, opt Options) (*Compiled, e
 		if hit {
 			// Cache hit: the counts are for an identical CFG; only the
 			// per-block frequency annotation must be redone on this clone.
-			profile.Annotate(res.Fn, edges)
+			profile.Annotate(fn, edges)
 			st.Inc("core/profile_cache_hits")
 		}
 		err := phase("trace", &out.Phases.Trace, func() error {
-			rep, err := trace.ScheduleAll(res.Fn, edges, cfg.Policy, st, opt.Verify)
+			rep, err := trace.ScheduleAll(fn, edges, cfg.Policy, st, opt.Verify)
 			out.Trace = rep
 			return err
 		})
@@ -314,20 +256,20 @@ func Compile(p *hlir.Program, cfg Config, data *Data, opt Options) (*Compiled, e
 		st.Add("trace/speculated", int64(out.Trace.Speculated))
 	} else {
 		err := phase("sched", &out.Phases.Sched, func() error {
-			for _, b := range res.Fn.Blocks {
-				if err := trace.ScheduleBlock(res.Fn, b, cfg.Policy, st, opt.Verify); err != nil {
+			for _, b := range fn.Blocks {
+				if err := trace.ScheduleBlock(fn, b, cfg.Policy, st, opt.Verify); err != nil {
 					return err
 				}
 			}
-			return res.Fn.Validate()
+			return fn.Validate()
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: block scheduling %s: %w", p.Name, err)
 		}
 	}
 
-	err := phase("regalloc", &out.Phases.Regalloc, func() error {
-		alloc, err := regalloc.Allocate(res.Fn, st, opt.Verify)
+	err = phase("regalloc", &out.Phases.Regalloc, func() error {
+		alloc, err := regalloc.Allocate(fn, st, opt.Verify)
 		out.Alloc = alloc
 		return err
 	})
@@ -335,6 +277,29 @@ func Compile(p *hlir.Program, cfg Config, data *Data, opt Options) (*Compiled, e
 		return nil, fmt.Errorf("core: allocating %s: %w", p.Name, err)
 	}
 	return out, nil
+}
+
+// compilation is one Compile call's state, which its phases share.
+type compilation struct {
+	p   *hlir.Program
+	cfg Config
+	opt Options
+	out *Compiled
+}
+
+// phase wraps one pipeline phase in a trace span while accumulating its
+// wall-clock into the PhaseTimes slot d. A canceled or expired
+// Options.Ctx aborts at the boundary, before the phase body runs.
+func (c *compilation) phase(name string, d *time.Duration, f func() error) error {
+	if err := c.opt.err(); err != nil {
+		return fmt.Errorf("core: %s canceled before %s: %w", c.p.Name, name, err)
+	}
+	sp := c.opt.Obs.Begin(name, "compile")
+	start := time.Now()
+	err := f()
+	*d += time.Since(start)
+	sp.End()
+	return err
 }
 
 // InitMachine writes the input data into a fresh simulation instance.
@@ -407,7 +372,7 @@ func ExecutePooled(c *Compiled, data *Data, width int, pool *sim.Pool) (met *sim
 // mapping and Checksum the same outputs.
 func SameExecution(a, b *Compiled) bool {
 	return sim.SameCode(a.Fn, b.Fn) && maps.Equal(a.ArrayID, b.ArrayID) &&
-		slices.Equal(a.Program.Outputs, b.Program.Outputs)
+		slices.Equal(a.Outputs, b.Outputs)
 }
 
 // Checksum hashes the program outputs in simulator memory, bit-compatible
@@ -420,7 +385,7 @@ func Checksum(m *sim.Machine, c *Compiled) uint64 {
 			h *= 1099511628211
 		}
 	}
-	for _, a := range c.Program.Outputs {
+	for _, a := range c.Outputs {
 		id := c.ArrayID[a]
 		for i := 0; i < a.Len(); i++ {
 			if a.Elem == hlir.KFloat {
@@ -453,8 +418,8 @@ func Reference(p *hlir.Program, data *Data) (uint64, error) {
 
 // ParseConfig parses a configuration name in the tables' notation: "BS",
 // "TS", "BF" or "AUTO" optionally followed by "+LA", "+TrS" and "+LUn"
-// options in any order (e.g. "BS+LA+TrS+LU8"). It is the inverse of
-// Config.Name.
+// options in any order (e.g. "BS+LA+TrS+LU8"), where 2 ≤ n ≤
+// unroll.MaxFactor. It is the inverse of Config.Name.
 func ParseConfig(s string) (Config, error) {
 	cfg := Config{}
 	for i, part := range strings.Split(s, "+") {
@@ -479,8 +444,8 @@ func ParseConfig(s string) (Config, error) {
 			cfg.Trace = true
 		case strings.HasPrefix(part, "LU"):
 			n, err := strconv.Atoi(part[2:])
-			if err != nil || n < 2 {
-				return cfg, fmt.Errorf("core: bad unroll factor in %q", s)
+			if err != nil || n < 2 || n > unroll.MaxFactor {
+				return cfg, fmt.Errorf("core: bad unroll factor in %q (want 2 to %d)", s, unroll.MaxFactor)
 			}
 			cfg.Unroll = n
 		default:

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -61,7 +60,7 @@ type PhaseTimes struct {
 // scheduling order.
 type ProfileCache struct {
 	mu sync.Mutex
-	m  map[string]*profileFlight
+	m  map[Config]*profileFlight
 }
 
 // profileFlight is one in-flight (or completed) profile collection; done
@@ -74,22 +73,16 @@ type profileFlight struct {
 
 // NewProfileCache returns an empty cache.
 func NewProfileCache() *ProfileCache {
-	return &ProfileCache{m: map[string]*profileFlight{}}
+	return &ProfileCache{m: map[Config]*profileFlight{}}
 }
 
-// transformKey identifies the pipeline prefix ahead of profiling: every
-// configuration with the same key lowers to an identical CFG.
-func transformKey(cfg Config) string {
-	return fmt.Sprintf("LA=%v LU=%d PF=%v LICM=%v", cfg.Locality, cfg.Unroll, cfg.Prefetch, cfg.LICM)
-}
-
-// getOrCollect returns the edge profile for cfg's transform key, running
+// getOrCollect returns the edge profile for cfg's prefix key, running
 // collect on the first call for that key. hit reports whether the caller
 // must re-annotate its own function clone (every caller but the one that
 // ran collect). A failed collection is not cached: waiters of that
 // flight see its error, later callers retry from scratch.
 func (pc *ProfileCache) getOrCollect(cfg Config, collect func() (profile.Edges, error)) (edges profile.Edges, hit bool, err error) {
-	key := transformKey(cfg)
+	key := prefixKey(cfg)
 	pc.mu.Lock()
 	if fl, ok := pc.m[key]; ok {
 		pc.mu.Unlock()

@@ -8,6 +8,8 @@
 package dag
 
 import (
+	"sync"
+
 	"repro/internal/ir"
 	"repro/internal/obs"
 )
@@ -19,7 +21,9 @@ type Node struct {
 	Index int
 	// Instr is the underlying instruction.
 	Instr *ir.Instr
-	// Succs and Preds are dependence edges (successor = must come later).
+	// Succs and Preds are dependence edges (successor = must come later),
+	// each in the order the builder found them. They are capped views
+	// into the graph's edge slabs.
 	Succs, Preds []*Node
 	// Weight is the scheduling latency estimate assigned by the weight
 	// policy (traditional or balanced); see internal/sched.
@@ -29,21 +33,65 @@ type Node struct {
 }
 
 // Graph is the dependence DAG over one scheduling region.
+//
+// A graph's storage is reused: Build takes a released graph from a pool
+// when one is free, and Release hands the graph back once the caller is
+// done with it, so the scheduler of a grid builds region after region
+// in the same buffers. The node slab, the edge bitset, the edge list,
+// the Succs/Preds slabs, the register table and the use-list slab are
+// all kept.
 type Graph struct {
 	// Nodes holds the region's instructions in original order.
 	Nodes []*Node
 
-	// edge is the n×n edge index: bit a*n+b is set when a→b exists;
-	// edges counts the set bits.
-	edge  []uint64
-	edges int
+	// edge is the n×n edge index: bit a*n+b is set when a→b exists.
+	// Between builds every bit is clear.
+	edge []uint64
+	// list holds every edge once, in insertion order; layoutEdges lays
+	// it out into the succs and preds slabs.
+	list         []edgePair
+	succs, preds []*Node
+	// offs holds the Succs then the Preds span ends, n+1 each.
+	offs  []int32
+	slab  []Node
+	regs  []regDeps // indexed by register; all zero between builds
+	uses  []useLink
+	nodes []*Node // scratch list of memory or branch nodes
 	stats *obs.Stats
 }
+
+// edgePair is one dependence, by node index.
+type edgePair struct{ from, to int32 }
+
+// regDeps is a register's last definition and the uses since then, as a
+// linked list through Graph.uses. Each field holds an index plus one, so
+// the zero value means none.
+type regDeps struct{ def, head, tail int32 }
+
+// useLink is one use in a register's use list.
+type useLink struct{ node, next int32 }
+
+var graphs = sync.Pool{New: func() any { return new(Graph) }}
 
 // Stats returns the observability registry the graph was built with (nil
 // when observability is off); the scheduler records its selection
 // behaviour there so callers thread one registry through build + schedule.
 func (g *Graph) Stats() *obs.Stats { return g.stats }
+
+// Release hands the graph's storage back for the next Build. Neither the
+// graph nor any of its nodes may be used afterwards. Releasing is
+// optional: an unreleased graph is simply collected.
+func (g *Graph) Release() {
+	n := uint(len(g.Nodes))
+	for _, e := range g.list {
+		k := uint(e.from)*n + uint(e.to)
+		g.edge[k/64] = 0
+	}
+	clear(g.slab[:n]) // drop the instructions
+	g.list = g.list[:0]
+	g.stats = nil
+	graphs.Put(g)
+}
 
 // addEdge inserts a dependence from a to b (a must precede b), ignoring
 // self-edges and duplicates.
@@ -56,9 +104,7 @@ func (g *Graph) addEdge(a, b *Node) {
 		return
 	}
 	g.edge[k/64] |= 1 << (k % 64)
-	g.edges++
-	a.Succs = append(a.Succs, b)
-	b.Preds = append(b.Preds, a)
+	g.list = append(g.list, edgePair{int32(a.Index), int32(b.Index)})
 }
 
 // HasEdge reports whether a direct dependence a→b exists.
@@ -97,37 +143,91 @@ type Options struct {
 	Stats *obs.Stats
 }
 
-// Build constructs the dependence DAG for the instruction sequence instrs.
+// Build constructs the dependence DAG for the instruction sequence
+// instrs, in storage a released graph left behind when there is one.
 func Build(instrs []*ir.Instr, opts Options) *Graph {
 	n := len(instrs)
-	g := &Graph{edge: make([]uint64, (n*n+63)/64), stats: opts.Stats}
-	g.Nodes = make([]*Node, n)
-	slab := make([]Node, n)
+	g := graphs.Get().(*Graph)
+	g.stats = opts.Stats
+	if words := (n*n + 63) / 64; words <= cap(g.edge) {
+		g.edge = g.edge[:words]
+	} else {
+		g.edge = make([]uint64, words)
+	}
+	if n > cap(g.slab) {
+		g.slab = make([]Node, n)
+		g.Nodes = make([]*Node, n)
+	}
+	g.Nodes = g.Nodes[:n]
 	for i, in := range instrs {
-		slab[i] = Node{Index: i, Instr: in}
-		g.Nodes[i] = &slab[i]
+		g.slab[i] = Node{Index: i, Instr: in}
+		g.Nodes[i] = &g.slab[i]
 	}
 
 	g.addRegisterEdges()
 	g.addMemoryEdges()
 	g.addLocalityEdges()
 	g.addControlEdges(opts)
+	g.layoutEdges()
 
 	g.stats.Inc("dag/regions")
-	g.stats.Add("dag/nodes", int64(len(g.Nodes)))
-	g.stats.Add("dag/edges", int64(g.edges))
-	g.stats.Observe("dag/region_size", int64(len(g.Nodes)))
+	g.stats.Add("dag/nodes", int64(n))
+	g.stats.Add("dag/edges", int64(len(g.list)))
+	g.stats.Observe("dag/region_size", int64(n))
 	return g
+}
+
+// layoutEdges lays the edge list out CSR-style: one slab of successors
+// grouped by source node and one of predecessors grouped by destination,
+// each group in insertion order, so every node's Succs and Preds list
+// its edges in the order addEdge saw them.
+func (g *Graph) layoutEdges() {
+	n := len(g.Nodes)
+	if 2*(n+1) > cap(g.offs) {
+		g.offs = make([]int32, 2*(n+1))
+	}
+	g.offs = g.offs[:2*(n+1)]
+	clear(g.offs)
+	succEnd, predEnd := g.offs[:n+1], g.offs[n+1:]
+	for _, e := range g.list {
+		succEnd[e.from+1]++
+		predEnd[e.to+1]++
+	}
+	for i := 1; i <= n; i++ {
+		succEnd[i] += succEnd[i-1]
+		predEnd[i] += predEnd[i-1]
+	}
+	if m := len(g.list); m > cap(g.succs) {
+		g.succs = make([]*Node, m)
+		g.preds = make([]*Node, m)
+	}
+	// Filling advances each node's start offset to its end, which is the
+	// next node's start.
+	for _, e := range g.list {
+		g.succs[succEnd[e.from]] = g.Nodes[e.to]
+		succEnd[e.from]++
+		g.preds[predEnd[e.to]] = g.Nodes[e.from]
+		predEnd[e.to]++
+	}
+	var succStart, predStart int32
+	for i, nd := range g.Nodes {
+		nd.Succs = span(g.succs, succStart, succEnd[i])
+		nd.Preds = span(g.preds, predStart, predEnd[i])
+		succStart, predStart = succEnd[i], predEnd[i]
+	}
+}
+
+// span returns slab[lo:hi] capped at hi, or nil when it is empty.
+func span(slab []*Node, lo, hi int32) []*Node {
+	if lo == hi {
+		return nil
+	}
+	return slab[lo:hi:hi]
 }
 
 // addRegisterEdges adds true (RAW), anti (WAR) and output (WAW) register
 // dependences.
 func (g *Graph) addRegisterEdges() {
-	// Per register: its last definition and the uses since then.
-	type regDeps struct {
-		def  *Node
-		uses []*Node
-	}
 	var top ir.Reg
 	var buf [3]ir.Reg
 	for _, n := range g.Nodes {
@@ -136,40 +236,60 @@ func (g *Graph) addRegisterEdges() {
 		}
 		top = max(top, n.Instr.Def())
 	}
-	regs := make([]regDeps, top+1)
+	if int(top) >= len(g.regs) {
+		g.regs = make([]regDeps, top+1)
+	}
+	regs := g.regs
+	g.uses = g.uses[:0]
 	for _, n := range g.Nodes {
 		uses := n.Instr.Uses(buf[:0])
 		for _, r := range uses {
-			if d := regs[r].def; d != nil {
-				g.addEdge(d, n) // RAW
+			if d := regs[r].def; d != 0 {
+				g.addEdge(g.Nodes[d-1], n) // RAW
 			}
 		}
 		if d := n.Instr.Def(); d != ir.NoReg {
 			rd := &regs[d]
-			if rd.def != nil {
-				g.addEdge(rd.def, n) // WAW
+			if rd.def != 0 {
+				g.addEdge(g.Nodes[rd.def-1], n) // WAW
 			}
-			for _, u := range rd.uses {
-				g.addEdge(u, n) // WAR
+			for u := rd.head; u != 0; u = g.uses[u-1].next {
+				g.addEdge(g.Nodes[g.uses[u-1].node], n) // WAR
 			}
-			rd.def = n
-			rd.uses = rd.uses[:0]
+			rd.def = int32(n.Index) + 1
+			rd.head, rd.tail = 0, 0
 		}
 		for _, r := range uses {
-			regs[r].uses = append(regs[r].uses, n)
+			g.uses = append(g.uses, useLink{node: int32(n.Index)})
+			l := int32(len(g.uses))
+			rd := &regs[r]
+			if rd.tail == 0 {
+				rd.head = l
+			} else {
+				g.uses[rd.tail-1].next = l
+			}
+			rd.tail = l
 		}
+	}
+	// Leave the table clear for the next region.
+	for _, n := range g.Nodes {
+		for _, r := range n.Instr.Uses(buf[:0]) {
+			regs[r] = regDeps{}
+		}
+		regs[n.Instr.Def()] = regDeps{}
 	}
 }
 
 // addMemoryEdges adds store→load, load→store and store→store dependences
 // between references that the MemRef disambiguator cannot prove disjoint.
 func (g *Graph) addMemoryEdges() {
-	var mems []*Node
+	mems := g.nodes[:0]
 	for _, n := range g.Nodes {
 		if n.Instr.Op.IsMem() {
 			mems = append(mems, n)
 		}
 	}
+	g.nodes = mems
 	var conflicts, disjoint int64
 	for i, a := range mems {
 		for _, b := range mems[i+1:] {
@@ -230,12 +350,13 @@ func reuseGroup(in *ir.Instr) int {
 // non-speculable instructions and instructions whose result is live on the
 // branch's off-trace path may not move above the branch.
 func (g *Graph) addControlEdges(opts Options) {
-	var branches []*Node
+	branches := g.nodes[:0]
 	for _, n := range g.Nodes {
 		if n.Instr.Op.IsBranch() {
 			branches = append(branches, n)
 		}
 	}
+	g.nodes = branches
 	if len(branches) == 0 {
 		return
 	}

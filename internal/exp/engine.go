@@ -40,7 +40,9 @@ import (
 // histogram), so every finished cell is on disk when its worker moves on
 // and a crash can tear only the final line. Every cell of a run draws
 // its simulation machines from one sim.Pool: Machine.Reset re-lays a
-// machine for any function, so one pool serves every benchmark. A cell
+// machine for any function, so one pool serves every benchmark. Cells of
+// one benchmark sharing a transform prefix lower it once per run
+// (core.PrefixMemo) and each schedules its own copy of the code. A cell
 // whose final code is identical to an earlier cell's of the same
 // benchmark does not simulate at all: it copies that cell's run from
 // the benchmark's memo (memo.go), one memo per benchmark per run. With
@@ -147,10 +149,12 @@ type cellResult struct {
 // input data, the reference interpreter's checksum and the per-benchmark
 // profile cache. It is built once — by the grid's pre-phase, or by the
 // first CellRunner request for the benchmark — and every cell reads it
-// without copying. A grid's front-ends also carry the benchmark's timing
-// run memo for that run (sims); CellRunner's carry none.
+// without copying. A grid's front-ends also carry the benchmark's
+// lowered code (code) and timing runs (sims) for that run; CellRunner's
+// carry neither, so a long-lived server keeps no code between requests.
 type frontEnd struct {
 	b        workload.Benchmark
+	code     *core.PrefixMemo
 	sims     *simMemo
 	once     sync.Once
 	built    atomic.Bool
@@ -238,7 +242,9 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, o
 		runtime.ReadMemStats(&mem0)
 	}
 	ph.set(phaseCompile)
-	c, err := core.Compile(p, spec.cfg, d, core.Options{Verify: opt.Verify, Ctx: ctx, Pool: pool, Profiles: profiles, Obs: ob})
+	c, err := core.Compile(p, spec.cfg, d, core.Options{
+		Verify: opt.Verify, Ctx: ctx, Pool: pool, Profiles: profiles, Prefixes: fe.code, Obs: ob,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s %s: %w", fe.b.Name, spec.cfg.Name(), err)
 	}
@@ -549,7 +555,7 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 	var queue []task
 	var pre []*frontEnd
 	for _, b := range benches {
-		fe := &frontEnd{b: b, sims: &simMemo{}}
+		fe := &frontEnd{b: b, code: &core.PrefixMemo{}, sims: &simMemo{}}
 		for _, spec := range specs {
 			if e, ok := journaled[b.Name+"\x00"+spec.cfg.Name()]; ok {
 				r := cellResult{

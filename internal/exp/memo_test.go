@@ -139,9 +139,7 @@ func TestSimMemoMissesOnAnyKeyedChange(t *testing.T) {
 			c.ArrayID = ids
 		}},
 		{"the outputs", 1, func(c *core.Compiled) {
-			prog := *c.Program
-			prog.Outputs = prog.Outputs[:len(prog.Outputs)-1]
-			c.Program = &prog
+			c.Outputs = c.Outputs[:len(c.Outputs)-1]
 		}},
 	}
 	for _, m := range mutations {

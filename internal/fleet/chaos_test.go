@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/server"
+	"repro/internal/workload"
 )
 
 // killSwitch wraps a worker's handler with a remotely armed death: once
@@ -189,7 +190,7 @@ func TestGridSurvivesWorkerDeathMidGrid(t *testing.T) {
 	}
 }
 
-// TestGridSurvivesKillAndJoinMidGrid is this PR's chaos proof: the
+// TestGridSurvivesKillAndJoinMidGrid is the fleet's chaos proof: the
 // benchmark's owner is killed and a replacement joins while a grid is in
 // flight — the grid completes with zero failed cells, byte-identical to
 // a single-node run, and at least one failover is served from the
@@ -197,14 +198,44 @@ func TestGridSurvivesWorkerDeathMidGrid(t *testing.T) {
 func TestGridSurvivesKillAndJoinMidGrid(t *testing.T) {
 	addrA, ksA := startKillableWorker(t, 0)
 	addrB, ksB := startKillableWorker(t, 0)
+	addrC, _ := startWorker(t) // the replacement
 	c := newCoordinator(t, func(cfg *Config) {
 		cfg.RetryBackoff = 5 * time.Millisecond
 	}, addrA, addrB)
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
 
+	// The replacement must not take the gridded benchmark over when it
+	// joins: if the join lands before the grid dispatches, an owning
+	// replacement would serve every cell as primary and no failover would
+	// ever run. A join moves keys only to the joining worker, so an analog
+	// an existing worker owns on the post-join ring has that owner before
+	// and after the join.
+	post := newRing()
+	for _, m := range []string{addrA, addrB, addrC} {
+		post.add(m, vnodes)
+	}
+	bench, owner := "", (*killSwitch)(nil)
+	for _, b := range workload.All() {
+		switch post.owner(b.Name) {
+		case addrA:
+			bench, owner = b.Name, ksA
+		case addrB:
+			bench, owner = b.Name, ksB
+		}
+		if bench != "" {
+			break
+		}
+	}
+	if bench == "" {
+		t.Fatal("the replacement owns every analog (vanishingly unlikely)")
+	}
+	if got, want := c.OwnerAddr(bench), post.owner(bench); got != want {
+		t.Fatalf("%s: owner %s before the join, %s after it", bench, got, want)
+	}
+
 	req := server.GridRequest{
-		Benches: []string{"tomcatv"},
+		Benches: []string{bench},
 		Configs: []string{"BS", "TS", "BS+LU4", "BS+TrS"},
 	}
 
@@ -215,30 +246,9 @@ func TestGridSurvivesKillAndJoinMidGrid(t *testing.T) {
 		t.Fatalf("warm grid: status %d", resp.StatusCode)
 	}
 
-	// Kill the owner outright, then re-run the grid while a fresh worker
+	// Kill the owner outright, then re-run the grid while the replacement
 	// joins mid-flight.
-	if c.OwnerAddr("tomcatv") == addrA {
-		ksA.armed.Store(true)
-	} else {
-		ksB.armed.Store(true)
-	}
-	// The replacement must not take tomcatv over when it joins: if the
-	// join lands before the grid dispatches, an owning replacement would
-	// serve every cell as primary and no failover would ever run.
-	var addrC string
-	for i := 0; addrC == ""; i++ {
-		if i == 20 {
-			t.Fatal("no replacement address that leaves tomcatv with its owner")
-		}
-		addr, _ := startWorker(t)
-		r := newRing()
-		for _, m := range append(c.WorkerAddrs(), addr) {
-			r.add(m, vnodes)
-		}
-		if r.owner("tomcatv") != addr {
-			addrC = addr
-		}
-	}
+	owner.armed.Store(true)
 	gridDone := make(chan []byte, 1)
 	go func() {
 		_, body := postJSON(t, ts.URL+"/v1/grid", req)

@@ -10,7 +10,10 @@
 // builder and hit/miss prediction in locality analysis.
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Reg names a register. Register 0 is the invalid/absent register. Before
 // register allocation registers are virtual and unbounded; after allocation
@@ -536,6 +539,60 @@ type Func struct {
 	// Allocated records that physical register numbers have been
 	// assigned (registers 1..64; see internal/regalloc).
 	Allocated bool
+}
+
+// Clone returns a deep copy of f that shares no mutable state with it:
+// blocks, instructions, memory references and successor lists are each
+// copied out of one slab, and RegClass and Arrays are copied too, since
+// register allocation appends to Arrays. Every block's Instrs and Succs
+// are capped at their length, so an append to one copies it out instead
+// of writing into its neighbour's slice.
+func (f *Func) Clone() *Func {
+	nInstrs, nMems, nSuccs := 0, 0, 0
+	for _, b := range f.Blocks {
+		nInstrs += len(b.Instrs)
+		nSuccs += len(b.Succs)
+		for _, in := range b.Instrs {
+			if in.Mem != nil {
+				nMems++
+			}
+		}
+	}
+	c := *f
+	c.RegClass = slices.Clone(f.RegClass)
+	c.Arrays = slices.Clone(f.Arrays)
+	c.Blocks = make([]*Block, len(f.Blocks))
+	blocks := make([]Block, len(f.Blocks))
+	instrs := make([]Instr, nInstrs)
+	ptrs := make([]*Instr, nInstrs)
+	mems := make([]MemRef, nMems)
+	succs := make([]int, nSuccs)
+	for i, b := range f.Blocks {
+		nb := &blocks[i]
+		*nb = *b
+		if b.Instrs != nil {
+			n := len(b.Instrs)
+			nb.Instrs, ptrs = ptrs[:n:n], ptrs[n:]
+			for j, in := range b.Instrs {
+				ni := &instrs[0]
+				instrs = instrs[1:]
+				*ni = *in
+				if in.Mem != nil {
+					ni.Mem = &mems[0]
+					mems = mems[1:]
+					*ni.Mem = *in.Mem
+				}
+				nb.Instrs[j] = ni
+			}
+		}
+		if b.Succs != nil {
+			n := len(b.Succs)
+			nb.Succs, succs = succs[:n:n], succs[n:]
+			copy(nb.Succs, b.Succs)
+		}
+		c.Blocks[i] = nb
+	}
+	return &c
 }
 
 // NewReg allocates a fresh virtual register of class c.

@@ -85,6 +85,39 @@ func (s *Stats) ObserveN(name string, v, n int64) {
 	h.buckets[i] += n
 }
 
+// Merge folds a snapshot into the registry, as if every count and
+// observation behind it had been recorded here: counters add, histogram
+// counts, sums and buckets add, and min/max widen. No-op on a nil
+// registry or a nil snapshot.
+func (s *Stats) Merge(o *Snapshot) {
+	if s == nil || o == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, v := range o.Counters {
+		s.c[k] += v
+	}
+	for k, oh := range o.Hists {
+		h := s.h[k]
+		if h == nil {
+			h = &hist{}
+			s.h[k] = h
+		}
+		if h.count == 0 || oh.Min < h.min {
+			h.min = oh.Min
+		}
+		if h.count == 0 || oh.Max > h.max {
+			h.max = oh.Max
+		}
+		h.count += oh.Count
+		h.sum += oh.Sum
+		for i, b := range oh.Buckets {
+			h.buckets[i] += b
+		}
+	}
+}
+
 // HistBuckets is the number of histogram buckets: bucket i counts
 // observations ≤ 2^i, with the final bucket absorbing overflow.
 const HistBuckets = 16

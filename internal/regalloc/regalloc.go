@@ -388,8 +388,9 @@ func blockOrder(fn *ir.Func) []int {
 	return order
 }
 
-// rewrite maps operands to physical registers and inserts restore/spill
-// code around uses and definitions of spilled virtuals.
+// rewrite maps operands to physical registers, editing fn's instructions
+// in place, and inserts restore/spill code around uses and definitions
+// of spilled virtuals.
 func rewrite(fn *ir.Func, assign []ir.Reg, spilled []bool, slotArray int, slot func(ir.Reg) int64, rep *Report) error {
 	for _, b := range fn.Blocks {
 		out := make([]*ir.Instr, 0, len(b.Instrs))
@@ -429,49 +430,49 @@ func rewrite(fn *ir.Func, assign []ir.Reg, spilled []bool, slotArray int, slot f
 				return scr
 			}
 
-			ni := *in // shallow copy; Mem shared is fine (never mutated here)
+			dst := in.Dst // the virtual destination, read before rewriting
 			dstSpilled := false
 			var dstScratch ir.Reg
 
 			// A conditional move reads its destination: restore it first
 			// so the scratch holds the old value.
-			if in.Op.IsCmov() && in.Dst != ir.NoReg && spilled[in.Dst] {
-				dstScratch = restore(in.Dst)
+			if in.Op.IsCmov() && dst != ir.NoReg && spilled[dst] {
+				dstScratch = restore(dst)
 				dstSpilled = true
 			}
 			for si, r := range in.Src {
 				switch {
 				case r == ir.NoReg:
 				case spilled[r]:
-					ni.Src[si] = restore(r)
+					in.Src[si] = restore(r)
 				default:
-					ni.Src[si] = assign[r]
+					in.Src[si] = assign[r]
 				}
 			}
-			if in.Dst != ir.NoReg {
+			if dst != ir.NoReg {
 				switch {
 				case dstSpilled:
-					ni.Dst = dstScratch
-				case spilled[in.Dst]:
+					in.Dst = dstScratch
+				case spilled[dst]:
 					if in.Op.HasDst() {
-						dstScratch = takeScratch(fn.ClassOfReg(in.Dst))
-						ni.Dst = dstScratch
+						dstScratch = takeScratch(fn.ClassOfReg(dst))
+						in.Dst = dstScratch
 						dstSpilled = true
 					}
 				default:
-					ni.Dst = assign[in.Dst]
+					in.Dst = assign[dst]
 				}
 			}
-			out = append(out, &ni)
+			out = append(out, in)
 			if dstSpilled && in.Op.HasDst() {
-				cls := fn.ClassOfReg(in.Dst)
+				cls := fn.ClassOfReg(dst)
 				op := ir.OpSt
 				if cls == ir.RegFP {
 					op = ir.OpStF
 				}
-				off := slot(in.Dst)
+				off := slot(dst)
 				out = append(out, &ir.Instr{
-					Op: op, Src: [2]ir.Reg{ni.Dst, ir.NoReg}, Imm: off, Spill: ir.SpillStore,
+					Op: op, Src: [2]ir.Reg{in.Dst, ir.NoReg}, Imm: off, Spill: ir.SpillStore,
 					Mem:  &ir.MemRef{Array: slotArray, Base: 0, Disp: off, Width: 8},
 					Home: b.ID, Seq: in.Seq,
 				})

@@ -33,9 +33,15 @@ func largestBlock(t *testing.T) (*ir.Func, *ir.Block) {
 	return res.Fn, big
 }
 
+// raceEnabled is set by race_test.go: under the race detector,
+// sync.Pool drops a random quarter of the graphs handed back to it.
+var raceEnabled bool
+
 // TestSchedulerAllocations pins the block scheduler's allocation shape
 // with observability off: weighting and scheduling a region allocate a
-// few flat tables per call, not a map, slice or closure per node.
+// few flat tables per call, not a map, slice or closure per node, and
+// building a region's DAG in the storage a released graph left behind
+// allocates nothing at all.
 func TestSchedulerAllocations(t *testing.T) {
 	fn, big := largestBlock(t)
 	g := dag.Build(big.Instrs, dag.Options{})
@@ -54,5 +60,15 @@ func TestSchedulerAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(20, c.run); got > limit {
 			t.Errorf("%s: %.0f allocs per call, want <= %d", c.name, got, limit)
 		}
+	}
+	g.Release()
+	if raceEnabled {
+		t.Log("race detector on: dag.Build's reuse is not pinned")
+		return
+	}
+	build := func() { dag.Build(big.Instrs, dag.Options{}).Release() }
+	build() // warm-up
+	if got := testing.AllocsPerRun(20, build); got != 0 {
+		t.Errorf("dag.Build+Release: %.0f allocs per call after warm-up, want 0", got)
 	}
 }

@@ -92,6 +92,7 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"unknown bench", CompileRequest{Bench: "no-such", Config: "BS"}, "no-such", "BS"},
 		{"bad config", CompileRequest{Bench: "tomcatv", Config: "XYZ"}, "tomcatv", "XYZ"},
+		{"unroll factor over the cap", CompileRequest{Bench: "tomcatv", Config: "BS+LU17"}, "tomcatv", "BS+LU17"},
 		{"bad json", "not an object", "", ""},
 	}
 	for _, tc := range cases {

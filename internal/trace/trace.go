@@ -219,6 +219,7 @@ func ScheduleBlock(fn *ir.Func, b *ir.Block, policy sched.Policy, st *obs.Stats,
 		return nil
 	}
 	g := dag.Build(b.Instrs, dag.Options{Stats: st})
+	defer g.Release()
 	sched.AssignWeights(g, policy)
 	order := sched.Schedule(g, fn.RegClass)
 	if check {
@@ -306,6 +307,7 @@ func scheduleTrace(fn *ir.Func, tr Trace, policy sched.Policy, rep *Report, st *
 		},
 	}
 	g := dag.Build(instrs, opts)
+	defer g.Release()
 	sched.AssignWeights(g, policy)
 	order := sched.Schedule(g, fn.RegClass)
 	if check {
