@@ -38,7 +38,7 @@ var tableSubset = []string{"ARC2D", "dnasa7", "DYFESM", "spice2g6"}
 
 func runSuite(b *testing.B, names []string) *exp.Suite {
 	b.Helper()
-	s, err := exp.Run(names, nil)
+	s, err := exp.RunGrid(names, exp.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func BenchmarkProfileCollection(b *testing.B) {
 // BenchmarkTableE1 regenerates the superscalar extension's headline.
 func BenchmarkTableE1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunE1(tableSubset)
+		res, err := exp.RunE1(tableSubset, exp.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -502,7 +502,7 @@ func BenchmarkTableE1(b *testing.B) {
 // BenchmarkTableE2 regenerates the policy extension's headline.
 func BenchmarkTableE2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunE2(tableSubset)
+		res, err := exp.RunE2(tableSubset, exp.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -519,7 +519,7 @@ func BenchmarkTableE2(b *testing.B) {
 func BenchmarkTableE3(b *testing.B) {
 	names := []string{"TRFD", "alvinn", "dnasa7"}
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunE3(names)
+		res, err := exp.RunE3(names, exp.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

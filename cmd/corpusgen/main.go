@@ -3,9 +3,8 @@
 // program plus a manifest.jsonl recording each program's seed and stratum
 // labels (loop depth, reuse class, ILP estimate). The corpus is a pure
 // function of (-n, -seed): rerunning corpusgen with the same flags
-// reproduces every file byte for byte, and the manifest alone is enough
-// to regenerate the programs (workload.LoadManifest), so corpora need
-// never be checked in.
+// reproduces every file byte for byte, as hlirgen.Corpus(seed, n) does
+// in memory, so corpora need never be checked in.
 //
 // Usage:
 //

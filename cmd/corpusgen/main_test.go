@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,7 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/hlir"
-	"repro/internal/workload"
+	"repro/internal/hlirgen"
 )
 
 func TestMain(m *testing.M) {
@@ -38,8 +39,9 @@ func runSelf(t *testing.T, args ...string) (int, string, string) {
 
 // TestCorpusOnDiskIsDeterministic mints the same corpus twice into two
 // directories and asserts every file — programs and manifest — is byte
-// identical, and that the manifest alone regenerates the same programs
-// via workload.LoadManifest.
+// identical, that every manifest line and every program parses, and
+// that each program's text is the one hlirgen.Corpus generates in
+// memory.
 func TestCorpusOnDiskIsDeterministic(t *testing.T) {
 	dirA := filepath.Join(t.TempDir(), "a")
 	dirB := filepath.Join(t.TempDir(), "b")
@@ -74,22 +76,34 @@ func TestCorpusOnDiskIsDeterministic(t *testing.T) {
 		}
 	}
 
-	// Every .hlir file on disk parses, and the manifest regenerates the
-	// same program text.
-	benches, items, err := workload.LoadManifest(filepath.Join(dirA, "manifest.jsonl"))
+	// The manifest names every program, each line parses, and every
+	// .hlir file on disk parses and matches the in-memory corpus.
+	manifest, err := os.ReadFile(filepath.Join(dirA, "manifest.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(benches) != 35 {
-		t.Fatalf("manifest regenerated %d benchmarks, want 35", len(benches))
+	items, err := hlirgen.Corpus(11, 35)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, it := range items {
+	lines := strings.Split(strings.TrimSuffix(string(manifest), "\n"), "\n")
+	if len(lines) != len(items) {
+		t.Fatalf("manifest has %d lines, want %d", len(lines), len(items))
+	}
+	for i, it := range items {
+		var e hlirgen.ManifestEntry
+		if err := json.Unmarshal([]byte(lines[i]), &e); err != nil {
+			t.Fatalf("manifest line %d does not parse: %v", i+1, err)
+		}
+		if e.Index != i || e.CorpusSeed != 11 || e.Name != it.Prog.Name {
+			t.Errorf("manifest line %d names %+v, want item %d of corpus 11, %s", i+1, e, i, it.Prog.Name)
+		}
 		disk, err := os.ReadFile(filepath.Join(dirA, it.Prog.Name+".hlir"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(disk) != it.Prog.String() {
-			t.Fatalf("%s: on-disk text differs from manifest regeneration", it.Prog.Name)
+			t.Fatalf("%s: on-disk text differs from hlirgen.Corpus(11, 35)", it.Prog.Name)
 		}
 		if _, err := hlir.Parse(string(disk)); err != nil {
 			t.Fatalf("%s does not parse: %v", it.Prog.Name, err)

@@ -180,7 +180,7 @@ func realMain(args []string) int {
 	if *ext && *table == 0 {
 		code := 0
 		if *jsonOut {
-			for _, f := range []func([]string, ...exp.Options) ([]exp.ExtResult, error){exp.RunE1, exp.RunE2, exp.RunE3} {
+			for _, f := range []func([]string, exp.Options) ([]exp.ExtResult, error){exp.RunE1, exp.RunE2, exp.RunE3} {
 				res, err := f(names, opt)
 				if err != nil {
 					var ge *exp.GridError
@@ -195,7 +195,7 @@ func realMain(args []string) int {
 			}
 			return commit(code)
 		}
-		for _, f := range []func([]string, ...exp.Options) (*exp.Table, error){exp.TableE1, exp.TableE2, exp.TableE3} {
+		for _, f := range []func([]string, exp.Options) (*exp.Table, error){exp.TableE1, exp.TableE2, exp.TableE3} {
 			t, err := f(names, opt)
 			if err != nil {
 				var ge *exp.GridError

@@ -97,6 +97,9 @@ func TestParseConfigRejects(t *testing.T) {
 
 		"BS+LU17",       // unroll factor above unroll.MaxFactor
 		"BS+TrS+LU1024", // unroll factor above unroll.MaxFactor
+		"BS+LU3",        // unroll factor not a power of two
+		"BS+LU6",        // unroll factor not a power of two
+		"BS+LU12",       // unroll factor not a power of two
 	}
 	for _, s := range bad {
 		if _, err := ParseConfig(s); err == nil {

@@ -63,7 +63,7 @@ type Options struct {
 	// stored) only on a miss. Profiles depend only on the configuration's
 	// transform prefix, so configurations differing solely in scheduler
 	// policy share one profiling run. The cache must be dedicated to the
-	// (program, data) pair being compiled.
+	// (program, data) pair being compiled; see ProfileCache.
 	Profiles *ProfileCache
 	// Prefixes, when non-nil, memoizes the transform prefix — locality
 	// analysis, unrolling, prefetching, lowering and LICM — so
@@ -91,7 +91,8 @@ func (o Options) err() error {
 type Config struct {
 	// Policy is the load-weight policy (traditional or balanced).
 	Policy sched.Policy
-	// Unroll is the loop unrolling factor: 0 (off), 4 or 8.
+	// Unroll is the loop unrolling factor: 0 (off) or a power of two
+	// from 2 to unroll.MaxFactor. The paper uses 4 and 8.
 	Unroll int
 	// Trace enables trace scheduling (profile-guided).
 	Trace bool
@@ -227,17 +228,17 @@ func Compile(p *hlir.Program, cfg Config, data *Data, opt Options) (*Compiled, e
 			return e, perr
 		}
 		var edges profile.Edges
-		var hit bool
 		var perr error
+		built := true
 		if opt.Profiles != nil {
-			edges, hit, perr = opt.Profiles.getOrCollect(cfg, collect)
+			edges, built, perr = opt.Profiles.get(opt.Ctx, cfg, collect)
 		} else {
 			edges, perr = collect()
 		}
 		if perr != nil {
 			return nil, fmt.Errorf("core: profiling %s: %w", p.Name, perr)
 		}
-		if hit {
+		if !built {
 			// Cache hit: the counts are for an identical CFG; only the
 			// per-block frequency annotation must be redone on this clone.
 			profile.Annotate(fn, edges)
@@ -417,9 +418,12 @@ func Reference(p *hlir.Program, data *Data) (uint64, error) {
 }
 
 // ParseConfig parses a configuration name in the tables' notation: "BS",
-// "TS", "BF" or "AUTO" optionally followed by "+LA", "+TrS" and "+LUn"
-// options in any order (e.g. "BS+LA+TrS+LU8"), where 2 ≤ n ≤
-// unroll.MaxFactor. It is the inverse of Config.Name.
+// "TS", "BF" or "AUTO" optionally followed by "+LA", "+PF", "+LICM",
+// "+TrS" and "+LUn" options in any order (e.g. "BS+LA+TrS+LU8"), where n
+// is a power of two from 2 to unroll.MaxFactor: the unroller halves a
+// factor that does not fit its instruction limit, and lowering handles
+// the remainder loop's modulus only by a power of two. It is the inverse
+// of Config.Name.
 func ParseConfig(s string) (Config, error) {
 	cfg := Config{}
 	for i, part := range strings.Split(s, "+") {
@@ -444,8 +448,8 @@ func ParseConfig(s string) (Config, error) {
 			cfg.Trace = true
 		case strings.HasPrefix(part, "LU"):
 			n, err := strconv.Atoi(part[2:])
-			if err != nil || n < 2 || n > unroll.MaxFactor {
-				return cfg, fmt.Errorf("core: bad unroll factor in %q (want 2 to %d)", s, unroll.MaxFactor)
+			if err != nil || n < 2 || n > unroll.MaxFactor || n&(n-1) != 0 {
+				return cfg, fmt.Errorf("core: bad unroll factor in %q (want a power of two from 2 to %d)", s, unroll.MaxFactor)
 			}
 			cfg.Unroll = n
 		default:

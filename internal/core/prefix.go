@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/hlir"
 	"repro/internal/ir"
@@ -24,6 +23,7 @@ type prefix struct {
 	locality   *locality.Report
 	prefetches int
 	licm       *licm.Report
+	stats      *obs.Snapshot // the build's counters; nil when lowered without a memo
 }
 
 // prefixKey identifies cfg's transform prefix: every configuration with
@@ -105,117 +105,42 @@ func (c *compilation) lowerPrefix(st *obs.Stats) (*prefix, error) {
 // compilation has, folds the build's counters into st and clones the
 // code.
 func (c *compilation) prefix(st *obs.Stats) (*prefix, *ir.Func, error) {
-	pm := c.opt.Prefixes
-	if pm == nil {
+	if c.opt.Prefixes == nil {
 		pre, err := c.lowerPrefix(st)
 		if err != nil {
 			return nil, nil, err
 		}
 		return pre, pre.fn, nil
 	}
-	var canceled <-chan struct{}
-	if c.opt.Ctx != nil {
-		canceled = c.opt.Ctx.Done()
-	}
-	key := prefixKey(c.cfg)
-	for {
-		if err := c.opt.err(); err != nil {
-			return nil, nil, fmt.Errorf("core: %s canceled before lower: %w", c.p.Name, err)
-		}
-		fl, build := pm.flight(key)
-		if build {
-			if err := pm.build(key, fl, c.lowerPrefix); err != nil {
-				return nil, nil, err
-			}
-		}
-		// The lookup, a wait on the builder included, and the clone count
-		// as lowering, as a reused timing run counts as simulation.
-		var fn *ir.Func
-		if err := c.phase("lower", &c.out.Phases.Lower, func() error {
-			select {
-			case <-fl.done:
-			case <-canceled:
-				return fmt.Errorf("core: %s canceled in lower: %w", c.p.Name, c.opt.Ctx.Err())
-			}
-			if fl.pre != nil {
-				fn = fl.pre.fn.Clone()
-			}
-			return nil
-		}); err != nil {
-			return nil, nil, err
-		}
-		if fn != nil {
-			st.Merge(fl.stats)
-			return fl.pre, fn, nil
-		}
-		// The build failed and left no entry: try again, perhaps as the
-		// builder, so no compilation inherits another's failure.
-	}
-}
-
-// PrefixMemo shares transform prefixes across the configurations of one
-// program, for one grid run. Each entry, one per transform prefix
-// (locality, unrolling, prefetching, LICM), owns the lowered function,
-// its array map, the output arrays, the transform reports and the
-// counters the build recorded. The entry's function is never scheduled:
-// every compilation clones it and schedules and allocates the clone, and
-// replays the counters into its own registry, so its results and
-// snapshot are those of a compilation that lowered afresh.
-//
-// Lookups are single-flight per key: the first compilation of a prefix
-// builds it while later ones wait, each on its own context. A build
-// completes its flight on every path — success, error, cancellation or
-// panic — and a failed build is not cached, so its waiters retry.
-//
-// A memo must not be shared across programs or across Options.Verify
-// settings: the key only encodes the configuration's transform prefix.
-// The zero value is an empty memo. Safe for concurrent use.
-type PrefixMemo struct {
-	mu sync.Mutex
-	m  map[Config]*prefixFlight
-}
-
-// prefixFlight is one in-flight (or completed) prefix build; done is
-// closed once pre and stats are final. pre stays nil when the build
-// failed.
-type prefixFlight struct {
-	done  chan struct{}
-	pre   *prefix
-	stats *obs.Snapshot
-}
-
-// flight returns key's flight, registering a new one when there is none;
-// build reports that the caller registered it and must build it.
-func (pm *PrefixMemo) flight(key Config) (fl *prefixFlight, build bool) {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	if fl, ok := pm.m[key]; ok {
-		return fl, false
-	}
-	if pm.m == nil {
-		pm.m = map[Config]*prefixFlight{}
-	}
-	fl = &prefixFlight{done: make(chan struct{})}
-	pm.m[key] = fl
-	return fl, true
-}
-
-// build runs lower for fl with a private counter registry and completes
-// the flight, even when lower panics. A failed build leaves no entry.
-func (pm *PrefixMemo) build(key Config, fl *prefixFlight, lower func(*obs.Stats) (*prefix, error)) error {
-	defer func() {
-		if fl.pre == nil {
-			pm.mu.Lock()
-			delete(pm.m, key)
-			pm.mu.Unlock()
-		}
-		close(fl.done)
-	}()
-	rec := obs.NewStats()
-	pre, err := lower(rec)
+	pre, built, err := c.opt.Prefixes.get(c.opt.Ctx, c.cfg, c.buildPrefix)
 	if err != nil {
-		return err
+		if !built {
+			err = fmt.Errorf("core: %s canceled in lower: %w", c.p.Name, err)
+		}
+		return nil, nil, err
 	}
-	fl.pre, fl.stats = pre, rec.Snapshot()
-	return nil
+	// The clone counts as lowering, as a reused timing run counts as
+	// simulation.
+	var fn *ir.Func
+	if err := c.phase("lower", &c.out.Phases.Lower, func() error {
+		fn = pre.fn.Clone()
+		return nil
+	}); err != nil {
+		return nil, nil, err
+	}
+	st.Merge(pre.stats)
+	return pre, fn, nil
+}
+
+// buildPrefix lowers the prefix for a PrefixMemo, counting into a
+// private registry whose snapshot every compilation of the prefix
+// replays.
+func (c *compilation) buildPrefix() (*prefix, error) {
+	rec := obs.NewStats()
+	pre, err := c.lowerPrefix(rec)
+	if err != nil {
+		return nil, err
+	}
+	pre.stats = rec.Snapshot()
+	return pre, nil
 }

@@ -56,17 +56,8 @@ func (cr *CellRunner) Run(ctx context.Context, bench string, cfg core.Config, op
 		ctx = context.Background()
 	}
 	r := runCellAttempts(ctx, fe, cellSpec{cfg: cfg}, pool, opt, 0)
-	res := &Result{
-		Bench:   r.bench,
-		Config:  r.cfg,
-		Metrics: r.mets[1],
-		Static:  r.static,
-		Phases:  r.phases,
-		Obs:     r.snap,
-		Err:     r.err,
-	}
 	if r.err != nil {
-		return res, r.err
+		return r.result(), r.err
 	}
-	return res, nil
+	return r.result(), nil
 }

@@ -28,8 +28,8 @@ import (
 // cells of a few milliseconds as well as per-worker queues would.
 //
 //   - The front-end pre-phase builds each live benchmark's front-end
-//     (workload build + reference interpretation + edge-profile cache)
-//     exactly once, before any cell starts.
+//     (workload build + reference interpretation) exactly once, before
+//     any cell starts.
 //   - The cell phase runs every live cell. Each worker stores its cell
 //     at the cell's queue index, so the caller finalizes in queue order
 //     after the workers join and tables are byte-identical at every
@@ -49,8 +49,9 @@ import (
 // Options.Contention set, the machine pool, front-ends and journal
 // record their waits in named wait histograms.
 //
-// The main grid (Run), the extension grids (E1/E2/E3) and the fuzzing
-// harness all execute through runGrid.
+// The main grid (RunGrid), generated corpora (RunGenerated), the
+// extension grids (E1/E2/E3) and the fuzzing harness all execute through
+// runGrid.
 //
 // The engine is fault-isolated: every cell attempt runs in its own
 // goroutine with a recover guard and an optional deadline, so a panicking
@@ -130,12 +131,12 @@ type cellSpec struct {
 	widths []int
 }
 
-// cellResult is one completed (or failed) cell.
+// cellResult is one completed (or failed) cell: its numbers, not its
+// code.
 type cellResult struct {
 	bench  string
 	cfg    core.Config
 	mets   map[int]*sim.Metrics // by issue width; nil when the cell failed
-	static *core.Compiled
 	phases core.PhaseTimes
 	snap   *obs.Snapshot // nil unless Options.Observe
 
@@ -145,23 +146,37 @@ type cellResult struct {
 	resumed          bool       // replayed from the journal, not executed
 }
 
+// result converts r to the Result a Suite or CellRunner hands out, with
+// its width-1 metrics.
+func (r *cellResult) result() *Result {
+	return &Result{
+		Bench:   r.bench,
+		Config:  r.cfg,
+		Metrics: r.mets[1],
+		Phases:  r.phases,
+		Obs:     r.snap,
+		Err:     r.err,
+	}
+}
+
 // frontEnd lazily builds one benchmark's shared state: the program, its
-// input data, the reference interpreter's checksum and the per-benchmark
-// profile cache. It is built once — by the grid's pre-phase, or by the
-// first CellRunner request for the benchmark — and every cell reads it
-// without copying. A grid's front-ends also carry the benchmark's
-// lowered code (code) and timing runs (sims) for that run; CellRunner's
-// carry neither, so a long-lived server keeps no code between requests.
+// input data and the reference interpreter's checksum. It is built once
+// — by the grid's pre-phase, or by the first CellRunner request for the
+// benchmark — and every cell reads it without copying. Its profile cache
+// lives as long as it does. A grid's front-ends also carry the
+// benchmark's lowered code (code) and timing runs (sims) for that run;
+// CellRunner's carry neither, so a long-lived server keeps no code
+// between requests.
 type frontEnd struct {
 	b        workload.Benchmark
 	code     *core.PrefixMemo
 	sims     *simMemo
+	profiles core.ProfileCache
 	once     sync.Once
 	built    atomic.Bool
 	p        *hlir.Program
 	d        *core.Data
 	want     uint64
-	profiles *core.ProfileCache
 	err      error
 }
 
@@ -170,7 +185,7 @@ type frontEnd struct {
 // still building records its wait in the "frontend" wait histogram; only
 // CellRunner requests can wait, since the grid builds every front-end
 // before its cells start.
-func (f *frontEnd) get(ob *obs.Obs) (*hlir.Program, *core.Data, uint64, *core.ProfileCache, error) {
+func (f *frontEnd) get(ob *obs.Obs) (*hlir.Program, *core.Data, uint64, error) {
 	if !f.built.Load() {
 		start := time.Now()
 		waited := true
@@ -179,7 +194,6 @@ func (f *frontEnd) get(ob *obs.Obs) (*hlir.Program, *core.Data, uint64, *core.Pr
 			sp := ob.Begin("frontend", "exp").Arg("bench", f.b.Name)
 			defer sp.End()
 			f.p, f.d = f.b.Build()
-			f.profiles = core.NewProfileCache()
 			f.want, f.err = core.Reference(f.p, f.d)
 			if f.err != nil {
 				f.err = fmt.Errorf("exp: %s reference: %w", f.b.Name, f.err)
@@ -190,7 +204,7 @@ func (f *frontEnd) get(ob *obs.Obs) (*hlir.Program, *core.Data, uint64, *core.Pr
 			ob.Wait("frontend").Observe(time.Since(start))
 		}
 	}
-	return f.p, f.d, f.want, f.profiles, f.err
+	return f.p, f.d, f.want, f.err
 }
 
 // phaseTracker names the pipeline stage a cell attempt is in, readable
@@ -222,7 +236,7 @@ func (p *phaseTracker) name() string { return phaseNames[p.v.Load()] }
 // identical code reuses it, and every verified fresh run is stored there.
 func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, ob *obs.Obs, opt Options, ph *phaseTracker) (*cellResult, error) {
 	ph.set(phaseFrontend)
-	p, d, want, profiles, err := fe.get(ob)
+	p, d, want, err := fe.get(ob)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +257,7 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, o
 	}
 	ph.set(phaseCompile)
 	c, err := core.Compile(p, spec.cfg, d, core.Options{
-		Verify: opt.Verify, Ctx: ctx, Pool: pool, Profiles: profiles, Prefixes: fe.code, Obs: ob,
+		Verify: opt.Verify, Ctx: ctx, Pool: pool, Profiles: &fe.profiles, Prefixes: fe.code, Obs: ob,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s %s: %w", fe.b.Name, spec.cfg.Name(), err)
@@ -256,7 +270,6 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, o
 		bench:  fe.b.Name,
 		cfg:    spec.cfg,
 		mets:   make(map[int]*sim.Metrics, len(widths)),
-		static: c,
 		phases: c.Phases,
 	}
 	for _, w := range widths {
@@ -632,28 +645,23 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 
 // RunGrid runs the paper's full 16-configuration grid over the named
 // benchmarks (all seventeen when names is empty) on the cell-parallel
-// engine.
+// engine. When the grid completes degraded the returned error is a
+// *GridError and the Suite is still valid for every healthy cell.
 func RunGrid(names []string, opt Options) (*Suite, error) {
 	benches, err := pick(names)
 	if err != nil {
 		return nil, err
 	}
-	return RunBenchmarks(benches, opt)
-}
-
-// RunBenchmarks is RunGrid for pre-resolved benchmarks — including
-// synthetic ones (e.g. the fuzzing harness wraps random programs in
-// ad-hoc workload.Benchmark values and pushes them through the same
-// engine and oracle as the paper grid). When the grid completes degraded
-// the returned error is a *GridError and the Suite is still valid for
-// every healthy cell.
-func RunBenchmarks(benches []workload.Benchmark, opt Options) (*Suite, error) {
 	return RunBenchmarksConfigs(benches, Cells(), opt)
 }
 
-// RunBenchmarksConfigs is RunBenchmarks over an explicit configuration
-// set instead of the paper's 16-cell grid — the entry point for generated
-// corpora, whose statistics mode trades grid width for corpus size.
+// RunBenchmarksConfigs runs an explicit configuration set over
+// pre-resolved benchmarks, synthetic ones included: generated corpora,
+// whose statistics mode trades grid width for corpus size, and the
+// fuzzing harness, which wraps random programs in ad-hoc
+// workload.Benchmark values and pushes them through the same engine and
+// oracle as the paper grid. A degraded run returns a *GridError next to
+// a Suite that is valid for every healthy cell.
 func RunBenchmarksConfigs(benches []workload.Benchmark, cfgs []core.Config, opt Options) (*Suite, error) {
 	s := &Suite{results: map[string]map[string]*Result{}}
 	for _, b := range benches {
@@ -666,15 +674,7 @@ func RunBenchmarksConfigs(benches []workload.Benchmark, cfgs []core.Config, opt 
 	}
 	eng := obs.NewStats()
 	err := runGrid(benches, specs, opt, eng, func(r cellResult) {
-		s.results[r.bench][r.cfg.Name()] = &Result{
-			Bench:   r.bench,
-			Config:  r.cfg,
-			Metrics: r.mets[1],
-			Static:  r.static,
-			Phases:  r.phases,
-			Obs:     r.snap,
-			Err:     r.err,
-		}
+		s.results[r.bench][r.cfg.Name()] = r.result()
 	})
 	if snap := eng.Snapshot(); len(snap.Counters) > 0 {
 		s.engine = snap

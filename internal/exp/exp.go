@@ -51,7 +51,9 @@ func Cells() []core.Config {
 	}
 }
 
-// Result is the outcome of one (benchmark, configuration) cell.
+// Result is the outcome of one (benchmark, configuration) cell: its
+// numbers, not its code. A grid run's compiled code lives only as long
+// as the run (its timing-run memo, memo.go, holds it until then).
 type Result struct {
 	// Bench is the benchmark name.
 	Bench string
@@ -59,8 +61,6 @@ type Result struct {
 	Config core.Config
 	// Metrics are the simulation measurements.
 	Metrics *sim.Metrics
-	// Static carries compile-time phase reports.
-	Static *core.Compiled
 	// Phases records the cell's wall-clock per pipeline phase, including
 	// simulation.
 	Phases core.PhaseTimes
@@ -126,27 +126,6 @@ func (s *Suite) metrics(bench string, cfg core.Config) (*sim.Metrics, bool) {
 		return nil, false
 	}
 	return r.Metrics, true
-}
-
-// Run executes the whole grid for the given benchmarks (all benchmarks
-// when names is empty) on the cell-parallel engine with default options.
-// Progress, when non-nil, receives one line per completed benchmark (the
-// engine's per-cell progress, folded; use RunGrid with Options.Progress
-// for cell granularity).
-func Run(names []string, progress func(string)) (*Suite, error) {
-	var opt Options
-	if progress != nil {
-		cells := len(Cells())
-		perBench := map[string]int{}
-		// Progress calls are serialized by the engine.
-		opt.Progress = func(done, total int, bench, config string) {
-			perBench[bench]++
-			if perBench[bench] == cells {
-				progress(bench)
-			}
-		}
-	}
-	return RunGrid(names, opt)
 }
 
 // speedup returns base/new cycle ratio (>1 means new is faster).

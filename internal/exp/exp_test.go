@@ -78,7 +78,7 @@ func TestRunFillsGridAndVerifiesOutputs(t *testing.T) {
 }
 
 func TestRunRejectsUnknownBenchmark(t *testing.T) {
-	if _, err := Run([]string{"nope"}, nil); err == nil {
+	if _, err := RunGrid([]string{"nope"}, Options{}); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 }
@@ -174,21 +174,21 @@ func TestHelpers(t *testing.T) {
 }
 
 func TestExtensionTables(t *testing.T) {
-	e1, err := TableE1(subset)
+	e1, err := TableE1(subset, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(e1.Rows) != len(subset)+1 {
 		t.Errorf("E1 has %d rows, want %d", len(e1.Rows), len(subset)+1)
 	}
-	e2, err := TableE2(subset)
+	e2, err := TableE2(subset, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(e2.Rows) != len(subset)+1 {
 		t.Errorf("E2 has %d rows, want %d", len(e2.Rows), len(subset)+1)
 	}
-	e3, err := TableE3(subset)
+	e3, err := TableE3(subset, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,13 +204,13 @@ func TestExtensionTables(t *testing.T) {
 }
 
 func TestExtensionRejectsUnknownBenchmark(t *testing.T) {
-	if _, err := RunE1([]string{"nope"}); err == nil {
+	if _, err := RunE1([]string{"nope"}, Options{}); err == nil {
 		t.Error("E1 accepted unknown benchmark")
 	}
-	if _, err := RunE2([]string{"nope"}); err == nil {
+	if _, err := RunE2([]string{"nope"}, Options{}); err == nil {
 		t.Error("E2 accepted unknown benchmark")
 	}
-	if _, err := RunE3([]string{"nope"}); err == nil {
+	if _, err := RunE3([]string{"nope"}, Options{}); err == nil {
 		t.Error("E3 accepted unknown benchmark")
 	}
 }
@@ -437,7 +437,7 @@ func TestRunAbortsOnFailingCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunBenchmarks([]workload.Benchmark{ok, bad}, Options{Jobs: 8}); err == nil {
+	if _, err := RunBenchmarksConfigs([]workload.Benchmark{ok, bad}, Cells(), Options{Jobs: 8}); err == nil {
 		t.Fatal("failing benchmark did not fail the run")
 	}
 }

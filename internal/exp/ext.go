@@ -69,28 +69,21 @@ func widthKey(cfg core.Config, width int) string {
 	return fmt.Sprintf("%s/w%d", cfg.Name(), width)
 }
 
-func extOpt(opt []Options) Options {
-	if len(opt) > 0 {
-		return opt[0]
-	}
-	return Options{}
-}
-
 // RunE1 measures balanced vs traditional scheduling (with unrolling by 4)
 // at issue widths 1, 2 and 4 for the named benchmarks (all when empty).
-func RunE1(names []string, opt ...Options) ([]ExtResult, error) {
+func RunE1(names []string, opt Options) ([]ExtResult, error) {
 	specs := []cellSpec{
 		{cfg: core.Config{Policy: sched.Traditional, Unroll: 4}, widths: []int{1, 2, 4}},
 		{cfg: core.Config{Policy: sched.Balanced, Unroll: 4}, widths: []int{1, 2, 4}},
 	}
-	return runExt(names, specs, widthKey, extOpt(opt))
+	return runExt(names, specs, widthKey, opt)
 }
 
 // TableE1 renders E1: the BS-over-TS speedup at each issue width. The
 // paper's hypothesis is that wider issue, which needs more ILP, should
 // favour the scheduler that manages ILP explicitly.
-func TableE1(names []string, opt ...Options) (*Table, error) {
-	results, err := RunE1(names, opt...)
+func TableE1(names []string, opt Options) (*Table, error) {
+	results, err := RunE1(names, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -119,17 +112,17 @@ func TableE1(names []string, opt ...Options) (*Table, error) {
 
 // RunE2 measures the four scheduler policies (traditional, balanced,
 // balanced-fixed, auto) with unrolling by 4 on the named benchmarks.
-func RunE2(names []string, opt ...Options) ([]ExtResult, error) {
+func RunE2(names []string, opt Options) ([]ExtResult, error) {
 	var specs []cellSpec
 	for _, policy := range []sched.Policy{sched.Traditional, sched.Balanced, sched.BalancedFixed, sched.Auto} {
 		specs = append(specs, cellSpec{cfg: core.Config{Policy: policy, Unroll: 4}})
 	}
-	return runExt(names, specs, func(cfg core.Config, _ int) string { return cfg.Name() }, extOpt(opt))
+	return runExt(names, specs, func(cfg core.Config, _ int) string { return cfg.Name() }, opt)
 }
 
 // TableE2 renders E2: each policy's speedup over traditional scheduling.
-func TableE2(names []string, opt ...Options) (*Table, error) {
-	results, err := RunE2(names, opt...)
+func TableE2(names []string, opt Options) (*Table, error) {
+	results, err := RunE2(names, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -177,17 +170,17 @@ func pick(names []string) ([]workload.Benchmark, error) {
 // BS+LA+LU4, at issue widths 1 and 2: on the single-issue machine the
 // hint instructions compete for the only issue slot, so the benefit
 // appears once a second slot exists.
-func RunE3(names []string, opt ...Options) ([]ExtResult, error) {
+func RunE3(names []string, opt Options) ([]ExtResult, error) {
 	specs := []cellSpec{
 		{cfg: core.Config{Policy: sched.Balanced, Locality: true, Unroll: 4}, widths: []int{1, 2}},
 		{cfg: core.Config{Policy: sched.Balanced, Locality: true, Prefetch: true, Unroll: 4}, widths: []int{1, 2}},
 	}
-	return runExt(names, specs, widthKey, extOpt(opt))
+	return runExt(names, specs, widthKey, opt)
 }
 
 // TableE3 renders E3: the speedup from adding prefetching at each width.
-func TableE3(names []string, opt ...Options) (*Table, error) {
-	results, err := RunE3(names, opt...)
+func TableE3(names []string, opt Options) (*Table, error) {
+	results, err := RunE3(names, opt)
 	if err != nil {
 		return nil, err
 	}

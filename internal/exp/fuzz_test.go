@@ -32,7 +32,7 @@ func TestFuzzGridParallel(t *testing.T) {
 	}
 	// More workers than cells-per-benchmark so cells of one benchmark
 	// race to share its front-end.
-	s, err := RunBenchmarks(benches, Options{Jobs: 24, Verify: true})
+	s, err := RunBenchmarksConfigs(benches, Cells(), Options{Jobs: 24, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,11 @@ import (
 //
 // The map key is the code's sim.Fingerprint plus the issue width, and
 // every hit is confirmed field by field against the first cell's
-// Compiled (core.SameExecution), never by the hash alone. The Suite
-// keeps every cell's Compiled anyway, so the memo holds no second copy
-// of any code. Only runs that succeeded and passed the checksum oracle
-// are stored: an error, a cancellation or a timeout leaves no entry.
+// Compiled (core.SameExecution), never by the hash alone. The memo is
+// the only holder of a run's final code: a cell's result keeps its
+// numbers, and each stored run keeps its Compiled until the run ends.
+// Only runs that succeeded and passed the checksum oracle are stored: an
+// error, a cancellation or a timeout leaves no entry.
 // There is no single-flight: at Jobs > 1 two identical cells may both
 // simulate, and their results are identical.
 //

@@ -4,8 +4,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -44,8 +46,9 @@ func compilerView(s *obs.Snapshot) obs.Snapshot {
 }
 
 // freshCompile compiles one cell the way CellRunner does — lowering
-// afresh, with no memo — and returns the result and its compiler view.
-func freshCompile(t *testing.T, b workload.Benchmark, cfg core.Config) (*core.Compiled, obs.Snapshot) {
+// afresh, with no memo — and returns the result, the data it executes
+// on and its compiler view.
+func freshCompile(t *testing.T, b workload.Benchmark, cfg core.Config) (*core.Compiled, *core.Data, obs.Snapshot) {
 	t.Helper()
 	p, d := b.Build()
 	st := obs.NewStats()
@@ -53,7 +56,7 @@ func freshCompile(t *testing.T, b workload.Benchmark, cfg core.Config) (*core.Co
 	if err != nil {
 		t.Fatalf("%s %s: %v", b.Name, cfg.Name(), err)
 	}
-	return c, compilerView(st.Snapshot())
+	return c, d, compilerView(st.Snapshot())
 }
 
 // TestPrefixMemoCountersMatchFreshCompile runs verified, observed grids
@@ -83,7 +86,7 @@ func TestPrefixMemoCountersMatchFreshCompile(t *testing.T) {
 	want := map[cell]obs.Snapshot{}
 	for _, b := range benches {
 		for _, cfg := range cfgs {
-			_, want[cell{b.Name, cfg.Name()}] = freshCompile(t, b, cfg)
+			_, _, want[cell{b.Name, cfg.Name()}] = freshCompile(t, b, cfg)
 		}
 	}
 	for _, jobs := range []int{1, 4} {
@@ -118,10 +121,10 @@ func TestPrefixMemoCountersMatchFreshCompile(t *testing.T) {
 
 // TestPrefixSharingGrid runs all sixteen paper configurations of one
 // benchmark from one front-end at Jobs:8, so policy siblings share their
-// prefix's build while others wait on it. Every cell's code must equal a
-// fresh compile's, its compiler counters too, and no two cells may share
-// a block, an instruction or a memory reference: each schedules and
-// allocates its own copy.
+// prefix's build and trace siblings their profile while others wait on
+// them. Every cell's compiler counters and metrics must equal those of a
+// fresh compile and execution. (core's TestPrefixSharingPaperConfigs
+// checks that each such compilation has its own copy of the code.)
 func TestPrefixSharingGrid(t *testing.T) {
 	b, err := workload.ByName("tomcatv")
 	if err != nil {
@@ -131,49 +134,70 @@ func TestPrefixSharingGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := map[any]string{}
-	claim := func(ptr any, cfg string) {
-		if prev, ok := owner[ptr]; ok {
-			t.Fatalf("%s and %s share code", prev, cfg)
-		}
-		owner[ptr] = cfg
-	}
 	for _, cfg := range Cells() {
 		r := s.Get(b.Name, cfg)
-		fresh, view := freshCompile(t, b, cfg)
-		// The arrays are the front-end's, which the fresh compile built
-		// anew: compare the code and the outputs' shape, not identities.
-		if !sameCode(r.Static, fresh) {
-			t.Errorf("%s: code differs from a fresh compile's", cfg.Name())
-		}
+		fresh, d, view := freshCompile(t, b, cfg)
 		if got := compilerView(r.Obs); !reflect.DeepEqual(got, view) {
 			t.Errorf("%s: compiler counters differ from a fresh compile's:\n got %+v\nwant %+v", cfg.Name(), got, view)
 		}
-		for _, blk := range r.Static.Fn.Blocks {
-			claim(blk, cfg.Name())
-			for _, in := range blk.Instrs {
-				claim(in, cfg.Name())
-				if in.Mem != nil {
-					claim(in.Mem, cfg.Name())
-				}
-			}
+		met, _, err := core.Execute(fresh, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *r.Metrics != *met {
+			t.Errorf("%s: metrics differ from a fresh compile's:\n got %+v\nwant %+v", cfg.Name(), r.Metrics, met)
 		}
 	}
 }
 
-// sameCode reports whether two compilations of separately built copies
-// of one benchmark produced the same code over the same array layout.
-func sameCode(a, b *core.Compiled) bool {
-	if !reflect.DeepEqual(a.Fn.Blocks, b.Fn.Blocks) || a.Fn.NumRegs != b.Fn.NumRegs ||
-		!reflect.DeepEqual(a.Fn.Arrays, b.Fn.Arrays) || len(a.Outputs) != len(b.Outputs) {
-		return false
+// TestProfileSharingGridSurvivesPanic panics the profile walk of the
+// first trace cell of a Jobs:1 tomcatv grid. The cell's retry and its
+// trace siblings must collect or share a fresh profile: the grid
+// completes with no failed cell, and the panic is counted and retried.
+func TestProfileSharingGridSurvivesPanic(t *testing.T) {
+	b, err := workload.ByName("tomcatv")
+	if err != nil {
+		t.Fatal(err)
 	}
-	ids := func(c *core.Compiled) []int {
-		var out []int
-		for _, arr := range c.Outputs {
-			out = append(out, c.ArrayID[arr])
+	// At Jobs:1 cells run in Cells() order, and every cell before the
+	// first trace cell hits sim/run once, for its timing run (or the
+	// reused run standing in for it); the next hit is the profile walk.
+	walk := uint64(1)
+	for _, cfg := range Cells() {
+		if cfg.Trace {
+			break
 		}
-		return out
+		walk++
 	}
-	return reflect.DeepEqual(ids(a), ids(b))
+	faultinject.Enable(faultinject.NewPlan(1, faultinject.Rule{
+		Site: "sim/run", Key: "tomcatv", Mode: faultinject.ModePanic, OnHit: walk,
+	}))
+	defer faultinject.Disable()
+	type outcome struct {
+		s   *Suite
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		s, err := RunBenchmarksConfigs([]workload.Benchmark{b}, Cells(), Options{Jobs: 1})
+		done <- outcome{s, err}
+	}()
+	var o outcome
+	select {
+	case o = <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("grid still running after 60s: a cell is blocked on the panicked profile walk")
+	}
+	if o.err != nil {
+		t.Fatalf("grid degraded: %v", o.err)
+	}
+	eng := o.s.MergedObs()
+	if eng == nil || eng.Counters["exp/cell_panics"] != 1 || eng.Counters["exp/cell_retries"] != 1 {
+		t.Errorf("engine counters %v, want one cell panic and one retry", eng)
+	}
+	for _, cfg := range Cells() {
+		if r := o.s.Get(b.Name, cfg); r == nil || r.Err != nil || r.Metrics == nil {
+			t.Errorf("%s: no healthy result", cfg.Name())
+		}
+	}
 }

@@ -1,11 +1,9 @@
 package hlirgen
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/hlir"
@@ -13,10 +11,9 @@ import (
 
 // The corpus layer turns the generator into a reproducible benchmark
 // suite: CorpusItem(seed, index) is a pure function, so a corpus is fully
-// described by its seed and size. The manifest format records exactly
-// that (plus per-item labels for stratified analysis), which keeps
-// checked-in corpora tiny — programs are regenerated from seeds, never
-// stored.
+// described by its seed and size, and Corpus(seed, n) regenerates it.
+// The manifest format records exactly that, plus per-item labels for
+// stratified analysis, so corpora need never be checked in.
 
 // Item is one generated corpus entry.
 type Item struct {
@@ -130,9 +127,9 @@ func mix(seed, index uint64) uint64 {
 	return r.next()
 }
 
-// ManifestEntry is one line of a corpus manifest. A manifest plus the
-// generator code reproduces the corpus exactly; programs are regenerated
-// from CorpusSeed and Index, not parsed back from disk.
+// ManifestEntry is one line of a corpus manifest: it names an item's
+// CorpusSeed and Index, from which CorpusItem regenerates it exactly,
+// and its labels.
 type ManifestEntry struct {
 	Index      int     `json:"index"`
 	CorpusSeed uint64  `json:"corpus_seed"`
@@ -163,44 +160,4 @@ func EncodeManifest(corpusSeed uint64, items []Item) []byte {
 		buf.WriteByte('\n')
 	}
 	return buf.Bytes()
-}
-
-// DecodeManifest parses JSONL manifest bytes.
-func DecodeManifest(data []byte) ([]ManifestEntry, error) {
-	var out []ManifestEntry
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var e ManifestEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			return nil, fmt.Errorf("hlirgen: bad manifest line %d: %w", len(out)+1, err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Regenerate rebuilds the corpus items a manifest describes, checking
-// that each regenerated program still matches its recorded name.
-func Regenerate(entries []ManifestEntry) ([]Item, error) {
-	items := make([]Item, 0, len(entries))
-	for _, e := range entries {
-		it, err := CorpusItem(e.CorpusSeed, e.Index)
-		if err != nil {
-			return nil, err
-		}
-		if it.Prog.Name != e.Name {
-			return nil, fmt.Errorf("hlirgen: manifest entry %d regenerated as %q, recorded as %q (generator drift?)",
-				e.Index, it.Prog.Name, e.Name)
-		}
-		items = append(items, it)
-	}
-	return items, nil
 }

@@ -110,8 +110,8 @@ func TestPrintParseRoundTrip(t *testing.T) {
 
 // TestCorpusDeterministicAndStratified pins the corpus contract: same
 // (seed, n) gives a byte-identical manifest, items visit every stratum
-// combination round-robin, and manifests regenerate into the same
-// programs.
+// combination round-robin, and each item regenerates alone from its
+// corpus seed and index, as a manifest line names it.
 func TestCorpusDeterministicAndStratified(t *testing.T) {
 	const n = 60
 	items, err := Corpus(42, n)
@@ -142,21 +142,13 @@ func TestCorpusDeterministicAndStratified(t *testing.T) {
 		t.Fatalf("first %d items cover %d parameter combos, want %d", strataCombos, len(combos), strataCombos)
 	}
 
-	// Manifest round-trip: decode + regenerate reproduces the programs.
-	entries, err := DecodeManifest(m1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != n {
-		t.Fatalf("decoded %d entries, want %d", len(entries), n)
-	}
-	regen, err := Regenerate(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range regen {
-		if regen[i].Prog.String() != items[i].Prog.String() {
-			t.Fatalf("regenerated item %d differs from original", i)
+	for i, it := range items {
+		alone, err := CorpusItem(42, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alone.Prog.String() != it.Prog.String() {
+			t.Fatalf("item %d regenerated alone differs from the corpus's", i)
 		}
 	}
 }

@@ -93,6 +93,11 @@ func TestBadRequests(t *testing.T) {
 		{"unknown bench", CompileRequest{Bench: "no-such", Config: "BS"}, "no-such", "BS"},
 		{"bad config", CompileRequest{Bench: "tomcatv", Config: "XYZ"}, "tomcatv", "XYZ"},
 		{"unroll factor over the cap", CompileRequest{Bench: "tomcatv", Config: "BS+LU17"}, "tomcatv", "BS+LU17"},
+		// Three requests, the default breaker threshold: were they
+		// pipeline faults, they would open tomcatv's breaker.
+		{"unroll factor 3", CompileRequest{Bench: "tomcatv", Config: "BS+LU3"}, "tomcatv", "BS+LU3"},
+		{"unroll factor 6", CompileRequest{Bench: "tomcatv", Config: "TS+LU6"}, "tomcatv", "TS+LU6"},
+		{"unroll factor 12", CompileRequest{Bench: "tomcatv", Config: "BS+TrS+LU12"}, "tomcatv", "BS+TrS+LU12"},
 		{"bad json", "not an object", "", ""},
 	}
 	for _, tc := range cases {
@@ -108,6 +113,13 @@ func TestBadRequests(t *testing.T) {
 		if e.Bench != tc.bench || e.Config != tc.config {
 			t.Errorf("%s: body names cell %q/%q, want %q/%q", tc.name, e.Bench, e.Config, tc.bench, tc.config)
 		}
+	}
+
+	if n := counters(s)["server/faults"]; n != 0 {
+		t.Errorf("bad requests counted %d pipeline faults, want 0", n)
+	}
+	if st := s.brk.states()["tomcatv"]; st != BreakerClosed {
+		t.Errorf("tomcatv breaker %s after bad requests, want closed", BreakerStateName(st))
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/compile")
@@ -139,6 +151,30 @@ func TestBadRequests(t *testing.T) {
 	}
 	if n := s.cache.Len(); n != 0 {
 		t.Errorf("%d cells computed for rejected requests, want 0", n)
+	}
+}
+
+// TestProfileSharingPanicRecovers panics the profile walk of a tomcatv
+// BS+TrS request (its first sim/run hit). The request's retry must
+// collect a fresh profile and answer 200 within its deadline, and a
+// trace sibling that needs the same profile must be served too.
+func TestProfileSharingPanicRecovers(t *testing.T) {
+	faultinject.Enable(faultinject.NewPlan(1, faultinject.Rule{
+		Site: "sim/run", Key: "tomcatv", Mode: faultinject.ModePanic, OnHit: 1,
+	}))
+	defer faultinject.Disable()
+	s, ts := newTestServer(t, Config{})
+	resp, body := post(t, ts.URL+"/v1/compile", CompileRequest{Bench: "tomcatv", Config: "BS+TrS", DeadlineMS: 20000})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("BS+TrS after a panicked profile walk: status %d, want 200 (body %s)", resp.StatusCode, body)
+	}
+	faultinject.Disable()
+	resp, body = post(t, ts.URL+"/v1/compile", CompileRequest{Bench: "tomcatv", Config: "TS+TrS", DeadlineMS: 20000})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("TS+TrS: status %d, want 200 (body %s)", resp.StatusCode, body)
+	}
+	if n := counters(s)["server/faults"]; n != 0 {
+		t.Errorf("%d pipeline faults counted, want 0: the panicked attempt was retried", n)
 	}
 }
 

@@ -504,15 +504,6 @@ func scheduleTrace(fn *ir.Func, tr Trace, policy sched.Policy, rep *Report, st *
 	return nil
 }
 
-func indexOf(instrs []*ir.Instr, in *ir.Instr) int {
-	for i, x := range instrs {
-		if x == in {
-			return i
-		}
-	}
-	return -1
-}
-
 // normalizeBranches rewrites interior trace blocks so the on-trace
 // successor is always the fall-through: conditional branches whose taken
 // edge continues the trace are inverted, and degenerate conditionals with

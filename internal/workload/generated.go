@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/hlir"
@@ -13,17 +12,6 @@ import (
 // interface, so the experiment grid runs seeded program populations
 // through exactly the same engine, oracle and table machinery as the
 // seventeen hand-built analogs.
-
-// Generated mints the first n items of the corpus identified by seed and
-// wraps them as benchmarks. The same (n, seed) always yields the same
-// programs, byte for byte.
-func Generated(n int, seed uint64) ([]Benchmark, []hlirgen.Item, error) {
-	items, err := hlirgen.Corpus(seed, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	return FromItems(items), items, nil
-}
 
 // FromItems wraps corpus items as benchmarks. Build returns the item's
 // already-generated program and data: the engine treats both as
@@ -41,22 +29,4 @@ func FromItems(items []hlirgen.Item) []Benchmark {
 		}
 	}
 	return benches
-}
-
-// LoadManifest reads a corpus manifest (JSONL, written by cmd/corpusgen)
-// and regenerates its benchmarks from the recorded seeds.
-func LoadManifest(path string) ([]Benchmark, []hlirgen.Item, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	entries, err := hlirgen.DecodeManifest(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	items, err := hlirgen.Regenerate(entries)
-	if err != nil {
-		return nil, nil, err
-	}
-	return FromItems(items), items, nil
 }
