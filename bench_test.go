@@ -485,32 +485,30 @@ func BenchmarkProfileCollection(b *testing.B) {
 // BenchmarkTableE1 regenerates the superscalar extension's headline.
 func BenchmarkTableE1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunE1(tableSubset, exp.Options{})
+		s, err := exp.RunExt(tableSubset, exp.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		var w1, w4 float64
-		for _, r := range res {
-			w1 += float64(r.Cycles["TS+LU4/w1"]) / float64(r.Cycles["BS+LU4/w1"])
-			w4 += float64(r.Cycles["TS+LU4/w4"]) / float64(r.Cycles["BS+LU4/w4"])
+		for _, n := range tableSubset {
+			ts, bs := s.Get(n, tsLU4), s.Get(n, bsLU4)
+			w1 += float64(ts.Metrics.Cycles) / float64(bs.Metrics.Cycles)
+			w4 += float64(ts.Wide[4].Cycles) / float64(bs.Wide[4].Cycles)
 		}
-		b.ReportMetric(w1/float64(len(res)), "BSvsTS-w1")
-		b.ReportMetric(w4/float64(len(res)), "BSvsTS-w4")
+		b.ReportMetric(w1/float64(len(tableSubset)), "BSvsTS-w1")
+		b.ReportMetric(w4/float64(len(tableSubset)), "BSvsTS-w4")
 	}
 }
 
 // BenchmarkTableE2 regenerates the policy extension's headline.
 func BenchmarkTableE2(b *testing.B) {
+	autoLU4 := core.Config{Policy: sched.Auto, Unroll: 4}
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunE2(tableSubset, exp.Options{})
+		s, err := exp.RunExt(tableSubset, exp.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		var auto float64
-		for _, r := range res {
-			auto += float64(r.Cycles["TS+LU4"]) / float64(r.Cycles["AUTO+LU4"])
-		}
-		b.ReportMetric(auto/float64(len(res)), "AUTOvsTS")
+		b.ReportMetric(avgSpeedup(s, tableSubset, tsLU4, autoLU4), "AUTOvsTS")
 	}
 }
 
@@ -518,16 +516,14 @@ func BenchmarkTableE2(b *testing.B) {
 // benchmarks with prefetchable streams.
 func BenchmarkTableE3(b *testing.B) {
 	names := []string{"TRFD", "alvinn", "dnasa7"}
+	bsLA4 := core.Config{Policy: sched.Balanced, Locality: true, Unroll: 4}
+	bsLAPF4 := core.Config{Policy: sched.Balanced, Locality: true, Prefetch: true, Unroll: 4}
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunE3(names, exp.Options{})
+		s, err := exp.RunExt(names, exp.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		var sp float64
-		for _, r := range res {
-			sp += float64(r.Cycles["BS+LA+LU4/w1"]) / float64(r.Cycles["BS+LA+PF+LU4/w1"])
-		}
-		b.ReportMetric(sp/float64(len(res)), "PF-speedup")
+		b.ReportMetric(avgSpeedup(s, names, bsLA4, bsLAPF4), "PF-speedup")
 	}
 }
 

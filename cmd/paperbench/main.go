@@ -9,15 +9,17 @@
 //
 // Usage:
 //
-//	paperbench [-table N] [-bench name,name,...] [-jobs N] [-json] [-v]
+//	paperbench [-table N | -ext] [-bench name,name,...] [-jobs N] [-json] [-v]
 //	           [-verify] [-cell-timeout d] [-journal cells.jsonl] [-resume]
 //	           [-out file] [-tracefile out.json] [-metrics out.txt]
 //	           [-cpuprofile out.pb.gz] [-memprofile out.pb.gz] [-gotrace out.trace]
 //
-// With no flags it prints every table (1-9). -jobs bounds concurrent
-// cells (default GOMAXPROCS); -json emits the raw grid — per-cell metrics,
-// phase timings and observability counters — instead of rendered tables;
-// -v streams live cells-done/total progress to stderr.
+// With no flags it prints every table (1-9); -ext prints the extension
+// tables E1-E3 instead, from one run of their union grid. -jobs bounds
+// concurrent cells (default GOMAXPROCS); -json emits the raw grid —
+// per-cell metrics at every simulated issue width, plus observability
+// counters — instead of rendered tables; -v streams live
+// cells-done/total progress to stderr.
 //
 // Robustness: -verify runs the internal/verify invariant checkers (IR,
 // DAG, schedule, register allocation) between every compile phase of
@@ -78,11 +80,11 @@ func realMain(args []string) int {
 	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
 	table := fs.Int("table", 0, "print only table N (1-9); 0 = all")
 	benchList := fs.String("bench", "", "comma-separated benchmark subset (default: all 17)")
-	ext := fs.Bool("ext", false, "also run the extension experiments (E1 superscalar, E2 policies, E3 prefetching)")
+	ext := fs.Bool("ext", false, "run the extension grid and print its tables (E1 superscalar, E2 policies, E3 prefetching) instead of the paper's")
 	genN := fs.Int("gen", 0, "run the reduced grid over N generated programs (internal/hlirgen) and print per-stratum statistics instead of the paper tables")
 	genSeed := fs.Uint64("genseed", 1, "corpus seed for -gen; the same (N, seed) reproduces the same corpus and table byte for byte")
 	jobs := fs.Int("jobs", 0, "max concurrently executing grid cells (0 = GOMAXPROCS)")
-	jsonOut := fs.Bool("json", false, "emit machine-readable JSON (per-cell metrics, phase timings + counters) instead of tables")
+	jsonOut := fs.Bool("json", false, "emit machine-readable JSON (per-cell metrics + counters) instead of tables")
 	verbose := fs.Bool("v", false, "print live per-cell progress")
 	verifyFlag := fs.Bool("verify", false, "run structural invariant verifiers between every compile phase")
 	cellTimeout := fs.Duration("cell-timeout", 0, "wall-clock bound per grid cell (0 = none)")
@@ -177,37 +179,9 @@ func realMain(args []string) int {
 		return commit(runGenerated(w, *genN, *genSeed, opt, *verbose, start))
 	}
 
-	if *ext && *table == 0 {
-		code := 0
-		if *jsonOut {
-			for _, f := range []func([]string, exp.Options) ([]exp.ExtResult, error){exp.RunE1, exp.RunE2, exp.RunE3} {
-				res, err := f(names, opt)
-				if err != nil {
-					var ge *exp.GridError
-					if !errors.As(err, &ge) {
-						return fail(err)
-					}
-					code = maxCode(code, reportDegraded(ge))
-				}
-				if err := exp.WriteExtJSON(w, res); err != nil {
-					return fail(err)
-				}
-			}
-			return commit(code)
-		}
-		for _, f := range []func([]string, exp.Options) (*exp.Table, error){exp.TableE1, exp.TableE2, exp.TableE3} {
-			t, err := f(names, opt)
-			if err != nil {
-				var ge *exp.GridError
-				if !errors.As(err, &ge) {
-					return fail(err)
-				}
-				code = maxCode(code, reportDegraded(ge))
-				continue
-			}
-			t.Write(w)
-		}
-		return commit(code)
+	if *ext && *table != 0 {
+		fmt.Fprintln(os.Stderr, "paperbench: -ext prints the extension tables E1-E3; it cannot combine with -table")
+		return 1
 	}
 
 	// Static tables need no simulation.
@@ -222,7 +196,11 @@ func realMain(args []string) int {
 		return 1
 	}
 
-	suite, err := exp.RunGrid(names, opt)
+	run := exp.RunGrid
+	if *ext {
+		run = exp.RunExt
+	}
+	suite, err := run(names, opt)
 	code := 0
 	if err != nil {
 		var ge *exp.GridError
@@ -246,6 +224,12 @@ func realMain(args []string) int {
 	if *jsonOut {
 		if err := suite.WriteJSON(w); err != nil {
 			return fail(err)
+		}
+		return commit(code)
+	}
+	if *ext {
+		for _, t := range []*exp.Table{suite.TableE1(), suite.TableE2(), suite.TableE3()} {
+			t.Write(w)
 		}
 		return commit(code)
 	}
@@ -309,13 +293,6 @@ func reportDegraded(ge *exp.GridError) int {
 		}
 	}
 	return code
-}
-
-func maxCode(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // writeMetrics dumps the suite's merged observability snapshot in the

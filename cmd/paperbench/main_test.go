@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/exp"
 )
 
 // The exit-code contract (0 clean, 1 usage/fatal, 2 degraded, 3
@@ -181,6 +183,53 @@ func TestGenModeDeterministic(t *testing.T) {
 	}
 	if code, _, _ := runSelf(t, "-gen", "5", "-json"); code != 1 {
 		t.Errorf("-gen with -json: exit code %d, want 1", code)
+	}
+}
+
+// TestExtFlags drives the extension grid end to end: -ext runs E1-E3 as
+// one grid, so -json writes one exp.SuiteJSON (its TS+LU4 cell carrying
+// the width-2 and width-4 metrics E1 reads) and -metrics writes the
+// grid's merged counters; -ext with -table is a usage error.
+func TestExtFlags(t *testing.T) {
+	code, out, errOut := runSelf(t, "-ext", "-json", "-bench", "tomcatv")
+	if code != 0 {
+		t.Fatalf("-ext -json: exit code %d, want 0\nstderr:\n%s", code, errOut)
+	}
+	var doc exp.SuiteJSON
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+		t.Fatalf("-ext -json output is not one SuiteJSON: %v", err)
+	}
+	var ts *exp.CellJSON
+	for i, c := range doc.Cells {
+		if c.Bench == "tomcatv" && c.Config == "TS+LU4" {
+			ts = &doc.Cells[i]
+		}
+	}
+	if ts == nil {
+		t.Fatalf("-ext -json has no tomcatv TS+LU4 cell; configs %v", doc.Configs)
+	}
+	if ts.Metrics == nil || ts.Wide[2] == nil || ts.Wide[4] == nil {
+		t.Errorf("TS+LU4 cell lacks width 1, 2 or 4 metrics: %+v", ts)
+	}
+
+	metrics := filepath.Join(t.TempDir(), "m.txt")
+	if code, _, errOut := runSelf(t, "-ext", "-bench", "tomcatv", "-metrics", metrics); code != 0 {
+		t.Fatalf("-ext -metrics: exit code %d, want 0\nstderr:\n%s", code, errOut)
+	}
+	dump, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatalf("-ext -metrics wrote no file: %v", err)
+	}
+	if !strings.Contains(string(dump), "paperbench_dag_nodes") {
+		t.Errorf("-ext -metrics dump lacks the compiler counters:\n%.400s", dump)
+	}
+
+	code, out, errOut = runSelf(t, "-ext", "-table", "4", "-bench", "tomcatv")
+	if code != 1 {
+		t.Errorf("-ext with -table: exit code %d, want 1", code)
+	}
+	if !strings.Contains(errOut, "-table") || out != "" {
+		t.Errorf("-ext with -table: stderr %q does not name the conflict, or stdout %q is not empty", errOut, out)
 	}
 }
 

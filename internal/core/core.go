@@ -20,7 +20,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/hlir"
@@ -171,16 +170,12 @@ type Compiled struct {
 	Prefetches int
 	// LICM reports hoisting when the optional pass ran.
 	LICM *licm.Report
-	// Phases records wall-clock per pipeline phase (Sim is left zero; the
-	// experiment engine fills it when it executes the result).
-	Phases PhaseTimes
 }
 
 // Compile runs the configured pipeline on p under opt. The data is
 // needed when trace scheduling is enabled, because trace selection is
 // profile driven — the paper profiles each program on its input before
-// compiling with traces (Section 4.2). Phase wall-clock accumulates into
-// the result's Phases.
+// compiling with traces (Section 4.2).
 //
 // Compile never mutates p or data: every transform (locality, unroll,
 // prefetch) clones before rewriting and lowering only reads its input,
@@ -195,7 +190,7 @@ func Compile(p *hlir.Program, cfg Config, data *Data, opt Options) (*Compiled, e
 	}
 	st := opt.Obs.Stat()
 	out := &Compiled{Config: cfg}
-	c := &compilation{p: p, cfg: cfg, opt: opt, out: out}
+	c := &compilation{p: p, cfg: cfg, opt: opt}
 	phase := c.phase
 	pre, fn, err := c.prefix(st)
 	if err != nil {
@@ -211,7 +206,7 @@ func Compile(p *hlir.Program, cfg Config, data *Data, opt Options) (*Compiled, e
 	if cfg.Trace {
 		collect := func() (profile.Edges, error) {
 			var e profile.Edges
-			perr := phase("profile", &out.Phases.Profile, func() error {
+			perr := phase("profile", func() error {
 				ee, reused, err := profile.Collect(fn, func(m *sim.Machine) {
 					InitMachine(m, out.ArrayID, data)
 				}, opt.Pool)
@@ -244,7 +239,7 @@ func Compile(p *hlir.Program, cfg Config, data *Data, opt Options) (*Compiled, e
 			profile.Annotate(fn, edges)
 			st.Inc("core/profile_cache_hits")
 		}
-		err := phase("trace", &out.Phases.Trace, func() error {
+		err := phase("trace", func() error {
 			rep, err := trace.ScheduleAll(fn, edges, cfg.Policy, st, opt.Verify)
 			out.Trace = rep
 			return err
@@ -256,7 +251,7 @@ func Compile(p *hlir.Program, cfg Config, data *Data, opt Options) (*Compiled, e
 		st.Add("trace/comp_copies", int64(out.Trace.CompCopies))
 		st.Add("trace/speculated", int64(out.Trace.Speculated))
 	} else {
-		err := phase("sched", &out.Phases.Sched, func() error {
+		err := phase("sched", func() error {
 			for _, b := range fn.Blocks {
 				if err := trace.ScheduleBlock(fn, b, cfg.Policy, st, opt.Verify); err != nil {
 					return err
@@ -269,7 +264,7 @@ func Compile(p *hlir.Program, cfg Config, data *Data, opt Options) (*Compiled, e
 		}
 	}
 
-	err = phase("regalloc", &out.Phases.Regalloc, func() error {
+	err = phase("regalloc", func() error {
 		alloc, err := regalloc.Allocate(fn, st, opt.Verify)
 		out.Alloc = alloc
 		return err
@@ -285,20 +280,16 @@ type compilation struct {
 	p   *hlir.Program
 	cfg Config
 	opt Options
-	out *Compiled
 }
 
-// phase wraps one pipeline phase in a trace span while accumulating its
-// wall-clock into the PhaseTimes slot d. A canceled or expired
+// phase wraps one pipeline phase in a trace span. A canceled or expired
 // Options.Ctx aborts at the boundary, before the phase body runs.
-func (c *compilation) phase(name string, d *time.Duration, f func() error) error {
+func (c *compilation) phase(name string, f func() error) error {
 	if err := c.opt.err(); err != nil {
 		return fmt.Errorf("core: %s canceled before %s: %w", c.p.Name, name, err)
 	}
 	sp := c.opt.Obs.Begin(name, "compile")
-	start := time.Now()
 	err := f()
-	*d += time.Since(start)
 	sp.End()
 	return err
 }

@@ -36,13 +36,13 @@ func prefixKey(cfg Config) Config {
 
 // lowerPrefix runs the transform prefix — locality analysis, unrolling,
 // prefetching, lowering, the IR verifier (under Verify) and LICM — each
-// phase timed into the compilation's PhaseTimes and counting into st.
+// phase under its own span and counting into st.
 func (c *compilation) lowerPrefix(st *obs.Stats) (*prefix, error) {
-	cfg, ph := c.cfg, &c.out.Phases
+	cfg := c.cfg
 	prog := c.p
 	pre := &prefix{}
 	if cfg.Locality {
-		if err := c.phase("locality", &ph.Locality, func() error {
+		if err := c.phase("locality", func() error {
 			prog, pre.locality = locality.Apply(prog, cfg.Unroll)
 			return nil
 		}); err != nil {
@@ -55,7 +55,7 @@ func (c *compilation) lowerPrefix(st *obs.Stats) (*prefix, error) {
 	if cfg.Unroll > 0 {
 		// After locality analysis, reuse loops carry NoUnroll and keep
 		// their hit/miss marks; the general unroller handles the rest.
-		if err := c.phase("unroll", &ph.Unroll, func() error {
+		if err := c.phase("unroll", func() error {
 			prog = unroll.ApplyObserved(prog, cfg.Unroll, st)
 			return nil
 		}); err != nil {
@@ -63,7 +63,7 @@ func (c *compilation) lowerPrefix(st *obs.Stats) (*prefix, error) {
 		}
 	}
 	if cfg.Prefetch {
-		if err := c.phase("prefetch", &ph.Prefetch, func() error {
+		if err := c.phase("prefetch", func() error {
 			prog, pre.prefetches = prefetch.Apply(prog)
 			return nil
 		}); err != nil {
@@ -72,7 +72,7 @@ func (c *compilation) lowerPrefix(st *obs.Stats) (*prefix, error) {
 		st.Add("prefetch/hints", int64(pre.prefetches))
 	}
 	var res *lower.Result
-	if err := c.phase("lower", &ph.Lower, func() error {
+	if err := c.phase("lower", func() error {
 		r, err := lower.Lower(prog)
 		res = r
 		return err
@@ -86,7 +86,7 @@ func (c *compilation) lowerPrefix(st *obs.Stats) (*prefix, error) {
 		st.Inc("verify/checks")
 	}
 	if cfg.LICM {
-		if err := c.phase("licm", &ph.LICM, func() error {
+		if err := c.phase("licm", func() error {
 			pre.licm = licm.Apply(res.Fn)
 			return nil
 		}); err != nil {
@@ -122,7 +122,7 @@ func (c *compilation) prefix(st *obs.Stats) (*prefix, *ir.Func, error) {
 	// The clone counts as lowering, as a reused timing run counts as
 	// simulation.
 	var fn *ir.Func
-	if err := c.phase("lower", &c.out.Phases.Lower, func() error {
+	if err := c.phase("lower", func() error {
 		fn = pre.fn.Clone()
 		return nil
 	}); err != nil {

@@ -187,7 +187,7 @@ func TestPrefixSharingBuildCanceled(t *testing.T) {
 		t.Errorf("waiter with a 10ms deadline returned after %v", waited)
 	}
 
-	builder := &compilation{p: p, cfg: sharedPrefixCfgs[0], opt: Options{Ctx: dead, Prefixes: pm}, out: &Compiled{}}
+	builder := &compilation{p: p, cfg: sharedPrefixCfgs[0], opt: Options{Ctx: dead, Prefixes: pm}}
 	if _, err := pm.build(key, fl, builder.buildPrefix); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled build: %v, want context.Canceled", err)
 	}

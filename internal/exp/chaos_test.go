@@ -2,6 +2,7 @@ package exp
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -265,6 +266,58 @@ func TestChaosSeededRandom(t *testing.T) {
 	for k := range a {
 		if !b[k] {
 			t.Errorf("cell %s injured in first run only", k)
+		}
+	}
+}
+
+// TestChaosExtensionDegradedRows injures one benchmark of the extension
+// grid: the run still returns its Suite next to the *GridError, and each
+// of E1-E3 renders a "----" row for the injured benchmark, the healthy
+// benchmark's numbers, and an AVERAGE over the healthy benchmark alone.
+func TestChaosExtensionDegradedRows(t *testing.T) {
+	faultinject.Enable(faultinject.NewPlan(1, faultinject.Rule{
+		Site: "core/compile", Key: "TRFD", Mode: faultinject.ModePanic,
+	}))
+	defer faultinject.Disable()
+
+	s, err := RunExt([]string{"tomcatv", "TRFD"}, Options{Jobs: 2})
+	var ge *GridError
+	if !errors.As(err, &ge) {
+		t.Fatalf("injured extension grid returned %v, want a *GridError", err)
+	}
+	if s == nil {
+		t.Fatal("injured extension grid returned no Suite")
+	}
+	if len(ge.Cells) != len(extSpecs) {
+		t.Errorf("%d cells failed, want TRFD's %d", len(ge.Cells), len(extSpecs))
+	}
+	for _, ce := range ge.Cells {
+		if ce.Bench != "TRFD" {
+			t.Errorf("cell %s/%s failed; blast radius escaped TRFD", ce.Bench, ce.Config)
+		}
+	}
+	for _, tab := range []*Table{s.TableE1(), s.TableE2(), s.TableE3()} {
+		rows := map[string][]string{}
+		for _, row := range tab.Rows {
+			rows[row[0]] = row[1:]
+		}
+		if len(tab.Rows) != 3 {
+			t.Fatalf("%s\nhas %d rows, want tomcatv, TRFD and AVERAGE", tab.Title, len(tab.Rows))
+		}
+		for _, c := range rows["TRFD"] {
+			if c != "----" {
+				t.Errorf("%s\nTRFD row %v, want every column ----", tab.Title, rows["TRFD"])
+				break
+			}
+		}
+		for _, c := range rows["tomcatv"] {
+			if c == "----" || c == "" {
+				t.Errorf("%s\ntomcatv row %v lost its numbers", tab.Title, rows["tomcatv"])
+				break
+			}
+		}
+		if !reflect.DeepEqual(rows["AVERAGE"], rows["tomcatv"]) {
+			t.Errorf("%s\nAVERAGE %v, want tomcatv's row %v", tab.Title, rows["AVERAGE"], rows["tomcatv"])
 		}
 	}
 }

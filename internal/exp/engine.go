@@ -50,8 +50,9 @@ import (
 // record their waits in named wait histograms.
 //
 // The main grid (RunGrid), generated corpora (RunGenerated), the
-// extension grids (E1/E2/E3) and the fuzzing harness all execute through
-// runGrid.
+// extension grid (RunExt) and the fuzzing harness all execute through
+// runSuite, and each returns one Suite whose numbers depend only on
+// (benchmark, configuration, issue width).
 //
 // The engine is fault-isolated: every cell attempt runs in its own
 // goroutine with a recover guard and an optional deadline, so a panicking
@@ -89,9 +90,8 @@ type Options struct {
 	// one nil check per site, no clock reads and zero allocations.
 	Contention *obs.Contention
 	// Observe enables the per-cell counter registry: each cell collects
-	// compiler counters (dag/sched/regalloc/unroll/...), simulator
-	// metrics and runtime allocation deltas into an obs.Snapshot stored
-	// on its Result.
+	// compiler counters (dag/sched/regalloc/unroll/...) and its width-1
+	// simulator metrics into an obs.Snapshot stored on its Result.
 	Observe bool
 	// Verify runs the structural invariant checkers of internal/verify
 	// between every compile phase of every cell (core.Options.Verify).
@@ -131,14 +131,21 @@ type cellSpec struct {
 	widths []int
 }
 
+// issueWidths returns the widths spec simulates, in order.
+func (spec cellSpec) issueWidths() []int {
+	if len(spec.widths) == 0 {
+		return []int{1}
+	}
+	return spec.widths
+}
+
 // cellResult is one completed (or failed) cell: its numbers, not its
 // code.
 type cellResult struct {
-	bench  string
-	cfg    core.Config
-	mets   map[int]*sim.Metrics // by issue width; nil when the cell failed
-	phases core.PhaseTimes
-	snap   *obs.Snapshot // nil unless Options.Observe
+	bench string
+	cfg   core.Config
+	mets  map[int]*sim.Metrics // by issue width; nil when the cell failed
+	snap  *obs.Snapshot        // nil unless Options.Observe
 
 	err              *CellError // non-nil when every attempt failed
 	attempts         int        // attempts made (1, or 2 after a retry)
@@ -146,17 +153,20 @@ type cellResult struct {
 	resumed          bool       // replayed from the journal, not executed
 }
 
-// result converts r to the Result a Suite or CellRunner hands out, with
-// its width-1 metrics.
+// result converts r to the Result a Suite or CellRunner hands out: its
+// width-1 metrics, and its other widths' in Wide.
 func (r *cellResult) result() *Result {
-	return &Result{
-		Bench:   r.bench,
-		Config:  r.cfg,
-		Metrics: r.mets[1],
-		Phases:  r.phases,
-		Obs:     r.snap,
-		Err:     r.err,
+	res := &Result{Bench: r.bench, Config: r.cfg, Metrics: r.mets[1], Obs: r.snap, Err: r.err}
+	for w, m := range r.mets {
+		if w == 1 {
+			continue
+		}
+		if res.Wide == nil {
+			res.Wide = map[int]*sim.Metrics{}
+		}
+		res.Wide[w] = m
 	}
+	return res
 }
 
 // frontEnd lazily builds one benchmark's shared state: the program, its
@@ -228,8 +238,8 @@ func (p *phaseTracker) name() string { return phaseNames[p.v.Load()] }
 // oracle at every width. When ob carries a tracer, the whole cell runs
 // under a "cell" span on the worker's lane with nested compile-phase and
 // per-width "sim" spans; when it carries a stats registry, the cell's
-// compiler counters, simulator metrics (width 1) and runtime allocation
-// deltas are snapshotted into the result. ctx is consulted at stage
+// compiler counters and simulator metrics (width 1) are snapshotted into
+// the result. ctx is consulted at stage
 // boundaries so an expired attempt stops promptly instead of running the
 // remaining widths. Machines for the profiling run and every width come
 // from pool; a width whose run the benchmark's memo already holds for
@@ -251,10 +261,6 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, o
 	defer cellSpan.End()
 
 	st := ob.Stat()
-	var mem0 runtime.MemStats
-	if st != nil {
-		runtime.ReadMemStats(&mem0)
-	}
 	ph.set(phaseCompile)
 	c, err := core.Compile(p, spec.cfg, d, core.Options{
 		Verify: opt.Verify, Ctx: ctx, Pool: pool, Profiles: &fe.profiles, Prefixes: fe.code, Obs: ob,
@@ -262,15 +268,11 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, o
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s %s: %w", fe.b.Name, spec.cfg.Name(), err)
 	}
-	widths := spec.widths
-	if len(widths) == 0 {
-		widths = []int{1}
-	}
+	widths := spec.issueWidths()
 	out := &cellResult{
-		bench:  fe.b.Name,
-		cfg:    spec.cfg,
-		mets:   make(map[int]*sim.Metrics, len(widths)),
-		phases: c.Phases,
+		bench: fe.b.Name,
+		cfg:   spec.cfg,
+		mets:  make(map[int]*sim.Metrics, len(widths)),
 	}
 	for _, w := range widths {
 		if err := ctx.Err(); err != nil {
@@ -278,7 +280,6 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, o
 		}
 		ph.set(phaseSim)
 		simSpan := ob.Begin("sim", "sim").Arg("width", strconv.Itoa(w))
-		start := time.Now()
 		k := fe.sims.key(c, w)
 		met, got, memoized := fe.sims.lookup(k, c)
 		var err error
@@ -299,7 +300,6 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, o
 				st.Inc("sim/machine_pool_misses")
 			}
 		}
-		out.phases.Sim += time.Since(start)
 		simSpan.End()
 		if err != nil {
 			return nil, fmt.Errorf("exp: %s %s w%d: %w", fe.b.Name, spec.cfg.Name(), w, err)
@@ -320,14 +320,6 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, o
 		}
 	}
 	if st != nil {
-		// Allocation delta across the cell. With parallel workers the
-		// runtime stats are process-global, so concurrent cells bleed into
-		// each other's deltas; they are an attribution estimate, exact
-		// only at -jobs 1.
-		var mem1 runtime.MemStats
-		runtime.ReadMemStats(&mem1)
-		st.Add("runtime/alloc_bytes", int64(mem1.TotalAlloc-mem0.TotalAlloc))
-		st.Add("runtime/mallocs", int64(mem1.Mallocs-mem0.Mallocs))
 		out.snap = st.Snapshot()
 	}
 	return out, nil
@@ -456,25 +448,24 @@ func forEach(n, jobs int, fn func(lane, i int)) {
 	wg.Wait()
 }
 
-// runGrid executes every (benchmark, spec) cell under opt and feeds
-// completed cells to emit on the caller's goroutine, in deterministic
-// queue order: journal replays as the queue is built, then live cells
-// after the workers join. Failed cells arrive at emit too (with
-// cellResult.err set); when any cell failed, runGrid returns a
-// *GridError after the whole grid has drained. eng, when non-nil,
-// receives the engine's robustness counters (cell panics, timeouts,
-// retries, errors, resumes, verification failures); it is only touched
-// from the caller's goroutine.
-func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *obs.Stats, emit func(cellResult)) error {
+// runSuite executes every (benchmark, spec) cell under opt into one
+// Suite, finalized on the caller's goroutine in deterministic queue
+// order: journal replays as the queue is built, then live cells after
+// the workers join. Failed cells are in the Suite too (Result.Err set);
+// when any cell failed, runSuite returns a *GridError next to the Suite
+// after the whole grid has drained. The engine's robustness counters
+// (cell panics, timeouts, retries, errors, resumes, verification
+// failures) join the Suite's merged snapshot.
+func runSuite(benches []workload.Benchmark, specs []cellSpec, opt Options) (*Suite, error) {
 	// Resume: index the journal's successful cells (first entry wins).
 	var journaled map[string]journalEntry
 	if opt.Resume {
 		if opt.Journal == "" {
-			return fmt.Errorf("exp: Resume requires Journal")
+			return nil, fmt.Errorf("exp: Resume requires Journal")
 		}
 		entries, err := readJournal(opt.Journal)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		journaled = make(map[string]journalEntry, len(entries))
 		for _, e := range entries {
@@ -498,39 +489,43 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 	if opt.Journal != "" {
 		w, err := OpenAppender(opt.Journal, opt.Contention.Hist("journal"))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		jw = w
 	}
 
+	s := &Suite{results: map[string]map[string]*Result{}}
+	for _, b := range benches {
+		s.Benchmarks = append(s.Benchmarks, b.Name)
+		s.results[b.Name] = map[string]*Result{}
+	}
+	for _, spec := range specs {
+		s.cfgs = append(s.cfgs, spec.cfg)
+	}
 	total := len(benches) * len(specs)
 	var failed []*CellError
-	// finalize runs on the caller's goroutine and owns eng, failed and
-	// emit.
+	eng := obs.NewStats()
+	// finalize runs on the caller's goroutine and owns s, eng and failed.
 	finalize := func(r cellResult) {
-		if eng != nil {
-			eng.Add("exp/cell_panics", int64(r.panics))
-			eng.Add("exp/cell_timeouts", int64(r.timeouts))
-			if r.attempts > 1 {
-				eng.Add("exp/cell_retries", int64(r.attempts-1))
-			}
-			if r.resumed {
-				eng.Inc("exp/cells_resumed")
-			}
-			if r.err != nil {
-				eng.Inc("exp/cell_errors")
-				if r.err.Canceled {
-					eng.Inc("exp/cells_canceled")
-				}
-				if verify.IsVerification(r.err.Err) {
-					eng.Inc("verify/failures")
-				}
-			}
+		eng.Add("exp/cell_panics", int64(r.panics))
+		eng.Add("exp/cell_timeouts", int64(r.timeouts))
+		if r.attempts > 1 {
+			eng.Add("exp/cell_retries", int64(r.attempts-1))
+		}
+		if r.resumed {
+			eng.Inc("exp/cells_resumed")
 		}
 		if r.err != nil {
+			eng.Inc("exp/cell_errors")
+			if r.err.Canceled {
+				eng.Inc("exp/cells_canceled")
+			}
+			if verify.IsVerification(r.err.Err) {
+				eng.Inc("verify/failures")
+			}
 			failed = append(failed, r.err)
 		}
-		emit(r)
+		s.results[r.bench][r.cfg.Name()] = r.result()
 	}
 	// progress serializes the Progress callback across workers and owns
 	// the completion counter.
@@ -552,7 +547,7 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 		if jw == nil || r.resumed {
 			return
 		}
-		e := journalEntry{Bench: r.bench, Config: r.cfg.Name(), Widths: r.mets, Phases: r.phases, Obs: r.snap}
+		e := journalEntry{Bench: r.bench, Config: r.cfg.Name(), Widths: r.mets, Obs: r.snap}
 		if r.err != nil {
 			e.Error = r.err.Error()
 		}
@@ -570,10 +565,17 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 	for _, b := range benches {
 		fe := &frontEnd{b: b, code: &core.PrefixMemo{}, sims: &simMemo{}}
 		for _, spec := range specs {
-			if e, ok := journaled[b.Name+"\x00"+spec.cfg.Name()]; ok {
+			// A journaled cell replays only when it holds every width the
+			// spec simulates: the paper grid journals BS+LU4 at width 1,
+			// the extension grid at widths 1, 2 and 4.
+			e, ok := journaled[b.Name+"\x00"+spec.cfg.Name()]
+			for _, w := range spec.issueWidths() {
+				ok = ok && e.Widths[w] != nil
+			}
+			if ok {
 				r := cellResult{
 					bench: b.Name, cfg: spec.cfg,
-					mets: e.Widths, phases: e.Phases, snap: e.Obs,
+					mets: e.Widths, snap: e.Obs,
 					attempts: 1, resumed: true,
 				}
 				finalize(r)
@@ -627,9 +629,12 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 	for _, r := range results {
 		finalize(*r)
 	}
+	if snap := eng.Snapshot(); len(snap.Counters) > 0 {
+		s.engine = snap
+	}
 
 	if err := jw.Close(); err != nil {
-		return err
+		return s, err
 	}
 	if len(failed) > 0 {
 		sort.Slice(failed, func(a, b int) bool {
@@ -638,9 +643,9 @@ func runGrid(benches []workload.Benchmark, specs []cellSpec, opt Options, eng *o
 			}
 			return failed[a].Config < failed[b].Config
 		})
-		return &GridError{Cells: failed}
+		return s, &GridError{Cells: failed}
 	}
-	return nil
+	return s, nil
 }
 
 // RunGrid runs the paper's full 16-configuration grid over the named
@@ -663,24 +668,25 @@ func RunGrid(names []string, opt Options) (*Suite, error) {
 // oracle as the paper grid. A degraded run returns a *GridError next to
 // a Suite that is valid for every healthy cell.
 func RunBenchmarksConfigs(benches []workload.Benchmark, cfgs []core.Config, opt Options) (*Suite, error) {
-	s := &Suite{results: map[string]map[string]*Result{}}
-	for _, b := range benches {
-		s.Benchmarks = append(s.Benchmarks, b.Name)
-		s.results[b.Name] = map[string]*Result{}
-	}
 	specs := make([]cellSpec, 0, len(cfgs))
 	for _, cfg := range cfgs {
 		specs = append(specs, cellSpec{cfg: cfg})
 	}
-	eng := obs.NewStats()
-	err := runGrid(benches, specs, opt, eng, func(r cellResult) {
-		s.results[r.bench][r.cfg.Name()] = r.result()
-	})
-	if snap := eng.Snapshot(); len(snap.Counters) > 0 {
-		s.engine = snap
+	return runSuite(benches, specs, opt)
+}
+
+// pick resolves benchmark names (every benchmark when names is empty).
+func pick(names []string) ([]workload.Benchmark, error) {
+	if len(names) == 0 {
+		return workload.All(), nil
 	}
-	if err != nil {
-		return s, err
+	var out []workload.Benchmark
+	for _, n := range names {
+		b, err := workload.ByName(n)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, b)
 	}
-	return s, nil
+	return out, nil
 }

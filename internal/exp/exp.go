@@ -59,26 +59,29 @@ type Result struct {
 	Bench string
 	// Config is the compilation configuration.
 	Config core.Config
-	// Metrics are the simulation measurements.
+	// Metrics are the simulation measurements on the paper's
+	// single-issue machine.
 	Metrics *sim.Metrics
-	// Phases records the cell's wall-clock per pipeline phase, including
-	// simulation.
-	Phases core.PhaseTimes
-	// Obs is the cell's observability snapshot — compiler counters,
-	// simulator metrics and runtime allocation deltas — when the grid ran
-	// with Options.Observe; nil otherwise.
+	// Wide holds the measurements at the cell's other issue widths,
+	// keyed by width; nil for a cell simulated only at width 1.
+	Wide map[int]*sim.Metrics
+	// Obs is the cell's observability snapshot — compiler counters and
+	// width-1 simulator metrics — when the grid ran with
+	// Options.Observe; nil otherwise.
 	Obs *obs.Snapshot
 	// Err is the cell's structured failure when it could not produce
 	// metrics (the grid completed degraded); nil for healthy cells.
 	Err *CellError
 }
 
-// Suite holds a full grid of results. It is filled on the caller's
-// goroutine as the engine finalizes cells and read-only afterwards.
+// Suite holds the results of one grid run: the paper grid, a generated
+// corpus or the extension grid. It is filled on the caller's goroutine
+// as the engine finalizes cells and read-only afterwards.
 type Suite struct {
 	// Benchmarks lists benchmark names in table order.
 	Benchmarks []string
 
+	cfgs    []core.Config                 // the run's configurations, in grid order
 	results map[string]map[string]*Result // bench -> config name -> result
 	engine  *obs.Snapshot                 // engine robustness counters; nil when none fired
 }
@@ -116,16 +119,26 @@ func (s *Suite) MergedObs() *obs.Snapshot {
 	return merged
 }
 
-// metrics returns the simulation metrics for (bench, cfg) and whether the
-// cell produced them. ok is false for cells the grid never ran (degraded
-// or resumed-partial runs) and for cells that failed — table renderers
-// use it to print degraded rows instead of panicking.
+// metrics returns the width-1 simulation metrics for (bench, cfg) and
+// whether the cell produced them. ok is false for cells the grid never
+// ran (degraded or resumed-partial runs) and for cells that failed —
+// table renderers use it to print degraded rows instead of panicking.
 func (s *Suite) metrics(bench string, cfg core.Config) (*sim.Metrics, bool) {
+	return s.metricsAt(bench, cfg, 1)
+}
+
+// metricsAt is metrics at issue width w; w ≤ 1 names the single-issue
+// machine.
+func (s *Suite) metricsAt(bench string, cfg core.Config, w int) (*sim.Metrics, bool) {
 	r := s.Get(bench, cfg)
-	if r == nil || r.Metrics == nil {
+	if r == nil {
 		return nil, false
 	}
-	return r.Metrics, true
+	m := r.Metrics
+	if w > 1 {
+		m = r.Wide[w]
+	}
+	return m, m != nil
 }
 
 // speedup returns base/new cycle ratio (>1 means new is faster).

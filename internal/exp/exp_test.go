@@ -174,44 +174,29 @@ func TestHelpers(t *testing.T) {
 }
 
 func TestExtensionTables(t *testing.T) {
-	e1, err := TableE1(subset, Options{})
+	s, err := RunExt(subset, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e1.Rows) != len(subset)+1 {
-		t.Errorf("E1 has %d rows, want %d", len(e1.Rows), len(subset)+1)
+	if got := s.JSON().Configs; len(got) != 6 {
+		t.Errorf("extension grid ran configurations %v, want the 6 of E1-E3", got)
 	}
-	e2, err := TableE2(subset, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(e2.Rows) != len(subset)+1 {
-		t.Errorf("E2 has %d rows, want %d", len(e2.Rows), len(subset)+1)
-	}
-	e3, err := TableE3(subset, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(e3.Rows) != len(subset)+1 {
-		t.Errorf("E3 has %d rows, want %d", len(e3.Rows), len(subset)+1)
+	for name, tab := range map[string]*Table{"E1": s.TableE1(), "E2": s.TableE2(), "E3": s.TableE3()} {
+		if len(tab.Rows) != len(subset)+1 {
+			t.Errorf("%s has %d rows, want %d", name, len(tab.Rows), len(subset)+1)
+		}
 	}
 	var sb strings.Builder
-	e1.Write(&sb)
-	e2.Write(&sb)
+	s.TableE1().Write(&sb)
+	s.TableE2().Write(&sb)
 	if !strings.Contains(sb.String(), "width 4") || !strings.Contains(sb.String(), "AUTO") {
 		t.Error("extension tables missing expected columns")
 	}
 }
 
 func TestExtensionRejectsUnknownBenchmark(t *testing.T) {
-	if _, err := RunE1([]string{"nope"}, Options{}); err == nil {
-		t.Error("E1 accepted unknown benchmark")
-	}
-	if _, err := RunE2([]string{"nope"}, Options{}); err == nil {
-		t.Error("E2 accepted unknown benchmark")
-	}
-	if _, err := RunE3([]string{"nope"}, Options{}); err == nil {
-		t.Error("E3 accepted unknown benchmark")
+	if _, err := RunExt([]string{"nope"}, Options{}); err == nil {
+		t.Error("RunExt accepted unknown benchmark")
 	}
 }
 
@@ -385,35 +370,6 @@ func TestJobsOneMatchesParallel(t *testing.T) {
 		if a.Cycles != b.Cycles || a.Instrs != b.Instrs || a.LoadInterlock != b.LoadInterlock {
 			t.Errorf("%s: serial %v != parallel %v", cfg.Name(), a, b)
 		}
-	}
-}
-
-// TestResultPhasesRecorded asserts every cell carries phase timings: the
-// phases that always run must be non-zero, and optional phases must be
-// populated exactly when the configuration enables them.
-func TestResultPhasesRecorded(t *testing.T) {
-	s := runSubset(t)
-	profiled := false
-	for _, b := range subset {
-		for _, cfg := range Cells() {
-			ph := s.Get(b, cfg).Phases
-			if ph.Lower <= 0 || ph.Regalloc <= 0 || ph.Sim <= 0 {
-				t.Errorf("%s/%s: missing mandatory phase times: %v", b, cfg.Name(), ph)
-			}
-			if cfg.Trace {
-				if ph.Trace <= 0 {
-					t.Errorf("%s/%s: trace scheduling ran but Trace time is zero", b, cfg.Name())
-				}
-				profiled = profiled || ph.Profile > 0
-			} else if ph.Sched <= 0 {
-				t.Errorf("%s/%s: block scheduling ran but Sched time is zero", b, cfg.Name())
-			}
-		}
-	}
-	// The profile cache shares runs across policies, but each benchmark
-	// must have paid for at least one real profile collection.
-	if !profiled {
-		t.Error("no cell recorded profile-collection time")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -18,12 +17,12 @@ import (
 // journalEntry is one line of the JSONL cell journal: the full result of
 // one finished cell (or its error). Metrics are stored per issue width;
 // encoding/json round-trips the int64 metric fields exactly, which is
-// what lets a resumed grid render byte-identical tables.
+// what lets a resumed grid render byte-identical tables. Resume ignores
+// fields it does not know, such as older journals' phases_ns.
 type journalEntry struct {
 	Bench  string               `json:"bench"`
 	Config string               `json:"config"`
 	Widths map[int]*sim.Metrics `json:"metrics,omitempty"`
-	Phases core.PhaseTimes      `json:"phases_ns"`
 	Obs    *obs.Snapshot        `json:"obs,omitempty"`
 	Error  string               `json:"error,omitempty"`
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -15,13 +14,14 @@ type CellJSON struct {
 	Bench string `json:"bench"`
 	// Config is the cell's configuration in the tables' notation.
 	Config string `json:"config"`
-	// Metrics are the simulated measurements.
+	// Metrics are the simulated measurements on the single-issue machine.
 	Metrics *sim.Metrics `json:"metrics"`
-	// Phases holds per-phase wall-clock in nanoseconds.
-	Phases core.PhaseTimes `json:"phases_ns"`
-	// Obs is the cell's observability snapshot (compiler counters,
-	// "sim/"-prefixed simulator metrics, runtime allocation deltas);
-	// omitted when the run did not observe.
+	// Wide holds the measurements at the cell's other issue widths, keyed
+	// by width; omitted for cells simulated only at width 1.
+	Wide map[int]*sim.Metrics `json:"wide,omitempty"`
+	// Obs is the cell's observability snapshot (compiler counters and
+	// "sim/"-prefixed simulator metrics); omitted when the run did not
+	// observe.
 	Obs *obs.Snapshot `json:"obs,omitempty"`
 	// Error is the cell's failure when the grid completed degraded;
 	// omitted for healthy cells.
@@ -32,7 +32,7 @@ type CellJSON struct {
 type SuiteJSON struct {
 	// Benchmarks lists the run's benchmarks in paper Table 1 order.
 	Benchmarks []string `json:"benchmarks"`
-	// Configs lists the grid's configuration names.
+	// Configs lists the names of the configurations the run compiled.
 	Configs []string `json:"configs"`
 	// Cells holds every (benchmark, config) result.
 	Cells []CellJSON `json:"cells"`
@@ -41,11 +41,11 @@ type SuiteJSON struct {
 // JSON converts the suite into its machine-readable form.
 func (s *Suite) JSON() *SuiteJSON {
 	out := &SuiteJSON{Benchmarks: s.sortedBenches()}
-	for _, cfg := range Cells() {
+	for _, cfg := range s.cfgs {
 		out.Configs = append(out.Configs, cfg.Name())
 	}
 	for _, b := range out.Benchmarks {
-		for _, cfg := range Cells() {
+		for _, cfg := range s.cfgs {
 			r := s.Get(b, cfg)
 			if r == nil {
 				continue
@@ -54,7 +54,7 @@ func (s *Suite) JSON() *SuiteJSON {
 				Bench:   r.Bench,
 				Config:  r.Config.Name(),
 				Metrics: r.Metrics,
-				Phases:  r.Phases,
+				Wide:    r.Wide,
 				Obs:     r.Obs,
 			}
 			if r.Err != nil {
@@ -71,11 +71,4 @@ func (s *Suite) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s.JSON())
-}
-
-// WriteExtJSON writes extension-grid results as indented JSON.
-func WriteExtJSON(w io.Writer, results []ExtResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(results)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -144,6 +145,35 @@ func TestResumeAfterTornTailJournalsNewCells(t *testing.T) {
 	}
 	if len(entries) != len(Cells()) {
 		t.Fatalf("journal reads back %d entries after the resumed run, want %d", len(entries), len(Cells()))
+	}
+}
+
+// TestResumeReplaysOnlyCoveredWidths resumes the extension grid from a
+// paper-grid journal, which holds TS+LU4, BS+LU4 and BS+LA+LU4 at width
+// 1 only: none of those entries may stand in for a cell that simulates
+// widths 2 and 4, so every extension cell recomputes and E1-E3 match a
+// clean run.
+func TestResumeReplaysOnlyCoveredWidths(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "cells.jsonl")
+	if _, err := RunGrid([]string{"tomcatv"}, Options{Journal: journal}); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := RunExt([]string{"tomcatv"}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := RunExt([]string{"tomcatv"}, Options{Journal: journal, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := resumed.MergedObs(); c != nil && c.Counters["exp/cells_resumed"] != 0 {
+		t.Errorf("resumed %d extension cells from width-1 journal entries", c.Counters["exp/cells_resumed"])
+	}
+	for i, tab := range []*Table{resumed.TableE1(), resumed.TableE2(), resumed.TableE3()} {
+		want := []*Table{clean.TableE1(), clean.TableE2(), clean.TableE3()}[i]
+		if !reflect.DeepEqual(tab.Rows, want.Rows) {
+			t.Errorf("%s\nresumed rows %v, clean rows %v", tab.Title, tab.Rows, want.Rows)
+		}
 	}
 }
 

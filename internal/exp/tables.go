@@ -260,84 +260,66 @@ func (s *Suite) Table5() *Table {
 // Table6 — speedups over balanced scheduling alone for every optimization
 // combination.
 func (s *Suite) Table6() *Table {
-	cols := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"LU4", bsLU4}, {"LU8", bsLU8},
-		{"TrS", bsTrS}, {"TrS+LU4", bsTrS4}, {"TrS+LU8", bsTrS8},
-		{"LA", bsLA}, {"LA+LU4", bsLA4}, {"LA+LU8", bsLA8},
-		{"LA+TrS+LU4", bsLATrS4}, {"LA+TrS+LU8", bsLATrS8},
-	}
-	t := &Table{
-		Title:  "Table 6: Speedups over balanced scheduling alone for combinations of loop unrolling, trace scheduling (TrS) and locality analysis (LA).",
-		Header: []string{"Benchmark"},
-	}
-	for _, c := range cols {
-		t.Header = append(t.Header, c.name)
-	}
-	sums := make([][]float64, len(cols))
-	for _, b := range s.sortedBenches() {
-		cfgs := []core.Config{bsNone}
-		for _, c := range cols {
-			cfgs = append(cfgs, c.cfg)
-		}
-		ms, ok := s.row(b, cfgs...)
-		if !ok {
-			t.Rows = append(t.Rows, degradedRow(b, len(t.Header)))
-			continue
-		}
-		m0 := ms[0]
-		row := []string{b}
-		for ci := range cols {
-			v := speedup(m0, ms[ci+1])
-			row = append(row, f2(v))
-			sums[ci] = append(sums[ci], v)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	avg := []string{"AVERAGE"}
-	for ci := range cols {
-		avg = append(avg, f2(mean(sums[ci])))
-	}
-	t.Rows = append(t.Rows, avg)
-	return t
+	return s.speedupTable("Table 6: Speedups over balanced scheduling alone for combinations of loop unrolling, trace scheduling (TrS) and locality analysis (LA).", []speedupCol{
+		{name: "LU4", base: bsNone, new: bsLU4},
+		{name: "LU8", base: bsNone, new: bsLU8},
+		{name: "TrS", base: bsNone, new: bsTrS},
+		{name: "TrS+LU4", base: bsNone, new: bsTrS4},
+		{name: "TrS+LU8", base: bsNone, new: bsTrS8},
+		{name: "LA", base: bsNone, new: bsLA},
+		{name: "LA+LU4", base: bsNone, new: bsLA4},
+		{name: "LA+LU8", base: bsNone, new: bsLA8},
+		{name: "LA+TrS+LU4", base: bsNone, new: bsLATrS4},
+		{name: "LA+TrS+LU8", base: bsNone, new: bsLATrS8},
+	})
 }
 
 // Table7 — balanced vs. traditional scheduling: total-cycles speedup for
 // unrolling alone and trace scheduling plus unrolling.
 func (s *Suite) Table7() *Table {
-	cols := []struct {
-		name   string
-		bs, ts core.Config
-	}{
-		{"No LU", bsNone, tsNone},
-		{"LU4", bsLU4, tsLU4},
-		{"LU8", bsLU8, tsLU8},
-		{"TrS LU4", bsTrS4, tsTrS4},
-		{"TrS LU8", bsTrS8, tsTrS8},
-	}
-	t := &Table{
-		Title:  "Table 7: Speedup of balanced scheduling over traditional scheduling.",
-		Header: []string{"Benchmark"},
-	}
+	return s.speedupTable("Table 7: Speedup of balanced scheduling over traditional scheduling.", []speedupCol{
+		{name: "No LU", base: tsNone, new: bsNone},
+		{name: "LU4", base: tsLU4, new: bsLU4},
+		{name: "LU8", base: tsLU8, new: bsLU8},
+		{name: "TrS LU4", base: tsTrS4, new: bsTrS4},
+		{name: "TrS LU8", base: tsTrS8, new: bsTrS8},
+	})
+}
+
+// speedupCol is one column of a speedup table: base's cycles over new's
+// at one issue width (0 means the single-issue machine).
+type speedupCol struct {
+	name      string
+	base, new core.Config
+	width     int
+}
+
+// speedupTable renders one speedup per benchmark and column, rows in
+// Table 1 order. A benchmark missing any cell the table reads gets a
+// degraded row, and the AVERAGE row averages the healthy benchmarks.
+func (s *Suite) speedupTable(title string, cols []speedupCol) *Table {
+	t := &Table{Title: title, Header: []string{"Benchmark"}}
 	for _, c := range cols {
 		t.Header = append(t.Header, c.name)
 	}
 	sums := make([][]float64, len(cols))
 	for _, b := range s.sortedBenches() {
-		var cfgs []core.Config
-		for _, c := range cols {
-			cfgs = append(cfgs, c.ts, c.bs)
+		vs := make([]float64, len(cols))
+		ok := true
+		for ci, c := range cols {
+			base, okBase := s.metricsAt(b, c.base, c.width)
+			m, okNew := s.metricsAt(b, c.new, c.width)
+			if ok = okBase && okNew; !ok {
+				break
+			}
+			vs[ci] = speedup(base, m)
 		}
-		ms, ok := s.row(b, cfgs...)
 		if !ok {
 			t.Rows = append(t.Rows, degradedRow(b, len(t.Header)))
 			continue
 		}
 		row := []string{b}
-		for ci := range cols {
-			v := speedup(ms[2*ci], ms[2*ci+1])
+		for ci, v := range vs {
 			row = append(row, f2(v))
 			sums[ci] = append(sums[ci], v)
 		}

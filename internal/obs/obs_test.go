@@ -183,7 +183,6 @@ func TestStatsNil(t *testing.T) {
 	s.Inc("x")
 	s.Add("x", 3)
 	s.Observe("x", 1)
-	s.ObserveN("x", 1, 4)
 	if s.Counter("x") != 0 {
 		t.Error("nil registry counted")
 	}

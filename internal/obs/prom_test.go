@@ -2,7 +2,6 @@ package obs
 
 import (
 	"errors"
-	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -117,21 +116,5 @@ func TestPrometheusHistogramFormat(t *testing.T) {
 	}
 	if count != wantCount {
 		t.Errorf("_count = %d, want %d", count, wantCount)
-	}
-}
-
-// TestObserveN checks the bulk path agrees with repeated Observe.
-func TestObserveN(t *testing.T) {
-	a, b := NewStats(), NewStats()
-	for i := 0; i < 7; i++ {
-		a.Observe("h", 64)
-	}
-	b.ObserveN("h", 64, 7)
-	b.ObserveN("h", 64, 0)  // no-op
-	b.ObserveN("h", 64, -3) // no-op
-	sa := fmt.Sprintf("%+v", a.Snapshot().Hists["h"])
-	sb := fmt.Sprintf("%+v", b.Snapshot().Hists["h"])
-	if sa != sb {
-		t.Errorf("ObserveN diverges from Observe:\n%s\n%s", sa, sb)
 	}
 }

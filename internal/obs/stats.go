@@ -42,9 +42,6 @@ func (s *Stats) Add(name string, v int64) {
 // Inc increments counter name by one. No-op on a nil registry.
 func (s *Stats) Inc(name string) { s.Add(name, 1) }
 
-// Observe records v into histogram name. No-op on a nil registry.
-func (s *Stats) Observe(name string, v int64) { s.ObserveN(name, v, 1) }
-
 // Counter returns counter name's current value (zero on a nil registry).
 func (s *Stats) Counter(name string) int64 {
 	if s == nil {
@@ -55,12 +52,9 @@ func (s *Stats) Counter(name string) int64 {
 	return s.c[name]
 }
 
-// ObserveN records n observations of value v into histogram name in
-// constant time — the bulk-import path for folding pre-bucketed
-// distributions (wait histograms, runtime/metrics histograms) into the
-// registry. No-op on a nil registry or non-positive n.
-func (s *Stats) ObserveN(name string, v, n int64) {
-	if s == nil || n <= 0 {
+// Observe records v into histogram name. No-op on a nil registry.
+func (s *Stats) Observe(name string, v int64) {
+	if s == nil {
 		return
 	}
 	s.mu.Lock()
@@ -76,13 +70,13 @@ func (s *Stats) ObserveN(name string, v, n int64) {
 	if h.count == 0 || v > h.max {
 		h.max = v
 	}
-	h.count += n
-	h.sum += v * n
+	h.count++
+	h.sum += v
 	i := 0
 	for i < HistBuckets-1 && v > int64(1)<<uint(i) {
 		i++
 	}
-	h.buckets[i] += n
+	h.buckets[i]++
 }
 
 // Merge folds a snapshot into the registry, as if every count and

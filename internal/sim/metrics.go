@@ -52,9 +52,6 @@ type Metrics struct {
 	Loads, L1DHits int64
 }
 
-// Interlock returns total interlock cycles (load + fixed).
-func (m *Metrics) Interlock() int64 { return m.LoadInterlock + m.FixedInterlock }
-
 // LoadInterlockShare returns load interlock cycles as a fraction of total
 // cycles, the paper's headline per-scheduler statistic.
 func (m *Metrics) LoadInterlockShare() float64 {
@@ -70,29 +67,6 @@ func (m *Metrics) L1DHitRate() float64 {
 		return 0
 	}
 	return float64(m.L1DHits) / float64(m.Loads)
-}
-
-// Add accumulates o into m (used when a program runs several kernels).
-func (m *Metrics) Add(o *Metrics) {
-	m.Cycles += o.Cycles
-	m.Instrs += o.Instrs
-	for i := range m.ByClass {
-		m.ByClass[i] += o.ByClass[i]
-	}
-	m.SpillStores += o.SpillStores
-	m.SpillRestores += o.SpillRestores
-	m.LoadInterlock += o.LoadInterlock
-	m.FixedInterlock += o.FixedInterlock
-	m.MSHRStall += o.MSHRStall
-	m.FetchStall += o.FetchStall
-	m.BranchStall += o.BranchStall
-	m.StoreStall += o.StoreStall
-	m.Branches += o.Branches
-	m.Mispredicts += o.Mispredicts
-	m.Prefetches += o.Prefetches
-	m.PrefetchFills += o.PrefetchFills
-	m.Loads += o.Loads
-	m.L1DHits += o.L1DHits
 }
 
 // Each calls f with every scalar metric as a (name, value) pair, the

@@ -7,13 +7,6 @@ import (
 	"repro/internal/ir"
 )
 
-func TestMetricsInterlock(t *testing.T) {
-	m := &Metrics{LoadInterlock: 7, FixedInterlock: 5}
-	if got := m.Interlock(); got != 12 {
-		t.Errorf("Interlock() = %d, want 12", got)
-	}
-}
-
 func TestMetricsLoadInterlockShare(t *testing.T) {
 	m := &Metrics{Cycles: 200, LoadInterlock: 50}
 	if got := m.LoadInterlockShare(); got != 0.25 {
