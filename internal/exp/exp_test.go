@@ -1,12 +1,15 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/hlir"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -369,6 +372,83 @@ func TestJobsOneMatchesParallel(t *testing.T) {
 		b := wide.Get("tomcatv", cfg).Metrics
 		if a.Cycles != b.Cycles || a.Instrs != b.Instrs || a.LoadInterlock != b.LoadInterlock {
 			t.Errorf("%s: serial %v != parallel %v", cfg.Name(), a, b)
+		}
+	}
+}
+
+// TestResultPhasesRecorded asserts every cell records its phase timings as
+// trace spans nested in its "cell" span: the phases that always run must
+// take non-zero time, and optional phases must appear exactly when the
+// configuration enables them.
+func TestResultPhasesRecorded(t *testing.T) {
+	tr := obs.NewTracer()
+	if _, err := RunGrid(subset, Options{Verify: true, Jobs: 2, Tracer: tr}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []obs.Event `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	// Spans on a worker's lane that lie inside a cell span ran for that
+	// cell; a phase's time is the sum of its spans' durations.
+	const eps = 0.01
+	phases := map[string]map[string]float64{}
+	for _, c := range trace.TraceEvents {
+		if c.Ph != "X" || c.Name != "cell" {
+			continue
+		}
+		key := c.Args["bench"] + "/" + c.Args["config"]
+		if phases[key] != nil {
+			t.Errorf("%s: more than one cell span", key)
+		}
+		ph := map[string]float64{}
+		for _, ev := range trace.TraceEvents {
+			if ev.Ph == "X" && ev.Name != "cell" && ev.TID == c.TID &&
+				ev.TS >= c.TS-eps && ev.TS+ev.Dur <= c.TS+c.Dur+eps {
+				ph[ev.Name] += ev.Dur
+			}
+		}
+		phases[key] = ph
+	}
+	for _, b := range subset {
+		profiled := false
+		for _, cfg := range Cells() {
+			ph, ok := phases[b+"/"+cfg.Name()]
+			if !ok {
+				t.Errorf("%s/%s: no cell span", b, cfg.Name())
+				continue
+			}
+			if ph["lower"] <= 0 || ph["regalloc"] <= 0 || ph["sim"] <= 0 {
+				t.Errorf("%s/%s: missing mandatory phase times: %v", b, cfg.Name(), ph)
+			}
+			if cfg.Trace {
+				if ph["trace"] <= 0 {
+					t.Errorf("%s/%s: trace scheduling ran but trace time is zero", b, cfg.Name())
+				}
+				if _, ok := ph["sched"]; ok {
+					t.Errorf("%s/%s: trace-scheduled cell has block-scheduling spans", b, cfg.Name())
+				}
+				profiled = profiled || ph["profile"] > 0
+			} else {
+				if ph["sched"] <= 0 {
+					t.Errorf("%s/%s: block scheduling ran but sched time is zero", b, cfg.Name())
+				}
+				if _, ok := ph["trace"]; ok {
+					t.Errorf("%s/%s: block-scheduled cell has trace-scheduling spans", b, cfg.Name())
+				}
+			}
+		}
+		// The profile memo shares runs across policies, but each
+		// benchmark must have paid for at least one real profile
+		// collection.
+		if !profiled {
+			t.Errorf("%s: no cell recorded profile-collection time", b)
 		}
 	}
 }
