@@ -170,6 +170,8 @@ type Compiled struct {
 	Prefetches int
 	// LICM reports hoisting when the optional pass ran.
 	LICM *licm.Report
+
+	prefix *ir.Func // the transform prefix's unscheduled code; Fn itself without Options.Prefixes
 }
 
 // Compile runs the configured pipeline on p under opt. The data is
@@ -197,6 +199,7 @@ func Compile(p *hlir.Program, cfg Config, data *Data, opt Options) (*Compiled, e
 		return nil, err
 	}
 	out.Fn = fn
+	out.prefix = pre.fn
 	out.ArrayID = pre.arrayID
 	out.Outputs = pre.outputs
 	out.Locality = pre.locality
@@ -210,13 +213,7 @@ func Compile(p *hlir.Program, cfg Config, data *Data, opt Options) (*Compiled, e
 				ee, reused, err := profile.Collect(fn, func(m *sim.Machine) {
 					InitMachine(m, out.ArrayID, data)
 				}, opt.Pool)
-				if opt.Pool != nil {
-					if reused {
-						st.Inc("sim/machine_pool_hits")
-					} else {
-						st.Inc("sim/machine_pool_misses")
-					}
-				}
+				countPoolDraw(opt, reused)
 				e = ee
 				return err
 			})
@@ -282,6 +279,18 @@ type compilation struct {
 	opt Options
 }
 
+// countPoolDraw counts a machine drawn from opt.Pool, recycled or not,
+// into opt.Obs's registry.
+func countPoolDraw(opt Options, reused bool) {
+	switch st := opt.Obs.Stat(); {
+	case opt.Pool == nil:
+	case reused:
+		st.Inc("sim/machine_pool_hits")
+	default:
+		st.Inc("sim/machine_pool_misses")
+	}
+}
+
 // phase wraps one pipeline phase in a trace span. A canceled or expired
 // Options.Ctx aborts at the boundary, before the phase body runs.
 func (c *compilation) phase(name string, f func() error) error {
@@ -322,7 +331,7 @@ func InitMachine(m *sim.Machine, ids map[*hlir.Array]int, data *Data) {
 // Execute simulates compiled code on the 21164 model with the given
 // inputs, returning the metrics and the output checksum.
 func Execute(c *Compiled, data *Data) (*sim.Metrics, uint64, error) {
-	met, sum, _, err := ExecutePooled(c, data, 1, nil)
+	met, sum, _, err := ExecutePooled(c, data, 1, nil, nil)
 	return met, sum, err
 }
 
@@ -334,8 +343,10 @@ func Execute(c *Compiled, data *Data) (*sim.Metrics, uint64, error) {
 // multi-megabyte memory images. reused reports whether the machine came
 // out of the pool, for the caller's pool-efficiency counters. Pooled and
 // fresh runs are bit-identical. Lock contention on a shared pool lands in
-// the pool's own wait histogram (sim.NewPool).
-func ExecutePooled(c *Compiled, data *Data, width int, pool *sim.Pool) (met *sim.Metrics, sum uint64, reused bool, err error) {
+// the pool's own wait histogram (sim.NewPool). counts, when non-nil,
+// receives the run's edge counts as sim.Machine.Run takes them, for a
+// Donation.
+func ExecutePooled(c *Compiled, data *Data, width int, pool *sim.Pool, counts []int64) (met *sim.Metrics, sum uint64, reused bool, err error) {
 	var m *sim.Machine
 	if pool == nil {
 		m, err = sim.New(c.Fn)
@@ -347,7 +358,7 @@ func ExecutePooled(c *Compiled, data *Data, width int, pool *sim.Pool) (met *sim
 	}
 	m.IssueWidth = width
 	InitMachine(m, c.ArrayID, data)
-	met, err = m.Run(nil)
+	met, err = m.Run(counts)
 	if err != nil {
 		return nil, 0, reused, fmt.Errorf("core: executing %s (%s): %w", c.Fn.Name, c.Config.Name(), err)
 	}

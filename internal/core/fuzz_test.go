@@ -62,7 +62,7 @@ func TestPipelineFuzz(t *testing.T) {
 			}
 			// Wider issue must not change semantics either.
 			if cfg.Trace {
-				if _, got4, _, err := ExecutePooled(c, d, 4, nil); err != nil || got4 != want {
+				if _, got4, _, err := ExecutePooled(c, d, 4, nil, nil); err != nil || got4 != want {
 					t.Fatalf("trial %d %s width 4: err=%v mismatch=%v", trial, cfg.Name(), err, got4 != want)
 				}
 			}

@@ -55,7 +55,9 @@ func (cr *CellRunner) Run(ctx context.Context, bench string, cfg core.Config, op
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r := runCellAttempts(ctx, fe, cellSpec{cfg: cfg}, pool, opt, 0)
+	var l lane
+	r := runCellAttempts(ctx, task{fe: fe, spec: cellSpec{cfg: cfg}}, pool, opt, &l)
+	l.release()
 	if r.err != nil {
 		return r.result(), r.err
 	}

@@ -131,7 +131,9 @@ func TestChaosRetryRecovers(t *testing.T) {
 
 // TestChaosTimeout injects a delay far past the cell deadline into one
 // cell and asserts it is abandoned, retried once, and reported as a
-// timed-out CellError while the rest of the grid completes.
+// timed-out CellError while the rest of the grid completes. An abandoned
+// attempt keeps its goroutine but not its worker: the retry starts at
+// once on a fresh goroutine, so the grid ends before the delay does.
 func TestChaosTimeout(t *testing.T) {
 	plan, err := faultinject.ParseSpec(1, "exp/cell|tomcatv/BS+LA+TrS+LU8=delay:10s")
 	if err != nil {
@@ -144,7 +146,11 @@ func TestChaosTimeout(t *testing.T) {
 	// but race-instrumented CI and the shared front-end inflate it) and
 	// far below the injected delay, so only the delayed cell can exhaust
 	// both attempts.
+	start := time.Now()
 	s, err := RunGrid([]string{"tomcatv"}, Options{Jobs: 4, CellTimeout: 2 * time.Second})
+	if took := time.Since(start); took >= 10*time.Second {
+		t.Errorf("grid took %v, past the 10s delay: the retry waited for the abandoned attempt", took)
+	}
 	var ge *GridError
 	if !errors.As(err, &ge) {
 		t.Fatalf("hung cell did not degrade the grid: %v", err)

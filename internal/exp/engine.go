@@ -45,7 +45,11 @@ import (
 // (core.PrefixMemo) and each schedules its own copy of the code. A cell
 // whose final code is identical to an earlier cell's of the same
 // benchmark does not simulate at all: it copies that cell's run from
-// the benchmark's memo (memo.go), one memo per benchmark per run. With
+// the benchmark's memo (memo.go), one memo per benchmark per run. Trace
+// cells take their edge profile from a profile donor, the first live
+// cell of their prefix when it is block-scheduled: its verified timed
+// run counts the edges a profile walk would (core.Donation), and a
+// prefix without a donor, or whose donor fails, is walked. With
 // Options.Contention set, the machine pool, front-ends and journal
 // record their waits in named wait histograms.
 //
@@ -54,10 +58,10 @@ import (
 // runSuite, and each returns one Suite whose numbers depend only on
 // (benchmark, configuration, issue width).
 //
-// The engine is fault-isolated: every cell attempt runs in its own
-// goroutine with a recover guard and an optional deadline, so a panicking
-// or hung cell becomes a structured CellError on its result instead of a
-// process crash, transient failures (panics, timeouts) get one bounded
+// The engine is fault-isolated: every cell attempt runs on its worker's
+// attempt goroutine (lane) with a recover guard and an optional deadline,
+// so a panicking or hung cell becomes a structured CellError on its
+// result instead of a process crash, transient failures (panics, timeouts) get one bounded
 // retry, and the grid always runs to completion — a degraded run returns
 // a *GridError listing the injured cells next to the still-valid Suite.
 
@@ -139,6 +143,15 @@ func (spec cellSpec) issueWidths() []int {
 	return spec.widths
 }
 
+// task is one live cell: its benchmark's front-end, its column and, when
+// the cell is its transform prefix's profile donor, the donation its
+// first attempt completes (core.ProfileCache.Donors).
+type task struct {
+	fe   *frontEnd
+	spec cellSpec
+	don  *core.Donation
+}
+
 // cellResult is one completed (or failed) cell: its numbers, not its
 // code.
 type cellResult struct {
@@ -178,16 +191,17 @@ func (r *cellResult) result() *Result {
 // CellRunner's carry neither, so a long-lived server keeps no code
 // between requests.
 type frontEnd struct {
-	b        workload.Benchmark
-	code     *core.PrefixMemo
-	sims     *simMemo
-	profiles core.ProfileCache
-	once     sync.Once
-	built    atomic.Bool
-	p        *hlir.Program
-	d        *core.Data
-	want     uint64
-	err      error
+	b          workload.Benchmark
+	code       *core.PrefixMemo
+	sims       *simMemo
+	profiles   core.ProfileCache
+	countEdges bool // width-1 timed runs count their edges: the grid gave the benchmark a profile donor
+	once       sync.Once
+	built      atomic.Bool
+	p          *hlir.Program
+	d          *core.Data
+	want       uint64
+	err        error
 }
 
 // get builds the front-end on first call, under a "frontend" span on the
@@ -244,7 +258,10 @@ func (p *phaseTracker) name() string { return phaseNames[p.v.Load()] }
 // remaining widths. Machines for the profiling run and every width come
 // from pool; a width whose run the benchmark's memo already holds for
 // identical code reuses it, and every verified fresh run is stored there.
-func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, ob *obs.Obs, opt Options, ph *phaseTracker) (*cellResult, error) {
+// A profile donor (t.don non-nil) donates its width-1 run's edge counts
+// once the run passes the checksum oracle.
+func runCell(ctx context.Context, t task, pool *sim.Pool, ob *obs.Obs, opt Options, ph *phaseTracker) (*cellResult, error) {
+	fe, spec := t.fe, t.spec
 	ph.set(phaseFrontend)
 	p, d, want, err := fe.get(ob)
 	if err != nil {
@@ -262,9 +279,8 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, o
 
 	st := ob.Stat()
 	ph.set(phaseCompile)
-	c, err := core.Compile(p, spec.cfg, d, core.Options{
-		Verify: opt.Verify, Ctx: ctx, Pool: pool, Profiles: &fe.profiles, Prefixes: fe.code, Obs: ob,
-	})
+	copt := core.Options{Verify: opt.Verify, Ctx: ctx, Pool: pool, Profiles: &fe.profiles, Prefixes: fe.code, Obs: ob}
+	c, err := core.Compile(p, spec.cfg, d, copt)
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s %s: %w", fe.b.Name, spec.cfg.Name(), err)
 	}
@@ -281,7 +297,7 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, o
 		ph.set(phaseSim)
 		simSpan := ob.Begin("sim", "sim").Arg("width", strconv.Itoa(w))
 		k := fe.sims.key(c, w)
-		met, got, memoized := fe.sims.lookup(k, c)
+		met, got, counts, memoized := fe.sims.lookup(k, c)
 		var err error
 		if memoized {
 			// The reused run stands in for a simulation, fault point
@@ -289,8 +305,11 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, o
 			err = faultinject.Hit("sim/run", c.Fn.Name)
 			st.Inc("sim/reused")
 		} else {
+			if w == 1 && fe.countEdges {
+				counts = make([]int64, 2*len(c.Fn.Blocks))
+			}
 			var pooled bool
-			met, got, pooled, err = core.ExecutePooled(c, d, w, pool)
+			met, got, pooled, err = core.ExecutePooled(c, d, w, pool, counts)
 			// Registered at zero, so every cell's snapshot has the same
 			// keys whichever of two identical cells happened to run first.
 			st.Add("sim/reused", 0)
@@ -312,7 +331,12 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, o
 			return nil, fmt.Errorf("exp: %s %s w%d: %w", fe.b.Name, spec.cfg.Name(), w, err)
 		}
 		if !memoized && ctx.Err() == nil {
-			fe.sims.store(k, c, met, got)
+			fe.sims.store(k, c, met, got, counts)
+		}
+		if w == 1 {
+			if err := t.don.Donate(c, counts, d, copt); err != nil {
+				return nil, fmt.Errorf("exp: %s %s: %w", fe.b.Name, spec.cfg.Name(), err)
+			}
 		}
 		out.mets[w] = met
 		if w == 1 && st != nil {
@@ -325,13 +349,47 @@ func runCell(ctx context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, o
 	return out, nil
 }
 
-// runCellOnce executes one attempt of a cell inside its own goroutine,
-// converting a panic, deadline expiry or parent cancellation into a
-// *CellError. The attempt goroutine writes its outcome to a buffered
-// channel, so an abandoned (timed-out or canceled) attempt can still
-// complete its send and exit when the hung stage eventually returns — the
-// goroutine outlives the deadline but does not leak forever.
-func runCellOnce(parent context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, opt Options, lane int) (*cellResult, *CellError) {
+// lane is one worker's attempt goroutine. Every attempt of the worker's
+// cells runs on it, so an attempt starts on the stack that earlier
+// attempts grew rather than growing a fresh goroutine's stack step by
+// step deep inside the pipeline. An attempt abandoned on timeout or
+// cancellation keeps its goroutine until the hung stage returns, and the
+// lane starts a new one for its next attempt. A lane is used by one
+// goroutine at a time.
+type lane struct {
+	id   int         // the trace lane its spans land on
+	work chan func() // nil before the first attempt and after an abandoned one
+}
+
+// run hands f to the lane's goroutine, starting one when there is none.
+func (l *lane) run(f func()) {
+	if l.work == nil {
+		l.work = make(chan func())
+		go func(work <-chan func()) {
+			for f := range work {
+				f()
+			}
+		}(l.work)
+	}
+	l.work <- f
+}
+
+// release lets the lane's goroutine exit once its current attempt, if
+// any, returns.
+func (l *lane) release() {
+	if l.work != nil {
+		close(l.work)
+		l.work = nil
+	}
+}
+
+// runCellOnce executes one attempt of a cell on l's goroutine, converting
+// a panic, deadline expiry or parent cancellation into a *CellError. The
+// attempt writes its outcome to a buffered channel, so an abandoned
+// (timed-out or canceled) attempt can still complete its send and free
+// its goroutine when the hung stage eventually returns — the goroutine
+// outlives the deadline but does not leak forever.
+func runCellOnce(parent context.Context, t task, pool *sim.Pool, opt Options, l *lane) (*cellResult, *CellError) {
 	ctx := parent
 	cancel := func() {}
 	if opt.CellTimeout > 0 {
@@ -342,7 +400,7 @@ func runCellOnce(parent context.Context, fe *frontEnd, spec cellSpec, pool *sim.
 	var ph phaseTracker
 	cellErr := func(err error) *CellError {
 		return &CellError{
-			Bench: fe.b.Name, Config: spec.cfg.Name(), Phase: ph.name(), Err: err,
+			Bench: t.fe.b.Name, Config: t.spec.cfg.Name(), Phase: ph.name(), Err: err,
 			Timeout:  errors.Is(err, context.DeadlineExceeded),
 			Canceled: errors.Is(err, context.Canceled),
 		}
@@ -354,7 +412,7 @@ func runCellOnce(parent context.Context, fe *frontEnd, spec cellSpec, pool *sim.
 		stack string
 	}
 	done := make(chan outcome, 1)
-	go func() {
+	l.run(func() {
 		defer func() {
 			if v := recover(); v != nil {
 				done <- outcome{pv: v, stack: string(debug.Stack())}
@@ -364,16 +422,16 @@ func runCellOnce(parent context.Context, fe *frontEnd, spec cellSpec, pool *sim.
 		// design, so each attempt gets a fresh one; the tracer and the
 		// wait-histogram registry are shared and the lane identifies the
 		// worker.
-		ob := &obs.Obs{Tracer: opt.Tracer, Lane: lane}
+		ob := &obs.Obs{Tracer: opt.Tracer, Lane: l.id}
 		if opt.Contention != nil {
 			ob.Waits = opt.Contention.Waits
 		}
 		if opt.Observe {
 			ob.Stats = obs.NewStats()
 		}
-		r, err := runCell(ctx, fe, spec, pool, ob, opt, &ph)
+		r, err := runCell(ctx, t, pool, ob, opt, &ph)
 		done <- outcome{r: r, err: err}
-	}()
+	})
 	select {
 	case o := <-done:
 		switch {
@@ -388,6 +446,7 @@ func runCellOnce(parent context.Context, fe *frontEnd, spec cellSpec, pool *sim.
 			return o.r, nil
 		}
 	case <-ctx.Done():
+		l.release()
 		return nil, cellErr(ctx.Err())
 	}
 }
@@ -398,12 +457,18 @@ func runCellOnce(parent context.Context, fe *frontEnd, spec cellSpec, pool *sim.
 // are not retried, and neither is any failure once the parent context is
 // dead (a canceled run or an expired request deadline would only fail the
 // same way again). The returned result always carries the attempt and
-// fault tallies for the engine's robustness counters.
-func runCellAttempts(parent context.Context, fe *frontEnd, spec cellSpec, pool *sim.Pool, opt Options, lane int) *cellResult {
+// fault tallies for the engine's robustness counters. A profile donor
+// donates from its first attempt only, and that attempt's end completes
+// the donor's flight whatever its outcome, so its trace siblings never
+// wait through a retry.
+func runCellAttempts(parent context.Context, t task, pool *sim.Pool, opt Options, l *lane) *cellResult {
 	const maxAttempts = 2
 	var panics, timeouts int
+	fe, spec := t.fe, t.spec
 	for attempt := 1; ; attempt++ {
-		r, cerr := runCellOnce(parent, fe, spec, pool, opt, lane)
+		r, cerr := runCellOnce(parent, t, pool, opt, l)
+		t.don.Fail()
+		t.don = nil
 		if cerr == nil {
 			r.attempts = attempt
 			r.panics, r.timeouts = panics, timeouts
@@ -426,24 +491,24 @@ func runCellAttempts(parent context.Context, fe *frontEnd, spec cellSpec, pool *
 	}
 }
 
-// forEach calls fn(lane, i) for every i in [0, n) on at most jobs
-// goroutines and returns once every call has. Indices come from one
-// shared counter, one at a time, so a worker that draws short tasks
-// simply draws more of them.
-func forEach(n, jobs int, fn func(lane, i int)) {
+// forEach calls fn(w, i) for every i in [0, n) on at most jobs worker
+// goroutines, w = 0, 1, …, and returns once every call has. Indices come
+// from one shared counter, one at a time and in order, so a worker that
+// draws short tasks simply draws more of them.
+func forEach(n, jobs int, fn func(w, i int)) {
 	if jobs > n {
 		jobs = n
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(jobs)
-	for lane := 0; lane < jobs; lane++ {
-		go func(lane int) {
+	for w := 0; w < jobs; w++ {
+		go func(w int) {
 			defer wg.Done()
 			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				fn(lane, i)
+				fn(w, i)
 			}
-		}(lane)
+		}(w)
 	}
 	wg.Wait()
 }
@@ -556,14 +621,14 @@ func runSuite(benches []workload.Benchmark, specs []cellSpec, opt Options) (*Sui
 
 	// Partition cells into journal replays, finalized immediately, and
 	// live work; pre lists each benchmark with at least one live cell.
-	type task struct {
-		fe   *frontEnd
-		spec cellSpec
-	}
+	// Each benchmark's live cells then reserve their profile donations:
+	// forEach starts cells in queue order, so every donor starts before
+	// the trace cells that wait on it.
 	var queue []task
 	var pre []*frontEnd
 	for _, b := range benches {
 		fe := &frontEnd{b: b, code: &core.PrefixMemo{}, sims: &simMemo{}}
+		live := len(queue)
 		for _, spec := range specs {
 			// A journaled cell replays only when it holds every width the
 			// spec simulates: the paper grid journals BS+LU4 at width 1,
@@ -587,6 +652,16 @@ func runSuite(benches []workload.Benchmark, specs []cellSpec, opt Options) (*Sui
 			}
 			queue = append(queue, task{fe: fe, spec: spec})
 		}
+		cfgs := make([]core.Config, 0, len(queue)-live)
+		for _, t := range queue[live:] {
+			cfgs = append(cfgs, t.spec.cfg)
+		}
+		for i, don := range fe.profiles.Donors(cfgs) {
+			if don != nil {
+				queue[live+i].don = don
+				fe.countEdges = true
+			}
+		}
 	}
 
 	ctx := opt.ctx()
@@ -598,18 +673,23 @@ func runSuite(benches []workload.Benchmark, specs []cellSpec, opt Options) (*Sui
 	// Front-end pre-phase: no cell ever waits on another's build. Build
 	// errors stay sticky on the frontEnd; each of its cells surfaces the
 	// same error.
-	forEach(len(pre), nw, func(lane, i int) {
-		pre[i].get(&obs.Obs{Tracer: opt.Tracer, Lane: lane})
+	forEach(len(pre), nw, func(w, i int) {
+		pre[i].get(&obs.Obs{Tracer: opt.Tracer, Lane: w})
 	})
 
 	results := make([]*cellResult, len(queue))
-	forEach(len(queue), nw, func(lane, i int) {
+	lanes := make([]lane, nw)
+	for w := range lanes {
+		lanes[w].id = w
+	}
+	forEach(len(queue), nw, func(w, i int) {
 		t := queue[i]
 		// A dead run context skips queued cells without starting them:
 		// each becomes a canceled CellError so the grid still accounts
 		// for every cell and the journal records the interruption.
 		var r *cellResult
 		if err := ctx.Err(); err != nil {
+			t.don.Fail()
 			r = &cellResult{
 				bench: t.fe.b.Name, cfg: t.spec.cfg, attempts: 1,
 				err: &CellError{
@@ -620,12 +700,15 @@ func runSuite(benches []workload.Benchmark, specs []cellSpec, opt Options) (*Sui
 				},
 			}
 		} else {
-			r = runCellAttempts(ctx, t.fe, t.spec, pool, opt, lane)
+			r = runCellAttempts(ctx, t, pool, opt, &lanes[w])
 		}
 		journal(r)
 		progress(r)
 		results[i] = r
 	})
+	for i := range lanes {
+		lanes[i].release()
+	}
 	for _, r := range results {
 		finalize(*r)
 	}

@@ -11,7 +11,9 @@ import (
 // A cell whose final code is identical to an earlier cell's — a
 // transform that changed nothing for this program, such as unrolling a
 // loop the unroller leaves alone — takes a copy of that cell's metrics
-// and output checksum instead of simulating again.
+// and output checksum instead of simulating again, and the run's edge
+// counts when it counted them, so a profile donor whose run is reused
+// still donates.
 //
 // The map key is the code's sim.Fingerprint plus the issue width, and
 // every hit is confirmed field by field against the first cell's
@@ -37,9 +39,10 @@ type simKey struct {
 
 // simRun is one stored timing run and the cell that produced it.
 type simRun struct {
-	c   *core.Compiled
-	met sim.Metrics
-	sum uint64
+	c      *core.Compiled
+	met    sim.Metrics
+	sum    uint64
+	counts []int64 // edge counts, indexed 2·block+successor; nil when the run counted none
 }
 
 // key computes c's memo key at width (the zero key on a nil memo, which
@@ -51,11 +54,11 @@ func (sm *simMemo) key(c *core.Compiled, width int) simKey {
 	return simKey{code: sim.Fingerprint(c.Fn), width: width}
 }
 
-// lookup returns a copy of the metrics, and the checksum, of a stored
-// run whose cell executes exactly like c.
-func (sm *simMemo) lookup(k simKey, c *core.Compiled) (*sim.Metrics, uint64, bool) {
+// lookup returns a copy of the metrics, the checksum and the edge counts
+// (shared, read-only) of a stored run whose cell executes exactly like c.
+func (sm *simMemo) lookup(k simKey, c *core.Compiled) (*sim.Metrics, uint64, []int64, bool) {
 	if sm == nil {
-		return nil, 0, false
+		return nil, 0, nil, false
 	}
 	sm.mu.Lock()
 	runs := sm.runs[k] // append-only: the entries below len never change
@@ -63,14 +66,15 @@ func (sm *simMemo) lookup(k simKey, c *core.Compiled) (*sim.Metrics, uint64, boo
 	for _, r := range runs {
 		if core.SameExecution(r.c, c) {
 			met := r.met
-			return &met, r.sum, true
+			return &met, r.sum, r.counts, true
 		}
 	}
-	return nil, 0, false
+	return nil, 0, nil, false
 }
 
-// store records c's verified run under k.
-func (sm *simMemo) store(k simKey, c *core.Compiled, met *sim.Metrics, sum uint64) {
+// store records c's verified run under k, with its edge counts (nil when
+// it counted none), which nothing may change afterwards.
+func (sm *simMemo) store(k simKey, c *core.Compiled, met *sim.Metrics, sum uint64, counts []int64) {
 	if sm == nil {
 		return
 	}
@@ -78,6 +82,6 @@ func (sm *simMemo) store(k simKey, c *core.Compiled, met *sim.Metrics, sum uint6
 	if sm.runs == nil {
 		sm.runs = map[simKey][]*simRun{}
 	}
-	sm.runs[k] = append(sm.runs[k], &simRun{c: c, met: *met, sum: sum})
+	sm.runs[k] = append(sm.runs[k], &simRun{c: c, met: *met, sum: sum, counts: counts})
 	sm.mu.Unlock()
 }

@@ -77,15 +77,15 @@ func twins(t *testing.T, bench string, cfg core.Config) (compile func() *core.Co
 func TestSimMemoMissesOnAnyKeyedChange(t *testing.T) {
 	compile, d := twins(t, "tomcatv", bsNone)
 	first := compile()
-	met, sum, _, err := core.ExecutePooled(first, d, 1, nil)
+	met, sum, _, err := core.ExecutePooled(first, d, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	memo := &simMemo{}
-	memo.store(memo.key(first, 1), first, met, sum)
+	memo.store(memo.key(first, 1), first, met, sum, nil)
 
 	twin := compile()
-	got, gotSum, ok := memo.lookup(memo.key(twin, 1), twin)
+	got, gotSum, _, ok := memo.lookup(memo.key(twin, 1), twin)
 	if !ok || *got != *met || gotSum != sum {
 		t.Fatalf("identical recompilation missed the memo (hit=%v)", ok)
 	}
@@ -145,7 +145,7 @@ func TestSimMemoMissesOnAnyKeyedChange(t *testing.T) {
 	for _, m := range mutations {
 		c := compile()
 		m.mutate(c)
-		if _, _, ok := memo.lookup(memo.key(c, m.width), c); ok {
+		if _, _, _, ok := memo.lookup(memo.key(c, m.width), c); ok {
 			t.Errorf("changing %s still hit the memo", m.name)
 		}
 	}
@@ -223,7 +223,7 @@ func TestFailedSimulationLeavesNoEntry(t *testing.T) {
 func TestSimMemoConcurrent(t *testing.T) {
 	compile, d := twins(t, "tomcatv", bsNone)
 	cells := []*core.Compiled{compile(), compile(), compile(), compile()}
-	met, sum, _, err := core.ExecutePooled(cells[0], d, 1, nil)
+	met, sum, _, err := core.ExecutePooled(cells[0], d, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +236,9 @@ func TestSimMemoConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				k := memo.key(c, 1)
-				got, gotSum, ok := memo.lookup(k, c)
+				got, gotSum, _, ok := memo.lookup(k, c)
 				if !ok {
-					memo.store(k, c, &want, sum)
+					memo.store(k, c, &want, sum, nil)
 					continue
 				}
 				if *got != want || gotSum != sum {

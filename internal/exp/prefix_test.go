@@ -151,26 +151,26 @@ func TestPrefixSharingGrid(t *testing.T) {
 }
 
 // TestProfileSharingGridSurvivesPanic panics the profile walk of the
-// first trace cell of a Jobs:1 tomcatv grid. The cell's retry and its
-// trace siblings must collect or share a fresh profile: the grid
-// completes with no failed cell, and the panic is counted and retried.
+// first trace cell of a Jobs:1 tomcatv grid. The grid holds only trace
+// cells, so no cell donates a profile and every prefix is walked. The
+// cell's retry and its trace siblings must collect or share a fresh
+// profile: the grid completes with no failed cell, and the panic is
+// counted and retried.
 func TestProfileSharingGridSurvivesPanic(t *testing.T) {
 	b, err := workload.ByName("tomcatv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// At Jobs:1 cells run in Cells() order, and every cell before the
-	// first trace cell hits sim/run once, for its timing run (or the
-	// reused run standing in for it); the next hit is the profile walk.
-	walk := uint64(1)
+	var cfgs []core.Config
 	for _, cfg := range Cells() {
 		if cfg.Trace {
-			break
+			cfgs = append(cfgs, cfg)
 		}
-		walk++
 	}
+	// At Jobs:1 the first trace cell's profile walk is tomcatv's first
+	// sim/run hit.
 	faultinject.Enable(faultinject.NewPlan(1, faultinject.Rule{
-		Site: "sim/run", Key: "tomcatv", Mode: faultinject.ModePanic, OnHit: walk,
+		Site: "sim/run", Key: "tomcatv", Mode: faultinject.ModePanic, OnHit: 1,
 	}))
 	defer faultinject.Disable()
 	type outcome struct {
@@ -179,7 +179,7 @@ func TestProfileSharingGridSurvivesPanic(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		s, err := RunBenchmarksConfigs([]workload.Benchmark{b}, Cells(), Options{Jobs: 1})
+		s, err := RunBenchmarksConfigs([]workload.Benchmark{b}, cfgs, Options{Jobs: 1})
 		done <- outcome{s, err}
 	}()
 	var o outcome
@@ -195,7 +195,7 @@ func TestProfileSharingGridSurvivesPanic(t *testing.T) {
 	if eng == nil || eng.Counters["exp/cell_panics"] != 1 || eng.Counters["exp/cell_retries"] != 1 {
 		t.Errorf("engine counters %v, want one cell panic and one retry", eng)
 	}
-	for _, cfg := range Cells() {
+	for _, cfg := range cfgs {
 		if r := o.s.Get(b.Name, cfg); r == nil || r.Err != nil || r.Metrics == nil {
 			t.Errorf("%s: no healthy result", cfg.Name())
 		}

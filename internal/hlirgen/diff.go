@@ -126,7 +126,7 @@ func simulate(c *core.Compiled, d *core.Data, reference bool) (*sim.Metrics, uin
 	m.Reference = reference
 	core.InitMachine(m, c.ArrayID, d)
 	edges := make([]int64, 2*len(c.Fn.Blocks))
-	met, err := m.Run(func(b, si int) { edges[2*b+si]++ })
+	met, err := m.Run(edges)
 	if err != nil {
 		return nil, 0, nil, err
 	}

@@ -6,7 +6,9 @@
 // every control-flow edge traversal: sim.Machine.CountEdges walks the
 // predecoded code executing values, memory and branch outcomes only,
 // skipping the caches, predictor and stall accounting that edge counts
-// cannot depend on.
+// cannot depend on. A timed run counts the same edges (sim.Machine.Run),
+// which is how a grid takes a profile from a sibling's run instead
+// (core.Donation).
 package profile
 
 import (
@@ -14,11 +16,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Edges maps (block ID, successor index) to a traversal count.
-type Edges map[[2]int]int64
+// Edges holds a function's control-flow edge traversal counts, indexed
+// 2·block+successor: the layout sim.Machine.Run and CountEdges count in.
+type Edges []int64
 
 // Count returns the traversal count of edge (b, succIdx).
-func (e Edges) Count(b, succIdx int) int64 { return e[[2]int{b, succIdx}] }
+func (e Edges) Count(b, succIdx int) int64 { return e[2*b+succIdx] }
 
 // BestSucc returns the successor index of b with the highest count, or -1
 // when no successor edge of b was ever taken.
@@ -32,14 +35,12 @@ func (e Edges) BestSucc(fn *ir.Func, b int) int {
 	return best
 }
 
-// Collect executes fn once with memory prepared by init (may be nil) and
-// returns the edge counts. Block frequencies (entry counts) are stored
-// into fn.Blocks[i].Freq as a side effect, ready for trace formation.
-// The simulation machine comes from pool when it is non-nil, so the
-// profiling run reuses an existing memory image instead of allocating
-// one; reused reports whether it did, for the caller's pool-efficiency
-// counters.
-func Collect(fn *ir.Func, init func(m *sim.Machine), pool *sim.Pool) (edges Edges, reused bool, err error) {
+// Walk executes fn once with memory prepared by init (may be nil) and
+// returns the edge counts, leaving fn untouched. The simulation machine
+// comes from pool when it is non-nil, so the walk reuses an existing
+// memory image instead of allocating one; reused reports whether it
+// did, for the caller's pool-efficiency counters.
+func Walk(fn *ir.Func, init func(m *sim.Machine), pool *sim.Pool) (edges Edges, reused bool, err error) {
 	var m *sim.Machine
 	if pool == nil {
 		m, err = sim.New(fn)
@@ -52,23 +53,23 @@ func Collect(fn *ir.Func, init func(m *sim.Machine), pool *sim.Pool) (edges Edge
 	if init != nil {
 		init(m)
 	}
-	counts, err := m.CountEdges()
+	edges, err = m.CountEdges()
 	if pool != nil {
-		// Trace scheduling rewrites the profiled function in place after
-		// this returns, so the machine's predecoded stream must not be
+		// Trace scheduling rewrites a collected function in place after
+		// Collect returns, so the machine's predecoded stream must not be
 		// trusted against the same pointer again.
 		m.Invalidate()
 		pool.Put(m)
 	}
+	return edges, reused, err
+}
+
+// Collect walks fn as Walk does and stores the block frequencies (entry
+// counts) into fn.Blocks[i].Freq, ready for trace formation.
+func Collect(fn *ir.Func, init func(m *sim.Machine), pool *sim.Pool) (edges Edges, reused bool, err error) {
+	edges, reused, err = Walk(fn, init, pool)
 	if err != nil {
 		return nil, reused, err
-	}
-	// counts is indexed 2·block+successor; untraversed edges stay absent.
-	edges = Edges{}
-	for i, c := range counts {
-		if c != 0 {
-			edges[[2]int{i / 2, i % 2}] = c
-		}
 	}
 	Annotate(fn, edges)
 	return edges, reused, nil
@@ -80,8 +81,9 @@ func Annotate(fn *ir.Func, edges Edges) {
 		b.Freq = 0
 	}
 	fn.Blocks[fn.Entry].Freq = 1
-	for e, c := range edges {
-		succ := fn.Blocks[e[0]].Succs[e[1]]
-		fn.Blocks[succ].Freq += c
+	for i, c := range edges {
+		if c != 0 {
+			fn.Blocks[fn.Blocks[i/2].Succs[i%2]].Freq += c
+		}
 	}
 }

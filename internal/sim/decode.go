@@ -8,7 +8,7 @@ package sim
 // integer PC over the flat slice: no map lookups, no pointer-chasing into
 // ir.Instr, no closures, and no heap allocations per instruction. Its
 // observable behaviour — every Metrics field, every hierarchy counter,
-// the memory image, edge callbacks and error strings — is bit-identical
+// the memory image, edge counts and error strings — is bit-identical
 // to the reference stepper (reference.go); differential tests enforce it.
 // Fingerprint and SameCode, next to decodeInstr, cover exactly the parts
 // of a function that decoding reads, so callers can tell when two
@@ -263,7 +263,7 @@ func absArray(in *ir.Instr) int {
 // runFast is the predecoded hot loop. Structure and cycle accounting
 // mirror the reference stepper statement for statement; only the data
 // representation differs.
-func (m *Machine) runFast(met *Metrics, edges func(block, succIdx int), maxInstrs int64) (*Metrics, error) {
+func (m *Machine) runFast(met *Metrics, counts []int64, maxInstrs int64) (*Metrics, error) {
 	// Invalidate the same-line fetch memo: the previous run's hierarchy
 	// state is unknown here, and a cold first fetch through the full
 	// hierarchy walk is always correct.
@@ -475,18 +475,18 @@ func (m *Machine) runFast(met *Metrics, edges func(block, succIdx int), maxInstr
 			return met, fmt.Errorf("sim: %s b%d has no successor and no ret", m.fn.Name, bid)
 		case taken:
 			next = blk.succ0
-			if edges != nil {
-				edges(int(bid), 0)
+			if counts != nil {
+				counts[2*bid]++
 			}
 		case blk.condTerm:
 			next = blk.succ1
-			if edges != nil {
-				edges(int(bid), 1)
+			if counts != nil {
+				counts[2*bid+1]++
 			}
 		default:
 			next = blk.succ0
-			if edges != nil {
-				edges(int(bid), 0)
+			if counts != nil {
+				counts[2*bid]++
 			}
 		}
 		bid = next

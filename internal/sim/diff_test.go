@@ -3,7 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
-	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -22,7 +22,7 @@ import (
 // runOutcome captures everything a run exposes.
 type runOutcome struct {
 	mets  map[string]int64
-	edges map[[2]int]int64
+	edges []int64 // indexed 2·block+successor
 	hier  map[string]int64
 	mem   []byte
 }
@@ -31,10 +31,10 @@ func observe(t *testing.T, m *Machine) *runOutcome {
 	t.Helper()
 	o := &runOutcome{
 		mets:  map[string]int64{},
-		edges: map[[2]int]int64{},
+		edges: make([]int64, 2*len(m.blocks)),
 		hier:  map[string]int64{},
 	}
-	met, err := m.Run(func(b, si int) { o.edges[[2]int{b, si}]++ })
+	met, err := m.Run(o.edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +66,9 @@ func diffOutcomes(t *testing.T, fast, ref *runOutcome) {
 			t.Errorf("hierarchy %s: fast %d, reference %d", name, fast.hier[name], v)
 		}
 	}
-	for e, v := range ref.edges {
-		if fast.edges[e] != v {
-			t.Errorf("edge %v: fast %d, reference %d", e, fast.edges[e], v)
-		}
-	}
-	for e, v := range fast.edges {
-		if _, ok := ref.edges[e]; !ok {
-			t.Errorf("edge %v: fast %d, reference absent", e, v)
+	for i, v := range ref.edges {
+		if fast.edges[i] != v {
+			t.Errorf("edge b%d/%d: fast %d, reference %d", i/2, i%2, fast.edges[i], v)
 		}
 	}
 	if !bytes.Equal(fast.mem, ref.mem) {
@@ -117,14 +112,8 @@ func diffRun(t *testing.T, f *ir.Func, init func(*Machine), width int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	walked := map[[2]int]int64{}
-	for i, c := range counts {
-		if c != 0 {
-			walked[[2]int{i / 2, i % 2}] = c
-		}
-	}
-	if !maps.Equal(walked, fo.edges) {
-		t.Errorf("walk edges %v, timing run %v", walked, fo.edges)
+	if !slices.Equal(counts, fo.edges) {
+		t.Errorf("walk edges %v, timing run %v", counts, fo.edges)
 	}
 	if !bytes.Equal(walk.mem, fo.mem) {
 		t.Errorf("walk's final memory image differs from the timing run's")

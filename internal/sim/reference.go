@@ -38,7 +38,7 @@ func (m *Machine) ensureCodeAddr() {
 // runReference executes the function with the original stepper. Structure
 // and cycle accounting are the model the fast core mirrors statement for
 // statement.
-func (m *Machine) runReference(met *Metrics, edges func(block, succIdx int), maxInstrs int64) (*Metrics, error) {
+func (m *Machine) runReference(met *Metrics, counts []int64, maxInstrs int64) (*Metrics, error) {
 	m.ensureCodeAddr()
 	var cycle int64
 	bid := m.fn.Entry
@@ -70,18 +70,18 @@ func (m *Machine) runReference(met *Metrics, edges func(block, succIdx int), max
 			return met, fmt.Errorf("sim: %s b%d has no successor and no ret", m.fn.Name, bid)
 		case taken:
 			next = blk.Succs[0]
-			if edges != nil {
-				edges(bid, 0)
+			if counts != nil {
+				counts[2*bid]++
 			}
 		case blk.Term() != nil && blk.Term().Op.IsCondBranch():
 			next = blk.Succs[1]
-			if edges != nil {
-				edges(bid, 1)
+			if counts != nil {
+				counts[2*bid+1]++
 			}
 		default:
 			next = blk.Succs[0]
-			if edges != nil {
-				edges(bid, 0)
+			if counts != nil {
+				counts[2*bid]++
 			}
 		}
 		bid = next

@@ -240,13 +240,17 @@ func (m *Machine) ReadI64(id int, off int64) int64 {
 func (m *Machine) Hierarchy() *cache.Hierarchy { return m.hier }
 
 // Run executes the function to completion and returns its metrics.
-// edges, when non-nil, is called with (block, successor index) for every
-// control-flow edge the timing run traverses. Profiles come from
-// CountEdges, which walks the same edges without the timing model; the
-// differential tests compare its counts against this stream.
-func (m *Machine) Run(edges func(block, succIdx int)) (*Metrics, error) {
+// counts, when non-nil, must hold 2·len(blocks) entries: Run adds one to
+// counts[2·block+successor] for every control-flow edge it traverses,
+// the layout CountEdges returns. A grid's timed run counts this way so
+// its edges can stand in for a profile walk of the same control flow;
+// the differential tests compare the two.
+func (m *Machine) Run(counts []int64) (*Metrics, error) {
 	if err := faultinject.Hit("sim/run", m.fn.Name); err != nil {
 		return nil, err
+	}
+	if counts != nil && len(counts) != 2*len(m.blocks) {
+		return nil, fmt.Errorf("sim: %s: %d edge counters for %d blocks", m.fn.Name, len(counts), len(m.blocks))
 	}
 	met := &Metrics{}
 	maxInstrs := m.MaxInstrs
@@ -258,9 +262,9 @@ func (m *Machine) Run(edges func(block, succIdx int)) (*Metrics, error) {
 	}
 	m.issuedThisCycle, m.memThisCycle, m.fpThisCycle = 0, 0, 0
 	if m.Reference {
-		return m.runReference(met, edges, maxInstrs)
+		return m.runReference(met, counts, maxInstrs)
 	}
-	return m.runFast(met, edges, maxInstrs)
+	return m.runFast(met, counts, maxInstrs)
 }
 
 // advanceIssueAt accounts one instruction against the current issue group

@@ -266,15 +266,19 @@ func TestEdgeCallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := map[[2]int]int64{}
-	if _, err := m.Run(func(b, s int) { counts[[2]int{b, s}]++ }); err != nil {
+	counts := make([]int64, 2*len(f.Blocks))
+	if _, err := m.Run(counts); err != nil {
 		t.Fatal(err)
 	}
-	if counts[[2]int{1, 0}] != 9 { // back edge taken 9 times
-		t.Errorf("back edge count = %d, want 9", counts[[2]int{1, 0}])
+	if counts[2*1+0] != 9 { // back edge taken 9 times
+		t.Errorf("back edge count = %d, want 9", counts[2*1+0])
 	}
-	if counts[[2]int{1, 1}] != 1 { // fallthrough to exit once
-		t.Errorf("exit edge count = %d, want 1", counts[[2]int{1, 1}])
+	if counts[2*1+1] != 1 { // fallthrough to exit once
+		t.Errorf("exit edge count = %d, want 1", counts[2*1+1])
+	}
+	m.Reset(f)
+	if _, err := m.Run(counts[1:]); err == nil || !strings.Contains(err.Error(), "edge counters") {
+		t.Errorf("a short counts slice: %v, want an error", err)
 	}
 }
 

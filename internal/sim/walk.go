@@ -16,8 +16,7 @@ import (
 // everything that only shapes time: the cache hierarchy and TLBs, the
 // branch predictor, register readiness, the miss registers, issue groups
 // and Metrics. Edge counts depend only on values and control flow, so
-// they equal what Run's edges callback sees; the differential tests
-// compare the two.
+// they equal what Run counts; the differential tests compare the two.
 //
 // The walk keeps Run's failure behaviour: the "sim/run" fault point, the
 // MaxInstrs runaway guard, the no-successor error and the effective

@@ -18,14 +18,13 @@ import (
 
 // This file is the oracle for the functional-only walk: on every
 // function the grids profile, CountEdges must count exactly the edges
-// the timing run's callback reports, and where a run fails both paths
+// the timing run counts, and where a run fails both paths
 // must fail with the same message.
 
-// timedEdges runs m on the timing core and counts its edge callbacks,
-// indexed 2·block+successor like CountEdges.
+// timedEdges runs m on the timing core and returns the edges it counted.
 func timedEdges(m *sim.Machine, nBlocks int) ([]int64, error) {
 	counts := make([]int64, 2*nBlocks)
-	_, err := m.Run(func(b, si int) { counts[2*b+si]++ })
+	_, err := m.Run(counts)
 	return counts, err
 }
 

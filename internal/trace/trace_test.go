@@ -227,11 +227,10 @@ func TestFigure2Compensation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	edges := profile.Edges{
-		{b1.ID, 1}: 99, {b1.ID, 0}: 1,
-		{b2.ID, 0}: 99, {b3.ID, 0}: 1,
-		{b4.ID, 0}: 100,
-	}
+	edges := make(profile.Edges, 2*len(f.Blocks))
+	edges[2*b1.ID+1], edges[2*b1.ID] = 99, 1
+	edges[2*b2.ID], edges[2*b3.ID] = 99, 1
+	edges[2*b4.ID] = 100
 	profile.Annotate(f, edges)
 	rep, err := ScheduleAll(f, edges, sched.Balanced, nil, false)
 	if err != nil {
@@ -447,9 +446,9 @@ func TestTraceSizeCap(t *testing.T) {
 		f.Blocks[ids[b]].Succs = []int{ids[b+1]}
 	}
 	f.Blocks[ids[blocks-1]].Instrs = append(f.Blocks[ids[blocks-1]].Instrs, &ir.Instr{Op: ir.OpRet})
-	edges := profile.Edges{}
+	edges := make(profile.Edges, 2*len(f.Blocks))
 	for b := 0; b < blocks-1; b++ {
-		edges[[2]int{ids[b], 0}] = 100
+		edges[2*ids[b]] = 100
 	}
 	profile.Annotate(f, edges)
 	for _, tr := range Form(f, edges) {
