@@ -101,6 +101,10 @@ func realMain(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
+	if *genN < 0 {
+		fmt.Fprintln(os.Stderr, "paperbench: -gen must not be negative")
+		return 1
+	}
 
 	var names []string
 	if *benchList != "" {
@@ -129,7 +133,8 @@ func realMain(args []string) int {
 	defer flushTrace()
 
 	// Output goes to stdout, or — with -out — through a buffer that is
-	// committed atomically at the end so a crash never leaves a torn file.
+	// committed atomically at the end so a crash never leaves a torn file
+	// and a fatal error (code 1) leaves the file as it was.
 	w := io.Writer(os.Stdout)
 	var outBuf *bytes.Buffer
 	if *outFile != "" {
@@ -137,7 +142,7 @@ func realMain(args []string) int {
 		w = outBuf
 	}
 	commit := func(code int) int {
-		if outBuf != nil {
+		if outBuf != nil && code != 1 {
 			if err := exp.WriteFileAtomic(*outFile, outBuf.Bytes()); err != nil {
 				return fail(err)
 			}

@@ -186,6 +186,36 @@ func TestGenModeDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenFatalErrors checks -gen's fatal paths: a run that cannot start
+// (its journal's directory is missing) exits 1 and leaves the -out file
+// as it was, as the paper grid's path does, and a negative -gen is a
+// usage error naming the flag.
+func TestGenFatalErrors(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "tables.txt")
+	const old = "earlier output.\n"
+	journal := filepath.Join(dir, "missing", "j.jsonl")
+	for _, args := range [][]string{
+		{"-gen", "5", "-out", out, "-journal", journal},
+		{"-bench", "tomcatv", "-table", "4", "-out", out, "-journal", journal},
+	} {
+		if err := os.WriteFile(out, []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code, _, _ := runSelf(t, args...); code != 1 {
+			t.Errorf("%v: exit code %d, want 1", args, code)
+		}
+		if got, err := os.ReadFile(out); err != nil || string(got) != old {
+			t.Errorf("%v: -out file holds %q (%v), want %q", args, got, err, old)
+		}
+	}
+
+	code, stdout, errOut := runSelf(t, "-gen", "-3", "-bench", "tomcatv", "-table", "4")
+	if code != 1 || !strings.Contains(errOut, "-gen") || stdout != "" {
+		t.Errorf("-gen -3: exit code %d, stderr %q, stdout %d bytes; want 1, a message naming -gen and no output", code, errOut, len(stdout))
+	}
+}
+
 // TestExtFlags drives the extension grid end to end: -ext runs E1-E3 as
 // one grid, so -json writes one exp.SuiteJSON (its TS+LU4 cell carrying
 // the width-2 and width-4 metrics E1 reads) and -metrics writes the

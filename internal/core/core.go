@@ -344,8 +344,8 @@ func Execute(c *Compiled, data *Data) (*sim.Metrics, uint64, error) {
 // out of the pool, for the caller's pool-efficiency counters. Pooled and
 // fresh runs are bit-identical. Lock contention on a shared pool lands in
 // the pool's own wait histogram (sim.NewPool). counts, when non-nil,
-// receives the run's edge counts as sim.Machine.Run takes them, for a
-// Donation.
+// receives the run's edge counts as sim.Machine.Run takes them, for
+// ProfileCache.Offer.
 func ExecutePooled(c *Compiled, data *Data, width int, pool *sim.Pool, counts []int64) (met *sim.Metrics, sum uint64, reused bool, err error) {
 	var m *sim.Machine
 	if pool == nil {

@@ -2,19 +2,19 @@ package core
 
 import (
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/hlir"
+	"repro/internal/profile"
+	"repro/internal/sched"
 	"repro/internal/verify"
 )
 
-// donorRun compiles p's sharedPrefixCfgs[0], the block-scheduled sibling
-// of traceSiblingCfgs, under opt and returns it with its timed run's edge
-// counts.
-func donorRun(t *testing.T, p *hlir.Program, d *Data, opt Options) (*Compiled, []int64) {
+// donorRun compiles p under cfg and opt and returns the compilation with
+// its timed run's edge counts.
+func donorRun(t *testing.T, p *hlir.Program, cfg Config, d *Data, opt Options) (*Compiled, []int64) {
 	t.Helper()
-	c, err := Compile(p, sharedPrefixCfgs[0], d, opt)
+	c, err := Compile(p, cfg, d, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,45 +25,20 @@ func donorRun(t *testing.T, p *hlir.Program, d *Data, opt Options) (*Compiled, [
 	return c, counts
 }
 
-// TestDonorsPickFirstBlockScheduledSibling checks which configurations
-// Donors names: a prefix's first configuration, only when it is not
-// trace-scheduled and a trace configuration shares the prefix, and only
-// while the prefix's flight is free.
-func TestDonorsPickFirstBlockScheduledSibling(t *testing.T) {
-	trace, block := traceSiblingCfgs[0], sharedPrefixCfgs[0]
-	cases := []struct {
-		cfgs []Config
-		want []bool
-	}{
-		{sharedPrefixCfgs, []bool{true, false, false, false}},
-		{[]Config{trace, block}, []bool{false, false}},
-		{[]Config{block, sharedPrefixCfgs[1]}, []bool{false, false}},
-		{append(slices.Clone(traceSiblingCfgs[:1]), Config{Policy: block.Policy}, Config{Policy: trace.Policy, Trace: true}),
-			[]bool{false, true, false}},
-	}
-	for _, tc := range cases {
-		dons := (&ProfileCache{}).Donors(tc.cfgs)
-		for i, don := range dons {
-			if (don != nil) != tc.want[i] {
-				t.Errorf("Donors(%v)[%d] = %v, want a donation: %v", tc.cfgs, i, don, tc.want[i])
-			}
-		}
-	}
-	pc := &ProfileCache{}
-	pc.flight(prefixKey(block))
-	if dons := pc.Donors(sharedPrefixCfgs); dons[0] != nil {
-		t.Error("Donors reserved a flight another caller holds")
-	}
+// entry returns the flight pc holds for key, or nil.
+func entry(pc *ProfileCache, key Config) *flight[profile.Edges] {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return pc.m[key]
 }
 
-// TestDonation reserves a profile flight, starts the prefix's trace
-// compilations, which wait on it, and then donates a timed run's counts.
-// Verified counts complete the flight and every waiter takes them;
-// counts for another CFG, or a miscounted edge under Verify (a
-// *verify.Error), fail it and the waiters walk the prefix code. Every
-// waiter's code must match a compile with no cache, and a Fail after the
-// donation changes nothing.
-func TestDonation(t *testing.T) {
+// TestOffer offers the timed run of sharedPrefixCfgs[0], the
+// block-scheduled sibling of traceSiblingCfgs, to an empty cache.
+// Verified counts are stored, and a later trace compilation of the
+// prefix takes them as a cache hit and matches a compile with no cache.
+// Counts for another CFG, or a miscounted edge under Verify (a
+// *verify.Error), store nothing.
+func TestOffer(t *testing.T) {
 	p, d := smallProgram()
 	miscount := func(c []int64) []int64 {
 		c = slices.Clone(c)
@@ -79,7 +54,7 @@ func TestDonation(t *testing.T) {
 		name      string
 		counts    func([]int64) []int64
 		verify    bool
-		donated   bool
+		stored    bool
 		verifyErr bool
 	}{
 		{"verified counts", func(c []int64) []int64 { return c }, true, true, false},
@@ -87,47 +62,77 @@ func TestDonation(t *testing.T) {
 		{"counts for another CFG", func(c []int64) []int64 { return c[:len(c)-2] }, true, false, false},
 		{"a miscounted edge under Verify", miscount, true, false, true},
 	}
+	key := prefixKey(sharedPrefixCfgs[0])
 	for _, tc := range cases {
 		pc, pm := &ProfileCache{}, &PrefixMemo{}
-		don := pc.Donors(sharedPrefixCfgs)[0]
-		waiters := startWaiters(t, p, d, traceSiblingCfgs, Options{Verify: true, Profiles: pc, Prefixes: pm})
-		c, counts := donorRun(t, p, d, Options{Verify: true, Prefixes: pm})
-		err := don.Donate(c, tc.counts(counts), d, Options{Verify: tc.verify})
+		c, counts := donorRun(t, p, sharedPrefixCfgs[0], d, Options{Verify: true, Prefixes: pm})
+		offered := tc.counts(counts)
+		err := pc.Offer(c, offered, d, Options{Verify: tc.verify})
 		if verify.IsVerification(err) != tc.verifyErr || err != nil && !tc.verifyErr {
-			t.Errorf("%s: Donate = %v, want a verification error: %v", tc.name, err, tc.verifyErr)
+			t.Errorf("%s: Offer = %v, want a verification error: %v", tc.name, err, tc.verifyErr)
 		}
-		don.Fail()
-		awaitWaiters(t, waiters, len(traceSiblingCfgs))
-		if don.fl.ok != tc.donated || tc.donated && !slices.Equal(don.fl.v, counts) {
-			t.Errorf("%s: flight ok=%v with %v, want donated=%v", tc.name, don.fl.ok, don.fl.v, tc.donated)
+		fl := entry(pc, key)
+		if (fl != nil) != tc.stored || tc.stored && (!fl.ok || !slices.Equal(fl.v, offered)) {
+			t.Errorf("%s: cache entry %+v, want stored=%v", tc.name, fl, tc.stored)
+			continue
 		}
-		if !tc.donated && !replaced(&pc.memo, prefixKey(sharedPrefixCfgs[0]), don.fl) {
-			t.Errorf("%s: the failed flight was not replaced by a waiter's walk", tc.name)
+		if !tc.stored {
+			continue
+		}
+		cfg := traceSiblingCfgs[0]
+		got, snap, err := observedCompile(p, cfg, d, Options{Verify: true, Profiles: pc, Prefixes: pm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits := snap.Counters["core/profile_cache_hits"]; hits != 1 {
+			t.Errorf("%s: %s counted %d profile cache hits, want 1", tc.name, cfg.Name(), hits)
+		}
+		fresh, err := Compile(p, cfg, d, Options{Verify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !SameExecution(got, fresh) {
+			t.Errorf("%s: %s code differs from a compile with no cache", tc.name, cfg.Name())
 		}
 	}
 }
 
-// TestDonationCompletesOnce races Donate against Fail from several
-// goroutines while the trace compilations wait: exactly one completes
-// the flight, whichever it is, and every waiter finishes.
-func TestDonationCompletesOnce(t *testing.T) {
+// TestOfferLeavesTakenKeysAlone checks the offers that change nothing:
+// one while a walk holds the key's flight, one for a key that already
+// has a profile, and one from a trace-scheduled compilation.
+func TestOfferLeavesTakenKeysAlone(t *testing.T) {
 	p, d := smallProgram()
-	pc, pm := &ProfileCache{}, &PrefixMemo{}
-	don := pc.Donors(sharedPrefixCfgs)[0]
-	waiters := startWaiters(t, p, d, traceSiblingCfgs, Options{Profiles: pc, Prefixes: pm})
-	c, counts := donorRun(t, p, d, Options{Prefixes: pm})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if i%2 == 0 {
-				don.Fail()
-			} else if err := don.Donate(c, counts, d, Options{}); err != nil {
-				t.Error(err)
-			}
-		}()
+	key := prefixKey(sharedPrefixCfgs[0])
+	pm := &PrefixMemo{}
+	c, counts := donorRun(t, p, sharedPrefixCfgs[0], d, Options{Prefixes: pm})
+
+	pc := &ProfileCache{}
+	walk, _ := pc.flight(key)
+	if err := pc.Offer(c, counts, d, Options{Verify: true}); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	awaitWaiters(t, waiters, len(traceSiblingCfgs))
+	select {
+	case <-walk.done:
+		t.Error("an offer completed the flight a walk holds")
+	default:
+	}
+	if entry(pc, key) != walk {
+		t.Error("an offer replaced the flight a walk holds")
+	}
+	pc.build(key, walk, func() (profile.Edges, error) { return counts, nil })
+	if err := pc.Offer(c, make([]int64, len(counts)), d, Options{}); err != nil || entry(pc, key) != walk {
+		t.Errorf("an offer for a key with a profile returned %v and replaced the profile: %v", err, entry(pc, key) != walk)
+	}
+
+	// Trace scheduling keeps this program's CFG at BS+TrS, so only the
+	// configuration stops the offer.
+	pc = &ProfileCache{}
+	traced := Config{Policy: sched.Balanced, Trace: true}
+	tc, tcounts := donorRun(t, p, traced, d, Options{Prefixes: pm})
+	if !sameCFG(tc.Fn, tc.prefix) {
+		t.Fatalf("%s changed the prefix code's CFG", traced.Name())
+	}
+	if err := pc.Offer(tc, tcounts, d, Options{}); err != nil || entry(pc, prefixKey(traced)) != nil {
+		t.Errorf("an offer from %s returned %v and stored counts: %v", traced.Name(), err, entry(pc, prefixKey(traced)) != nil)
+	}
 }

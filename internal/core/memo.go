@@ -19,13 +19,13 @@ import (
 // Lookups are single-flight per prefix key, as PrefixMemo's are: the
 // first compilation collects while its siblings wait, each on its own
 // context, and a collection that fails, panics or is canceled is not
-// kept, so its waiters retry. A grid reserves a prefix's flight for a
-// donor (Donors), a block-scheduled sibling whose verified timed run
-// gives the counts, and its trace siblings wait on that as on a walk.
-// Every trace compilation that did not collect counts as a cache hit, so
-// in a run without failures the hit count is a pure function of the
-// configuration set, (trace configs) − (distinct prefix keys without a
-// donor), whatever order the compilations ran in.
+// kept, so its waiters retry. In a grid a prefix's donor, its first
+// configuration when block-scheduled, runs before its trace siblings
+// and offers its verified timed run's counts (Offer), which they take
+// as they would a walk's. Every trace compilation that did not collect
+// counts as a cache hit, so in a grid run without failures the hit count
+// is a pure function of the configuration set, (trace configs) −
+// (distinct prefix keys without a donor), at every Jobs width.
 //
 // A cache must not be shared across programs or input data: the key only
 // encodes the configuration's transform prefix. The zero value is an

@@ -34,6 +34,9 @@ func prefixKey(cfg Config) Config {
 	return cfg
 }
 
+// Prefix returns the key of c's transform prefix (prefixKey).
+func (c Config) Prefix() Config { return prefixKey(c) }
+
 // lowerPrefix runs the transform prefix — locality analysis, unrolling,
 // prefetching, lowering, the IR verifier (under Verify) and LICM — each
 // phase under its own span and counting into st.

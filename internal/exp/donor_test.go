@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,8 +18,7 @@ import (
 
 // profileRuns runs cfgs over tomcatv, traced and observed, and returns
 // the suite with its "profile" span count and profile cache hits. A grid
-// still running after a minute has a trace cell blocked on a flight that
-// no donor completes.
+// still running after a minute is taken to be blocked for good.
 func profileRuns(t *testing.T, cfgs []core.Config, opt Options) (s *Suite, spans, hits int64, err error) {
 	t.Helper()
 	b, berr := workload.ByName("tomcatv")
@@ -34,7 +34,7 @@ func profileRuns(t *testing.T, cfgs []core.Config, opt Options) (s *Suite, spans
 	select {
 	case <-done:
 	case <-time.After(time.Minute):
-		t.Fatal("grid still running after a minute: a trace cell waits on a donor that never completes its flight")
+		t.Fatal("grid still running after a minute")
 	}
 	var buf bytes.Buffer
 	if werr := opt.Tracer.Write(&buf); werr != nil {
@@ -103,13 +103,12 @@ func TestDonatedProfiles(t *testing.T) {
 	}
 }
 
-// TestDonorFaultFallsBackToWalk panics a donor's first attempt, at the
-// start of the cell or in its timed run. The end of that attempt fails
-// the donor's flight, so the trace cells of its prefix walk the prefix
-// code instead of waiting through the retry: no cell fails, one prefix
-// is walked (six cache hits, not seven), and every cell's metrics equal
-// a clean run's.
-func TestDonorFaultFallsBackToWalk(t *testing.T) {
+// TestDonorRetryDonates panics a donor's first attempt, at the start of
+// the cell or in its timed run. The donor's trace siblings run after it
+// on its worker, so its retry still donates: one panic, one retry, five
+// profile spans, seven cache hits and every cell's metrics equal to a
+// clean run's.
+func TestDonorRetryDonates(t *testing.T) {
 	faults := []faultinject.Rule{
 		{Site: "exp/cell", Key: "tomcatv/" + tsLU4.Name(), Mode: faultinject.ModePanic, OnHit: 1},
 		// The first timed run is a donor's at either width: TS's, or at
@@ -129,11 +128,39 @@ func TestDonorFaultFallsBackToWalk(t *testing.T) {
 				t.Errorf("%s: %d panics and %d retries, want one of each", label,
 					eng.Counters["exp/cell_panics"], eng.Counters["exp/cell_retries"])
 			}
-			if spans != 5 || hits != 6 {
-				t.Errorf("%s: %d profile spans and %d cache hits, want 4 donations, 1 walk and 6 hits", label, spans, hits)
+			if spans != 5 || hits != 7 {
+				t.Errorf("%s: %d profile spans and %d cache hits, want 5 donations and 7 hits", label, spans, hits)
 			}
 			sameMetrics(t, label, s, Cells())
 		}
+	}
+}
+
+// TestDonorFaultFallsBackToWalk fails the donor TS+LU4 for good. The
+// grid reports that cell alone, the first trace cell of its prefix walks
+// the prefix code (four donations, one walk and six cache hits, not
+// seven), and every other cell's metrics equal a clean run's.
+func TestDonorFaultFallsBackToWalk(t *testing.T) {
+	var others []core.Config
+	for _, cfg := range Cells() {
+		if cfg != tsLU4 {
+			others = append(others, cfg)
+		}
+	}
+	rule := faultinject.Rule{Site: "exp/cell", Key: "tomcatv/" + tsLU4.Name(), Mode: faultinject.ModeError}
+	for _, jobs := range []int{1, 2} {
+		label := fmt.Sprintf("jobs=%d", jobs)
+		faultinject.Enable(faultinject.NewPlan(1, rule))
+		s, spans, hits, err := profileRuns(t, Cells(), Options{Jobs: jobs})
+		faultinject.Disable()
+		var ge *GridError
+		if !errors.As(err, &ge) || len(ge.Cells) != 1 || ge.Cells[0].Bench != "tomcatv" || ge.Cells[0].Config != tsLU4.Name() {
+			t.Fatalf("%s: grid error %v, want one naming tomcatv %s", label, err, tsLU4.Name())
+		}
+		if spans != 5 || hits != 6 {
+			t.Errorf("%s: %d profile spans and %d cache hits, want 4 donations, 1 walk and 6 hits", label, spans, hits)
+		}
+		sameMetrics(t, label, s, others)
 	}
 }
 

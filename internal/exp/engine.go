@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -22,18 +23,20 @@ import (
 )
 
 // This file is the cell-parallel experiment engine. The grid's unit of
-// work is one (benchmark, configuration) cell, not one benchmark. A run
-// has two phases, both scheduled by forEach: one shared counter hands
-// out indices, one at a time, to at most Jobs workers, which balances
-// cells of a few milliseconds as well as per-worker queues would.
+// work is one benchmark's transform prefix: the live cells that share
+// it run one after another, in grid order, on one worker, and each keeps
+// its own fault isolation, journal line and progress call. A run has two
+// phases, both scheduled by forEach: one shared counter hands out
+// indices, one at a time, to at most Jobs workers, which balances units
+// of a few milliseconds as well as per-worker queues would.
 //
 //   - The front-end pre-phase builds each live benchmark's front-end
 //     (workload build + reference interpretation) exactly once, before
 //     any cell starts.
-//   - The cell phase runs every live cell. Each worker stores its cell
-//     at the cell's queue index, so the caller finalizes in queue order
-//     after the workers join and tables are byte-identical at every
-//     width by construction.
+//   - The cell phase runs every live cell, one prefix group per index.
+//     Each worker stores its group's cells at the group's index, so the
+//     caller finalizes in queue order after the workers join and tables
+//     are byte-identical at every width by construction.
 //
 // Each worker appends its finished cell to the JSONL journal itself, one
 // synchronous whole-line write under a short lock (the "journal" wait
@@ -46,10 +49,11 @@ import (
 // whose final code is identical to an earlier cell's of the same
 // benchmark does not simulate at all: it copies that cell's run from
 // the benchmark's memo (memo.go), one memo per benchmark per run. Trace
-// cells take their edge profile from a profile donor, the first live
-// cell of their prefix when it is block-scheduled: its verified timed
-// run counts the edges a profile walk would (core.Donation), and a
-// prefix without a donor, or whose donor fails, is walked. With
+// cells take their edge profile from a profile donor, their group's
+// first cell when it is block-scheduled: the donor runs before them and
+// offers the edge counts of its verified timed run, which are the edges
+// a profile walk would count (core.ProfileCache.Offer). A prefix without
+// a donor, or whose donor fails for good, is walked. With
 // Options.Contention set, the machine pool, front-ends and journal
 // record their waits in named wait histograms.
 //
@@ -143,13 +147,12 @@ func (spec cellSpec) issueWidths() []int {
 	return spec.widths
 }
 
-// task is one live cell: its benchmark's front-end, its column and, when
-// the cell is its transform prefix's profile donor, the donation its
-// first attempt completes (core.ProfileCache.Donors).
+// task is one live cell: its benchmark's front-end, its column and
+// whether it is its transform prefix's profile donor.
 type task struct {
-	fe   *frontEnd
-	spec cellSpec
-	don  *core.Donation
+	fe    *frontEnd
+	spec  cellSpec
+	donor bool
 }
 
 // cellResult is one completed (or failed) cell: its numbers, not its
@@ -258,8 +261,8 @@ func (p *phaseTracker) name() string { return phaseNames[p.v.Load()] }
 // remaining widths. Machines for the profiling run and every width come
 // from pool; a width whose run the benchmark's memo already holds for
 // identical code reuses it, and every verified fresh run is stored there.
-// A profile donor (t.don non-nil) donates its width-1 run's edge counts
-// once the run passes the checksum oracle.
+// A profile donor offers its width-1 run's edge counts once the run
+// passes the checksum oracle, unless its attempt was abandoned.
 func runCell(ctx context.Context, t task, pool *sim.Pool, ob *obs.Obs, opt Options, ph *phaseTracker) (*cellResult, error) {
 	fe, spec := t.fe, t.spec
 	ph.set(phaseFrontend)
@@ -333,8 +336,8 @@ func runCell(ctx context.Context, t task, pool *sim.Pool, ob *obs.Obs, opt Optio
 		if !memoized && ctx.Err() == nil {
 			fe.sims.store(k, c, met, got, counts)
 		}
-		if w == 1 {
-			if err := t.don.Donate(c, counts, d, copt); err != nil {
+		if w == 1 && t.donor && ctx.Err() == nil {
+			if err := fe.profiles.Offer(c, counts, d, copt); err != nil {
 				return nil, fmt.Errorf("exp: %s %s: %w", fe.b.Name, spec.cfg.Name(), err)
 			}
 		}
@@ -458,17 +461,14 @@ func runCellOnce(parent context.Context, t task, pool *sim.Pool, opt Options, l 
 // dead (a canceled run or an expired request deadline would only fail the
 // same way again). The returned result always carries the attempt and
 // fault tallies for the engine's robustness counters. A profile donor
-// donates from its first attempt only, and that attempt's end completes
-// the donor's flight whatever its outcome, so its trace siblings never
-// wait through a retry.
+// offers from whichever attempt succeeds: its trace siblings run after
+// it on the same worker.
 func runCellAttempts(parent context.Context, t task, pool *sim.Pool, opt Options, l *lane) *cellResult {
 	const maxAttempts = 2
 	var panics, timeouts int
 	fe, spec := t.fe, t.spec
 	for attempt := 1; ; attempt++ {
 		r, cerr := runCellOnce(parent, t, pool, opt, l)
-		t.don.Fail()
-		t.don = nil
 		if cerr == nil {
 			r.attempts = attempt
 			r.panics, r.timeouts = panics, timeouts
@@ -621,14 +621,16 @@ func runSuite(benches []workload.Benchmark, specs []cellSpec, opt Options) (*Sui
 
 	// Partition cells into journal replays, finalized immediately, and
 	// live work; pre lists each benchmark with at least one live cell.
-	// Each benchmark's live cells then reserve their profile donations:
-	// forEach starts cells in queue order, so every donor starts before
-	// the trace cells that wait on it.
-	var queue []task
+	// Each benchmark's live cells are grouped by transform prefix in grid
+	// order, one group per unit of work. A group's first cell is its
+	// profile donor when it is block-scheduled and the group has a trace
+	// cell, which then runs after it.
+	var groups [][]task
 	var pre []*frontEnd
 	for _, b := range benches {
 		fe := &frontEnd{b: b, code: &core.PrefixMemo{}, sims: &simMemo{}}
-		live := len(queue)
+		first := len(groups)
+		byPrefix := map[core.Config]int{}
 		for _, spec := range specs {
 			// A journaled cell replays only when it holds every width the
 			// spec simulates: the paper grid journals BS+LU4 at width 1,
@@ -650,15 +652,19 @@ func runSuite(benches []workload.Benchmark, specs []cellSpec, opt Options) (*Sui
 			if len(pre) == 0 || pre[len(pre)-1] != fe {
 				pre = append(pre, fe)
 			}
-			queue = append(queue, task{fe: fe, spec: spec})
+			k := spec.cfg.Prefix()
+			g, ok := byPrefix[k]
+			if !ok {
+				g = len(groups)
+				byPrefix[k] = g
+				groups = append(groups, nil)
+			}
+			groups[g] = append(groups[g], task{fe: fe, spec: spec})
 		}
-		cfgs := make([]core.Config, 0, len(queue)-live)
-		for _, t := range queue[live:] {
-			cfgs = append(cfgs, t.spec.cfg)
-		}
-		for i, don := range fe.profiles.Donors(cfgs) {
-			if don != nil {
-				queue[live+i].don = don
+		for _, g := range groups[first:] {
+			traced := slices.ContainsFunc(g, func(t task) bool { return t.spec.cfg.Trace })
+			if traced && !g[0].spec.cfg.Trace {
+				g[0].donor = true
 				fe.countEdges = true
 			}
 		}
@@ -677,40 +683,43 @@ func runSuite(benches []workload.Benchmark, specs []cellSpec, opt Options) (*Sui
 		pre[i].get(&obs.Obs{Tracer: opt.Tracer, Lane: w})
 	})
 
-	results := make([]*cellResult, len(queue))
+	results := make([][]*cellResult, len(groups))
 	lanes := make([]lane, nw)
 	for w := range lanes {
 		lanes[w].id = w
 	}
-	forEach(len(queue), nw, func(w, i int) {
-		t := queue[i]
-		// A dead run context skips queued cells without starting them:
-		// each becomes a canceled CellError so the grid still accounts
-		// for every cell and the journal records the interruption.
-		var r *cellResult
-		if err := ctx.Err(); err != nil {
-			t.don.Fail()
-			r = &cellResult{
-				bench: t.fe.b.Name, cfg: t.spec.cfg, attempts: 1,
-				err: &CellError{
-					Bench: t.fe.b.Name, Config: t.spec.cfg.Name(),
-					Phase: "queue", Err: err, Attempts: 1,
-					Timeout:  errors.Is(err, context.DeadlineExceeded),
-					Canceled: errors.Is(err, context.Canceled),
-				},
+	forEach(len(groups), nw, func(w, g int) {
+		for _, t := range groups[g] {
+			// A dead run context skips queued cells without starting
+			// them: each becomes a canceled CellError so the grid still
+			// accounts for every cell and the journal records the
+			// interruption.
+			var r *cellResult
+			if err := ctx.Err(); err != nil {
+				r = &cellResult{
+					bench: t.fe.b.Name, cfg: t.spec.cfg, attempts: 1,
+					err: &CellError{
+						Bench: t.fe.b.Name, Config: t.spec.cfg.Name(),
+						Phase: "queue", Err: err, Attempts: 1,
+						Timeout:  errors.Is(err, context.DeadlineExceeded),
+						Canceled: errors.Is(err, context.Canceled),
+					},
+				}
+			} else {
+				r = runCellAttempts(ctx, t, pool, opt, &lanes[w])
 			}
-		} else {
-			r = runCellAttempts(ctx, t, pool, opt, &lanes[w])
+			journal(r)
+			progress(r)
+			results[g] = append(results[g], r)
 		}
-		journal(r)
-		progress(r)
-		results[i] = r
 	})
 	for i := range lanes {
 		lanes[i].release()
 	}
-	for _, r := range results {
-		finalize(*r)
+	for _, rs := range results {
+		for _, r := range rs {
+			finalize(*r)
+		}
 	}
 	if snap := eng.Snapshot(); len(snap.Counters) > 0 {
 		s.engine = snap

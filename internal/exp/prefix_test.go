@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -121,10 +123,11 @@ func TestPrefixMemoCountersMatchFreshCompile(t *testing.T) {
 
 // TestPrefixSharingGrid runs all sixteen paper configurations of one
 // benchmark from one front-end at Jobs:8, so policy siblings share their
-// prefix's build and trace siblings their profile while others wait on
-// them. Every cell's compiler counters and metrics must equal those of a
-// fresh compile and execution. (core's TestPrefixSharingPaperConfigs
-// checks that each such compilation has its own copy of the code.)
+// prefix's build and trace siblings their profile. Every cell's compiler
+// counters and metrics must equal those of a fresh compile and
+// execution. (core's TestPrefixSharingPaperConfigs checks that each such
+// compilation has its own copy of the code, with siblings waiting on
+// each other's builds.)
 func TestPrefixSharingGrid(t *testing.T) {
 	b, err := workload.ByName("tomcatv")
 	if err != nil {
@@ -147,6 +150,46 @@ func TestPrefixSharingGrid(t *testing.T) {
 		if *r.Metrics != *met {
 			t.Errorf("%s: metrics differ from a fresh compile's:\n got %+v\nwant %+v", cfg.Name(), r.Metrics, met)
 		}
+	}
+}
+
+// TestPrefixCellsRunOnOneLane checks the engine's unit of work on a
+// traced Jobs:2 tomcatv grid: every transform prefix's cells run on one
+// lane, one after another, in grid order.
+func TestPrefixCellsRunOnOneLane(t *testing.T) {
+	tr := obs.NewTracer()
+	if _, err := RunGrid([]string{"tomcatv"}, Options{Jobs: 2, Tracer: tr}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []obs.Event `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	cells := map[string]obs.Event{}
+	for _, ev := range trace.TraceEvents {
+		if ev.Ph == "X" && ev.Name == "cell" {
+			cells[ev.Args["config"]] = ev
+		}
+	}
+	prev := map[core.Config]string{} // each prefix's last cell so far, in grid order
+	for _, cfg := range Cells() {
+		c, ok := cells[cfg.Name()]
+		if !ok {
+			t.Fatalf("%s: no cell span", cfg.Name())
+		}
+		if name, ok := prev[cfg.Prefix()]; ok {
+			if p := cells[name]; c.TID != p.TID || c.TS < p.TS+p.Dur {
+				t.Errorf("%s ran on lane %d at %.0fµs, its prefix sibling %s on lane %d at %.0f-%.0fµs: want one lane, in grid order",
+					cfg.Name(), c.TID, c.TS, name, p.TID, p.TS, p.TS+p.Dur)
+			}
+		}
+		prev[cfg.Prefix()] = cfg.Name()
 	}
 }
 

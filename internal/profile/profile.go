@@ -8,7 +8,7 @@
 // skipping the caches, predictor and stall accounting that edge counts
 // cannot depend on. A timed run counts the same edges (sim.Machine.Run),
 // which is how a grid takes a profile from a sibling's run instead
-// (core.Donation).
+// (core.ProfileCache.Offer).
 package profile
 
 import (
