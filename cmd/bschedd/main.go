@@ -5,7 +5,7 @@
 // Usage (worker mode, the default):
 //
 //	bschedd [-addr :8344] [-queue N] [-workers N] [-deadline d] [-max-deadline d]
-//	        [-cache N] [-breaker-threshold N] [-breaker-cooldown d]
+//	        [-breaker-threshold N] [-breaker-cooldown d]
 //	        [-drain-timeout d] [-journal reqs.jsonl] [-verify]
 //	        [-max-body N] [-read-header-timeout d]
 //	        [-faultspec spec] [-faultseed N] [-tracefile out.json] [-v]
@@ -14,7 +14,7 @@
 // Usage (coordinator mode):
 //
 //	bschedd -coordinator -workers host:port,host:port,...
-//	        [-addr :8344] [-attempts N] [-probe-interval d]
+//	        [-addr :8344] [-probe-interval d]
 //	        [-evict-after N] [-min-workers N]
 //	        [-breaker-threshold N] [-breaker-cooldown d]
 //	        [-deadline d] [-max-deadline d] [-max-body N]
@@ -22,11 +22,12 @@
 //
 // In coordinator mode bschedd serves the same endpoints but executes
 // nothing itself: /v1/grid cells shard across the worker fleet by
-// consistent hash on benchmark name (keeping each worker's per-benchmark
-// front-end and result caches hot), health-checked via /readyz with
-// exponential-backoff probing, dispatched under bounded per-worker
-// in-flight windows (8 cells) with per-cell retry, jittered backoff and
-// failover to the next healthy worker. A worker whose /readyz probe
+// rendezvous hash on benchmark name (keeping each worker's
+// per-benchmark front-end and result caches hot), health-checked via
+// /readyz with exponential-backoff probing, dispatched under bounded
+// per-worker in-flight windows (8 cells) with per-cell retry,
+// jittered backoff and failover to the next healthy worker, up to
+// max(3, 2 × members) attempts per cell. A worker whose /readyz probe
 // gets no answer (dead, or frozen under SIGSTOP) loses its in-flight
 // cells to the failover at once, so -probe-interval plus the 1s probe
 // timeout bounds how long they wait. When every replica of a cell is
@@ -36,21 +37,22 @@
 // comma-separated host:port list (in worker mode the same flag is the
 // pipeline concurrency bound).
 //
-// The fleet is elastic: POST /v1/fleet/join {"addr":"host:port"} admits
-// a worker at runtime (it is probed synchronously and starts receiving
-// cells immediately), POST /v1/fleet/leave removes one (in-flight cells
-// drain, new cells stop routing at once), GET /v1/fleet/members lists
-// the roster, and -evict-after N removes a worker automatically after N
-// consecutive failed health probes (the last member is never evicted).
-// Membership changes mutate the consistent-hash ring incrementally, so
-// only ~1/n of benchmark keys remap and the surviving workers' caches
-// stay hot. Every served cell's bytes are promoted into a shared
-// result-cache tier (4096 entries); failovers consult that tier
-// — then the surviving workers' own caches over GET /v1/cache/{key} —
-// before recomputing, so a worker death does not cost recomputation of
-// what it had already served. The coordinator's /readyz is quorum-aware:
-// it answers 503 naming the down workers while fewer than -min-workers
-// members are healthy.
+// The fleet is elastic: POST /v1/fleet/join {"addr":"host:port"}
+// admits a worker at runtime (it is probed synchronously and starts
+// receiving cells immediately), POST /v1/fleet/leave removes one
+// (in-flight cells drain, new cells stop routing at once), GET
+// /v1/fleet/members lists the roster, and -evict-after N removes a
+// worker automatically after N consecutive failed health probes (the
+// last member is never evicted). Placement is derived from the member
+// set, so a membership change remaps only ~1/n of benchmark keys and
+// the surviving workers' caches stay hot. Every served cell's bytes
+// are promoted into a shared result-cache tier that, like a worker's
+// result cache, never evicts; failovers consult that tier — then the
+// surviving workers' own caches over GET /v1/cache/{key} — before
+// recomputing, so a worker death does not cost recomputation of what
+// it had already served. The coordinator's /readyz is quorum-aware:
+// it answers 503 naming the down workers while fewer than
+// -min-workers members are healthy.
 //
 // Endpoints:
 //
@@ -72,9 +74,11 @@
 // (expiry returns a structured 504 naming the phase); repeated pipeline
 // faults open a per-benchmark circuit breaker (503 until a half-open
 // probe succeeds); duplicate in-flight requests collapse to one compile
-// (singleflight) in front of an LRU result cache. On SIGTERM/SIGINT the
-// daemon drains: it stops accepting, finishes or cancels in-flight work
-// under -drain-timeout, flushes the request journal and exits 0.
+// (singleflight), and every computed response stays in the result
+// cache, which never evicts because the cell space is bounded. On
+// SIGTERM/SIGINT the daemon drains: it stops accepting, finishes or
+// cancels in-flight work under -drain-timeout, flushes the request
+// journal and exits 0.
 //
 // Logging: structured log/slog lines on stderr, thresholded by
 // -log-level. Every line carries the request ID (client X-Request-Id or
@@ -116,7 +120,6 @@ func realMain(args []string) int {
 	coordinator := fs.Bool("coordinator", false, "run as a fleet coordinator sharding grid cells across -workers instead of executing locally")
 	deadline := fs.Duration("deadline", 30*time.Second, "default per-request deadline")
 	maxDeadline := fs.Duration("max-deadline", 2*time.Minute, "ceiling on client-requested deadlines")
-	cache := fs.Int("cache", 256, "result-cache capacity (entries)")
 	brkThreshold := fs.Int("breaker-threshold", 3, "consecutive faults that open a breaker (per benchmark in worker mode, per worker in coordinator mode)")
 	brkCooldown := fs.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before a half-open probe")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "grace period for in-flight work on SIGTERM/SIGINT")
@@ -125,7 +128,6 @@ func realMain(args []string) int {
 	verifyFlag := fs.Bool("verify", false, "run structural invariant verifiers inside every request")
 	maxBody := fs.Int64("max-body", 1<<20, "request-body size limit in bytes (413 beyond it)")
 	readHeaderTimeout := fs.Duration("read-header-timeout", 5*time.Second, "HTTP header read timeout (slow-loris protection)")
-	attempts := fs.Int("attempts", 0, "coordinator: max dispatch attempts per cell (0 = 2x fleet size)")
 	probeInterval := fs.Duration("probe-interval", 500*time.Millisecond, "coordinator: /readyz health-check cadence for healthy workers; a probe unanswered within 1s fails the worker's in-flight cells over")
 	evictAfter := fs.Int("evict-after", 0, "coordinator: evict a worker after this many consecutive failed probes (0 = never)")
 	minWorkers := fs.Int("min-workers", 1, "coordinator: /readyz quorum — 503 while fewer workers are healthy")
@@ -173,7 +175,6 @@ func realMain(args []string) int {
 		}
 		coord, err := fleet.New(fleet.Config{
 			Workers:          fleetAddrs,
-			Attempts:         *attempts,
 			ProbeInterval:    *probeInterval,
 			EvictAfterFails:  *evictAfter,
 			MinWorkers:       *minWorkers,
@@ -206,7 +207,6 @@ func realMain(args []string) int {
 			Workers:          pipelineWorkers,
 			DefaultDeadline:  *deadline,
 			MaxDeadline:      *maxDeadline,
-			CacheEntries:     *cache,
 			BreakerThreshold: *brkThreshold,
 			BreakerCooldown:  *brkCooldown,
 			MaxBodyBytes:     *maxBody,

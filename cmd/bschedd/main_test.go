@@ -31,6 +31,8 @@ func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-no-such-flag"},
 		{"-faultspec", "garbage spec without equals"},
+		{"-cache", "8"},
+		{"-attempts", "3"},
 	} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "BSCHEDD_BE_MAIN=1")

@@ -245,7 +245,6 @@ func realMain(args []string) int {
 		ProbeTimeout:    500 * time.Millisecond,
 		RetryBackoff:    10 * time.Millisecond,
 		EvictAfterFails: *evictAfter,
-		Attempts:        2 * (*workers + *churnOps),
 		Journal:         jnlPath,
 	})
 	if err != nil {

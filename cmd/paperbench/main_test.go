@@ -74,6 +74,9 @@ func TestExitCodeUsage(t *testing.T) {
 	if code, _, _ := runSelf(t, "-bench", "no-such-benchmark"); code != 1 {
 		t.Errorf("unknown benchmark: exit code %d, want 1", code)
 	}
+	if code, out, errOut := runSelf(t, "-bench", "tomcatv,tomcatv", "-table", "4"); code != 1 || out != "" || !strings.Contains(errOut, "tomcatv") {
+		t.Errorf("repeated benchmark: exit code %d, stdout %q, stderr %q; want 1, nothing printed and the name reported", code, out, errOut)
+	}
 }
 
 // TestExitCodeDegraded injects a deterministic fault into one cell and

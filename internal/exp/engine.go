@@ -768,12 +768,16 @@ func RunBenchmarksConfigs(benches []workload.Benchmark, cfgs []core.Config, opt 
 }
 
 // pick resolves benchmark names (every benchmark when names is empty).
+// A name given twice is an error: a suite holds one row per benchmark.
 func pick(names []string) ([]workload.Benchmark, error) {
 	if len(names) == 0 {
 		return workload.All(), nil
 	}
 	var out []workload.Benchmark
-	for _, n := range names {
+	for i, n := range names {
+		if slices.Contains(names[:i], n) {
+			return nil, fmt.Errorf("exp: benchmark %q named twice", n)
+		}
 		b, err := workload.ByName(n)
 		if err != nil {
 			return nil, err

@@ -86,6 +86,25 @@ func TestRunRejectsUnknownBenchmark(t *testing.T) {
 	}
 }
 
+// TestRunRejectsRepeatedBenchmark: a suite holds one row per benchmark,
+// so both grid entry points refuse a name given twice, naming it,
+// before any cell runs.
+func TestRunRejectsRepeatedBenchmark(t *testing.T) {
+	names := []string{"tomcatv", "TRFD", "tomcatv"}
+	for _, run := range []struct {
+		name string
+		fn   func([]string, Options) (*Suite, error)
+	}{{"RunGrid", RunGrid}, {"RunExt", RunExt}} {
+		s, err := run.fn(names, Options{})
+		if err == nil || !strings.Contains(err.Error(), `"tomcatv"`) {
+			t.Errorf("%s(%v) = error %v, want one naming tomcatv", run.name, names, err)
+		}
+		if s != nil {
+			t.Errorf("%s returned a suite for a repeated benchmark", run.name)
+		}
+	}
+}
+
 func TestTablesRender(t *testing.T) {
 	s := runSubset(t)
 	for i, tab := range s.Tables() {

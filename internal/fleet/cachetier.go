@@ -57,7 +57,7 @@ func (c *Coordinator) tierLookup(ctx context.Context, key string) ([]byte, strin
 }
 
 // peerFetch asks one worker's result cache for key. Only a 200 counts;
-// 404 means the worker never served (or has evicted) the cell, and any
+// 404 means the worker has not finished computing the cell, and any
 // transport error is ignored — this path must never make a failover
 // slower than just recomputing.
 func (c *Coordinator) peerFetch(ctx context.Context, w *worker, key string) ([]byte, bool) {

@@ -209,15 +209,12 @@ func TestGridSurvivesKillAndJoinMidGrid(t *testing.T) {
 	// joins: if the join lands before the grid dispatches, an owning
 	// replacement would serve every cell as primary and no failover would
 	// ever run. A join moves keys only to the joining worker, so an analog
-	// an existing worker owns on the post-join ring has that owner before
+	// an existing worker owns in the post-join fleet has that owner before
 	// and after the join.
-	post := newRing()
-	for _, m := range []string{addrA, addrB, addrC} {
-		post.add(m, vnodes)
-	}
+	post := membersOf(addrA, addrB, addrC)
 	bench, owner := "", (*killSwitch)(nil)
 	for _, b := range workload.All() {
-		switch post.owner(b.Name) {
+		switch ownerOf(post, b.Name) {
 		case addrA:
 			bench, owner = b.Name, ksA
 		case addrB:
@@ -230,7 +227,7 @@ func TestGridSurvivesKillAndJoinMidGrid(t *testing.T) {
 	if bench == "" {
 		t.Fatal("the replacement owns every analog (vanishingly unlikely)")
 	}
-	if got, want := c.OwnerAddr(bench), post.owner(bench); got != want {
+	if got, want := c.OwnerAddr(bench), ownerOf(post, bench); got != want {
 		t.Fatalf("%s: owner %s before the join, %s after it", bench, got, want)
 	}
 
@@ -371,7 +368,6 @@ func TestGridDegradesWhenFleetDies(t *testing.T) {
 	addr, ks := startKillableWorker(t, 0)
 	ks.armed.Store(true) // dead from the first request
 	c := newCoordinator(t, func(cfg *Config) {
-		cfg.Attempts = 2
 		cfg.RetryBackoff = 2 * time.Millisecond
 	}, addr)
 	ts := httptest.NewServer(c.Handler())
@@ -430,6 +426,16 @@ func stubWorker(t *testing.T, fn http.HandlerFunc) string {
 	return strings.TrimPrefix(ts.URL, "http://")
 }
 
+// dropExchange aborts an exchange at the transport level: hijack the
+// connection and close it without a response.
+func dropExchange(w http.ResponseWriter) {
+	if hj, ok := w.(http.Hijacker); ok {
+		if conn, _, err := hj.Hijack(); err == nil {
+			conn.Close()
+		}
+	}
+}
+
 // TestCoordinatorHonorsRetryAfter: a worker shedding load with 429 +
 // Retry-After gets its window respected — the coordinator backs off the
 // worker fleet-wide instead of hammering it from the retry loop.
@@ -445,7 +451,7 @@ func TestCoordinatorHonorsRetryAfter(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write([]byte(`{"bench":"tomcatv","config":"BS","metrics":null}`))
 	})
-	c := newCoordinator(t, func(cfg *Config) { cfg.Attempts = 10 }, addr)
+	c := newCoordinator(t, nil, addr)
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
 
@@ -634,20 +640,13 @@ func TestWorkerBreakerOpensAndRecovers(t *testing.T) {
 	var healed atomic.Bool
 	addr := stubWorker(t, func(w http.ResponseWriter, r *http.Request) {
 		if !healed.Load() {
-			// Abort the exchange at the transport level: hijack and drop.
-			if hj, ok := w.(http.Hijacker); ok {
-				conn, _, err := hj.Hijack()
-				if err == nil {
-					conn.Close()
-				}
-			}
+			dropExchange(w)
 			return
 		}
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write([]byte(`{"bench":"tomcatv","config":"BS","metrics":null}`))
 	})
 	c := newCoordinator(t, func(cfg *Config) {
-		cfg.Attempts = 4
 		cfg.BreakerThreshold = 2
 		cfg.BreakerCooldown = 200 * time.Millisecond
 		cfg.RetryBackoff = 2 * time.Millisecond
@@ -696,5 +695,55 @@ func TestWorkerBreakerOpensAndRecovers(t *testing.T) {
 	if got := c.members.get(addr).brk.State(); got != server.BreakerClosed {
 		t.Errorf("worker breaker state %s after recovery, want closed",
 			server.BreakerStateName(got))
+	}
+}
+
+// TestRetryBudgetFollowsRoster: a cell's attempt budget is read from the
+// current roster, so a fleet grown by joins can reach every replica. The
+// coordinator starts with one worker (a budget of 3) and three more
+// join; the first three workers in tomcatv's replica order drop every
+// compile exchange, and the fourth must still serve the cell.
+func TestRetryBudgetFollowsRoster(t *testing.T) {
+	drops := map[string]*atomic.Bool{}
+	var addrs []string
+	for i := 0; i < 4; i++ {
+		drop := new(atomic.Bool)
+		addr := stubWorker(t, func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case r.URL.Path != "/v1/compile":
+				http.NotFound(w, r)
+			case drop.Load():
+				dropExchange(w)
+			default:
+				w.WriteHeader(http.StatusOK)
+				_, _ = w.Write([]byte(`{"bench":"tomcatv","config":"BS","metrics":null}`))
+			}
+		})
+		drops[addr] = drop
+		addrs = append(addrs, addr)
+	}
+	c := newCoordinator(t, nil, addrs[0])
+	for _, addr := range addrs[1:] {
+		if joined, healthy, err := c.Join(addr); !joined || !healthy || err != nil {
+			t.Fatalf("Join(%s) = joined %v, healthy %v, err %v", addr, joined, healthy, err)
+		}
+	}
+	order := c.members.replicaWorkers("tomcatv")
+	for _, w := range order[:3] {
+		drops[w.addr].Store(true)
+	}
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts.URL+"/v1/compile",
+		server.CompileRequest{Bench: "tomcatv", Config: "BS"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d; the budget did not grow with the joins (body %s)", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-Served-By"); got != order[3].addr {
+		t.Errorf("X-Served-By = %q, want the fourth replica %q", got, order[3].addr)
+	}
+	if got := counter(c, "fleet/worker_errors"); got != 3 {
+		t.Errorf("fleet/worker_errors = %d, want 3 (one per dropping replica)", got)
 	}
 }

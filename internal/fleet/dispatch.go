@@ -40,9 +40,12 @@ type dispatchResult struct {
 }
 
 // dispatchCell routes one cell to the fleet: resume-cache hit, or the
-// retry/failover loop over the cell's ring replicas. It never
-// panics a grid: when attempts are exhausted or no worker is reachable
-// the cell comes back as a structured degraded failure.
+// retry/failover loop over the cell's replica order. It allows
+// max(3, 2 × members) attempts, re-read from the roster on every
+// attempt, so joins, leaves and evictions resize the budget of cells
+// already in flight. It never panics a grid: when attempts are
+// exhausted or no worker is reachable the cell comes back as a
+// structured degraded failure.
 func (c *Coordinator) dispatchCell(ctx context.Context, id, bench, config string, verify bool, deadlineMS int64) dispatchResult {
 	res := dispatchResult{bench: bench, config: config, verify: verify}
 	key := server.CellKey(bench, config, verify)
@@ -57,7 +60,7 @@ func (c *Coordinator) dispatchCell(ctx context.Context, id, bench, config string
 	var last *server.Failure
 	var lastWorker *worker
 	rot := 0
-	for res.attempts < c.cfg.Attempts {
+	for res.attempts < max(3, 2*c.members.size()) {
 		if err := ctx.Err(); err != nil {
 			res.fail = ctxFailure(err, bench, config)
 			return res
@@ -66,7 +69,7 @@ func (c *Coordinator) dispatchCell(ctx context.Context, id, bench, config string
 		// Re-resolve the replica order every attempt, not once per cell:
 		// a worker that joins mid-grid starts absorbing failovers (and
 		// fresh cells) immediately, and one that leaves stops being a
-		// dispatch target the moment the ring drops it.
+		// dispatch target the moment it leaves the member set.
 		order := c.members.replicaWorkers(bench)
 		w := c.pickFrom(order, rot, now)
 		if w == nil {

@@ -5,18 +5,19 @@
 // latency estimates say capacity is — applied to processes instead of
 // functional units:
 //
-//   - Sharding: cells route by consistent hash on benchmark name, so
+//   - Sharding: cells route by rendezvous hash on benchmark name, so
 //     all configurations of a benchmark land on the same worker and its
-//     per-benchmark front-end and LRU result caches stay hot. Virtual
-//     nodes keep the shards balanced; walking the ring yields each
-//     cell's deterministic failover order.
+//     per-benchmark front-end and result caches stay hot. The members'
+//     scores for a benchmark, highest first, are each cell's
+//     deterministic failover order.
 //   - Membership: the fleet is elastic. Workers join via POST
 //     /v1/fleet/join (probed synchronously, taking new cells within one
 //     probe interval), leave via POST /v1/fleet/leave (in-flight cells
 //     drain, new cells stop routing at once), and are evicted after
-//     sustained probe failure. The ring mutates incrementally, so a
-//     membership change moves only ~1/n of the keyspace — every other
-//     benchmark keeps its worker, and that worker keeps its hot caches.
+//     sustained probe failure. Placement is derived from the member set,
+//     so a membership change moves only ~1/n of the keyspace — every
+//     other benchmark keeps its worker, and that worker keeps its hot
+//     caches.
 //   - Health: every member is probed via GET /readyz on its own loop —
 //     steady cadence while healthy, exponential backoff while down —
 //     and dispatch-time transport failures mark a worker unhealthy
@@ -29,18 +30,21 @@
 //     Any answer, even a 503 from a draining worker, keeps in-flight
 //     work running.
 //   - Robustness: per-cell retry with jittered backoff fails over to
-//     the next healthy worker on the ring; a worker-level circuit
+//     the next healthy worker in the cell's order, up to max(3, 2 ×
+//     members) attempts read from the current roster, so a fleet grown
+//     by joins can reach every replica; a worker-level circuit
 //     breaker (layered on the workers' own per-benchmark breakers)
 //     stops hammering a sick worker; 429/503 Retry-After hints from
 //     shedding or draining workers are honored as per-worker backoff
 //     windows. When every replica is exhausted a cell degrades to a
 //     structured error entry — a grid response never fails whole.
 //   - Shared cache tier: every served cell's bytes are promoted into a
-//     coordinator-side LRU, and a failover consults that tier — then
-//     the surviving workers' own result caches over GET /v1/cache/{key}
-//     — before recomputing, so a worker death stops costing
-//     recomputation of everything it had already served. Cached bytes
-//     are byte-identical to cold bytes (the documents are
+//     coordinator-side server.Results store, never evicted (every key
+//     has passed server.ParseCell), and a failover consults that tier —
+//     then the surviving workers' own result caches over GET
+//     /v1/cache/{key} — before recomputing, so a worker death stops
+//     costing recomputation of everything it had already served. Cached
+//     bytes are byte-identical to cold bytes (the documents are
 //     deterministic), so the tier never changes a response.
 //   - Streaming: /v1/grid?stream=jsonl (or sse) emits each cell as it
 //     completes instead of buffering the whole grid; the buffered
@@ -76,9 +80,6 @@ type Config struct {
 	// least one is required at startup; the fleet is elastic afterwards
 	// (POST /v1/fleet/join and /v1/fleet/leave).
 	Workers []string
-	// Attempts bounds dispatch attempts per cell (across workers).
-	// Default max(3, 2*len(Workers)).
-	Attempts int
 	// RetryBackoff is the base jittered backoff between a cell's
 	// attempts; it doubles per retry up to 2s. Default 50ms.
 	RetryBackoff time.Duration
@@ -125,18 +126,12 @@ type Config struct {
 }
 
 const (
-	// vnodes is the number of virtual ring points per worker.
-	vnodes = 64
 	// inflight bounds concurrently dispatched cells per worker — the
 	// window that keeps one slow worker from absorbing a whole grid.
 	inflight = 8
 	// probeMaxInterval caps the exponential probe backoff for an
 	// unhealthy worker.
 	probeMaxInterval = 8 * time.Second
-	// tierEntries is the shared result-cache tier's capacity. Every
-	// served cell's bytes are promoted there; failovers consult it
-	// before recomputing.
-	tierEntries = 4096
 	// peerFetchTimeout bounds one GET /v1/cache/{key} peer-cache fetch
 	// during failover.
 	peerFetchTimeout = 750 * time.Millisecond
@@ -221,7 +216,7 @@ type Coordinator struct {
 	// tier is the shared result cache: every served cell's bytes, keyed
 	// by server.CellKey. The documents are deterministic, so a tier hit
 	// is byte-identical to a cold recompute.
-	tier    *server.LRU
+	tier    server.Results
 	client  *http.Client
 	resumed map[string][]byte
 
@@ -236,12 +231,6 @@ type Coordinator struct {
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("fleet: no workers configured")
-	}
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = 2 * len(cfg.Workers)
-		if cfg.Attempts < 3 {
-			cfg.Attempts = 3
-		}
 	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 50 * time.Millisecond
@@ -273,7 +262,6 @@ func New(cfg Config) (*Coordinator, error) {
 		Daemon:  d,
 		cfg:     cfg,
 		members: newMembership(),
-		tier:    server.NewLRU(tierEntries),
 		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: inflight + 2,
 			IdleConnTimeout:     90 * time.Second,

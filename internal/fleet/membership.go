@@ -1,39 +1,31 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/server"
 )
 
 // membership is the coordinator's dynamic view of the fleet: the worker
-// set and the consistent-hash ring over it, mutated together under one
-// lock so a dispatch never resolves a ring owner to a worker that has
-// already left. The coordinator (not membership) owns each worker's
-// probe-loop lifecycle; membership only tracks who is in the fleet.
-//
-// Reads vastly outnumber writes — every dispatch attempt resolves its
-// replica order here — so the lock is an RWMutex and the write path
-// (join/leave/evict) mutates the ring incrementally: a join splices one
-// worker's vnode points in, a leave filters them out, and every key not
-// owned by the changed worker keeps its owner (bounded cell movement,
-// property-tested in rebalance_test.go).
+// set and its epoch, under one lock. Placement is derived from the set
+// on every lookup (replicaWorkers), so there is no routing structure to
+// keep in step with it. The coordinator (not membership) owns each
+// worker's probe-loop lifecycle; membership only tracks who is in the
+// fleet.
 type membership struct {
 	mu      sync.RWMutex
-	ring    *ring
 	workers map[string]*worker
 	epoch   uint64 // bumps on every add/remove; exported as a gauge
 }
 
 func newMembership() *membership {
-	return &membership{
-		ring:    newRing(),
-		workers: make(map[string]*worker),
-	}
+	return &membership{workers: make(map[string]*worker)}
 }
 
 // add admits w; it reports false (leaving the fleet unchanged) when the
@@ -45,7 +37,6 @@ func (m *membership) add(w *worker) bool {
 		return false
 	}
 	m.workers[w.addr] = w
-	m.ring.add(w.addr, vnodes)
 	m.epoch++
 	return true
 }
@@ -62,7 +53,6 @@ func (m *membership) remove(addr string) *worker {
 		return nil
 	}
 	delete(m.workers, addr)
-	m.ring.remove(addr)
 	m.epoch++
 	return w
 }
@@ -83,7 +73,7 @@ func (m *membership) all() []*worker {
 		out = append(out, w)
 	}
 	m.mu.RUnlock()
-	sort.Slice(out, func(a, b int) bool { return out[a].addr < out[b].addr })
+	slices.SortFunc(out, func(a, b *worker) int { return strings.Compare(a.addr, b.addr) })
 	return out
 }
 
@@ -101,38 +91,64 @@ func (m *membership) generation() uint64 {
 	return m.epoch
 }
 
-// replicaWorkers resolves key's ring replica order to live worker
-// objects in one lock acquisition — the snapshot a dispatch attempt
-// works from. Re-resolving per attempt (not per cell) is what lets a
-// mid-grid join start taking cells within one probe interval and a
-// mid-grid leave stop receiving them immediately.
+// replicaWorkers returns every member in key's preference order by
+// rendezvous (highest-random-weight) hashing, Thaler and Ravishankar's
+// scheme: each member scores mix64(fnv64(addr) ^ mix64(fnv64(key))), the
+// highest score owns key and the rest follow in descending score, ties
+// broken by address. Three properties follow from the member set alone:
+//
+//   - Affinity: cells key by benchmark name, so all configurations of a
+//     benchmark share an owner while it is healthy, and its front-end and
+//     result caches stay hot.
+//   - Stable failover order: the order is a pure function of (key, member
+//     set), so retries always know "the next worker".
+//   - Bounded movement: a join moves only the keys the newcomer now
+//     outscores everyone on (~1/(n+1) of them), and a leave only the
+//     departed worker's keys; every other key keeps its owner
+//     (property-tested in rebalance_test.go).
+//
+// Resolving per dispatch attempt (not per cell) is what lets a mid-grid
+// join start taking cells within one probe interval and a mid-grid
+// leave stop receiving them immediately.
 func (m *membership) replicaWorkers(key string) []*worker {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	addrs := m.ring.replicas(key)
-	out := make([]*worker, 0, len(addrs))
-	for _, a := range addrs {
-		if w, ok := m.workers[a]; ok {
-			out = append(out, w)
-		}
-	}
+	out := m.all() // address order, which a stable sort keeps among ties
+	kh := mix64(fnv64(key))
+	slices.SortStableFunc(out, func(a, b *worker) int {
+		return cmp.Compare(mix64(fnv64(b.addr)^kh), mix64(fnv64(a.addr)^kh))
+	})
 	return out
 }
 
-// ownerAddr returns the ring owner for key, or "".
-func (m *membership) ownerAddr(key string) string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.ring.owner(key)
+// mix64 is splitmix64's finalizer. Scrambling the XOR of an address
+// hash and a key hash makes the members' scores for a key independent
+// draws: unmixed, two members' order would hinge on one bit of the key
+// hash (the highest bit where their address hashes differ).
+func mix64(h uint64) uint64 {
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// fnv64 hashes s with FNV-1a.
+func fnv64(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
 }
 
 // --- Coordinator-level membership operations ---------------------------
 
-// OwnerAddr reports which worker currently owns key's cells (the ring
-// owner), or "" with an empty fleet. Exported for operational tooling
-// (the churn drill targets an owner deliberately) and tests.
+// OwnerAddr reports which worker currently owns key's cells (the first
+// of its replica order), or "" with an empty fleet. Exported for
+// operational tooling (the churn drill targets an owner deliberately)
+// and tests.
 func (c *Coordinator) OwnerAddr(key string) string {
-	return c.members.ownerAddr(key)
+	if order := c.members.replicaWorkers(key); len(order) > 0 {
+		return order[0].addr
+	}
+	return ""
 }
 
 // WorkerAddrs returns the current member addresses, sorted.
@@ -160,7 +176,7 @@ func validateWorkerAddr(addr string) error {
 // Join admits a worker into the fleet: validate the address, probe it
 // once synchronously (so a live worker starts receiving cells
 // immediately — well within one probe interval — and a dead one joins
-// unhealthy without poisoning dispatch), splice it into the ring, and
+// unhealthy without poisoning dispatch), add it to the member set, and
 // start its health-probe loop. Joining an existing member is
 // idempotent: it reports joined=false and the member's current health.
 func (c *Coordinator) Join(addr string) (joined, healthy bool, err error) {
@@ -190,7 +206,7 @@ func (c *Coordinator) Join(addr string) (joined, healthy bool, err error) {
 	return true, w.healthy.Load(), nil
 }
 
-// Leave removes a worker from the fleet: it is taken off the ring (new
+// Leave removes a worker from the fleet: it leaves the member set (new
 // cells stop routing to it at once), its probe loop is stopped, and any
 // cell already in flight on it drains naturally — the dispatch holds
 // the worker object and completes its HTTP exchange, so a voluntary

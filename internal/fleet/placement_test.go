@@ -6,48 +6,68 @@ import (
 	"testing"
 )
 
-// ringOf builds a populated ring the way membership does: one add per
-// worker address.
-func ringOf(vnodes int, addrs ...string) *ring {
-	r := newRing()
+// The TestRing* names date from the consistent-hash ring these placement
+// properties were first written against; rendezvous placement keeps
+// every one of them with the same bounds.
+
+// membersOf builds the member set the coordinator keeps: one add per
+// worker address, in the order given.
+func membersOf(addrs ...string) *membership {
+	m := newMembership()
 	for _, a := range addrs {
-		r.add(a, vnodes)
+		m.add(&worker{addr: a})
 	}
-	return r
+	return m
+}
+
+// replicaAddrs is key's replica order as addresses.
+func replicaAddrs(m *membership, key string) []string {
+	var out []string
+	for _, w := range m.replicaWorkers(key) {
+		out = append(out, w.addr)
+	}
+	return out
+}
+
+// ownerOf is key's owner, or "" in an empty fleet.
+func ownerOf(m *membership, key string) string {
+	if order := m.replicaWorkers(key); len(order) > 0 {
+		return order[0].addr
+	}
+	return ""
 }
 
 func TestRingReplicasDeterministic(t *testing.T) {
 	addrs := []string{"a:1", "b:2", "c:3"}
-	r1 := ringOf(64, addrs...)
-	r2 := ringOf(64, addrs...)
+	m1 := membersOf(addrs...)
+	m2 := membersOf(addrs...)
 	for _, key := range []string{"tomcatv", "TRFD", "ora", "swm256", "DYFESM"} {
-		a, b := r1.replicas(key), r2.replicas(key)
+		a, b := replicaAddrs(m1, key), replicaAddrs(m2, key)
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("replicas(%q) differ across identical rings: %v vs %v", key, a, b)
+			t.Errorf("replicas(%q) differ across identical fleets: %v vs %v", key, a, b)
 		}
-		if !reflect.DeepEqual(a, r1.replicas(key)) {
+		if !reflect.DeepEqual(a, replicaAddrs(m1, key)) {
 			t.Errorf("replicas(%q) not stable across calls", key)
 		}
 	}
 }
 
-// TestRingBuildOrderIrrelevant: the ring is a pure function of its
+// TestRingBuildOrderIrrelevant: placement is a pure function of the
 // member set — the order workers joined in cannot change any owner.
 func TestRingBuildOrderIrrelevant(t *testing.T) {
-	r1 := ringOf(64, "a:1", "b:2", "c:3")
-	r2 := ringOf(64, "c:3", "a:1", "b:2")
+	m1 := membersOf("a:1", "b:2", "c:3")
+	m2 := membersOf("c:3", "a:1", "b:2")
 	for _, key := range []string{"tomcatv", "TRFD", "ora", "swm256", "DYFESM", "alvinn"} {
-		if !reflect.DeepEqual(r1.replicas(key), r2.replicas(key)) {
+		if !reflect.DeepEqual(replicaAddrs(m1, key), replicaAddrs(m2, key)) {
 			t.Errorf("replicas(%q) depend on join order: %v vs %v",
-				key, r1.replicas(key), r2.replicas(key))
+				key, replicaAddrs(m1, key), replicaAddrs(m2, key))
 		}
 	}
 }
 
 func TestRingReplicasCoverAllWorkersOnce(t *testing.T) {
 	addrs := []string{"a:1", "b:2", "c:3", "d:4"}
-	r := ringOf(64, addrs...)
-	order := r.replicas("tomcatv")
+	order := replicaAddrs(membersOf(addrs...), "tomcatv")
 	if len(order) != len(addrs) {
 		t.Fatalf("replicas returned %d workers, want %d", len(order), len(addrs))
 	}
@@ -71,7 +91,7 @@ func TestRingReplicasCoverAllWorkersOnce(t *testing.T) {
 // key hashes the benchmark name only), and different benchmarks spread
 // across the fleet rather than piling onto one worker.
 func TestRingAffinity(t *testing.T) {
-	r := ringOf(64, "a:1", "b:2", "c:3")
+	m := membersOf("a:1", "b:2", "c:3")
 	benches := []string{
 		"ARC2D", "BDNA", "DYFESM", "MDG", "QCD2", "TRFD",
 		"alvinn", "dnasa7", "doduc", "ear", "hydro2d", "mdljdp2",
@@ -79,7 +99,7 @@ func TestRingAffinity(t *testing.T) {
 	}
 	owners := map[string]int{}
 	for _, b := range benches {
-		owners[r.owner(b)]++
+		owners[ownerOf(m, b)]++
 	}
 	if len(owners) < 2 {
 		t.Errorf("all %d benchmarks hashed to one worker: %v", len(benches), owners)
@@ -87,8 +107,8 @@ func TestRingAffinity(t *testing.T) {
 }
 
 // TestRingBalanceTwoMembers: with two members, each owns a fair share
-// of the circle for every address pair, not just on average. Loopback
-// pairs differing only in the port are where clustered vnodes showed:
+// of the keys for every address pair, not just on average. Loopback
+// pairs differing only in the port are where poorly mixed hashes show:
 // one member could own almost no keys.
 func TestRingBalanceTwoMembers(t *testing.T) {
 	const nKeys = 10_000
@@ -96,10 +116,10 @@ func TestRingBalanceTwoMembers(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		a := fmt.Sprintf("127.0.0.1:%d", 30000+2*i)
 		b := fmt.Sprintf("127.0.0.1:%d", 30000+2*i+1)
-		r := ringOf(64, a, b)
+		m := membersOf(a, b)
 		owned := 0
 		for _, k := range keys {
-			if r.owner(k) == a {
+			if ownerOf(m, k) == a {
 				owned++
 			}
 		}
@@ -113,15 +133,15 @@ func TestRingBalanceTwoMembers(t *testing.T) {
 // owned; every other key keeps its owner. This is the property that
 // keeps surviving workers' caches hot through a fleet death.
 func TestRingStableUnderRemoval(t *testing.T) {
-	r := ringOf(64, "a:1", "b:2", "c:3")
+	m := membersOf("a:1", "b:2", "c:3")
 	keys := []string{"tomcatv", "TRFD", "ora", "swm256", "DYFESM", "alvinn", "doduc", "ear"}
 	was := map[string]string{}
 	for _, key := range keys {
-		was[key] = r.owner(key)
+		was[key] = ownerOf(m, key)
 	}
-	r.remove("c:3")
+	m.remove("c:3")
 	for _, key := range keys {
-		now := r.owner(key)
+		now := ownerOf(m, key)
 		if was[key] != "c:3" && was[key] != now {
 			t.Errorf("key %q moved %s -> %s though its owner survived", key, was[key], now)
 		}
@@ -131,22 +151,22 @@ func TestRingStableUnderRemoval(t *testing.T) {
 	}
 }
 
-// TestRingEmptyAndSingle: an empty ring resolves nothing; a one-worker
-// ring owns everything.
+// TestRingEmptyAndSingle: an empty fleet resolves nothing; a
+// one-worker fleet owns everything.
 func TestRingEmptyAndSingle(t *testing.T) {
-	r := newRing()
-	if got := r.owner("tomcatv"); got != "" {
-		t.Errorf("empty ring owner = %q, want \"\"", got)
+	m := membersOf()
+	if got := ownerOf(m, "tomcatv"); got != "" {
+		t.Errorf("empty fleet owner = %q, want \"\"", got)
 	}
-	if got := r.replicas("tomcatv"); len(got) != 0 {
-		t.Errorf("empty ring replicas = %v, want none", got)
+	if got := replicaAddrs(m, "tomcatv"); len(got) != 0 {
+		t.Errorf("empty fleet replicas = %v, want none", got)
 	}
-	r.add("a:1", 64)
-	if got := r.owner("tomcatv"); got != "a:1" {
-		t.Errorf("single-worker ring owner = %q, want a:1", got)
+	m.add(&worker{addr: "a:1"})
+	if got := ownerOf(m, "tomcatv"); got != "a:1" {
+		t.Errorf("single-worker fleet owner = %q, want a:1", got)
 	}
-	r.remove("a:1")
-	if got := r.owner("tomcatv"); got != "" {
+	m.remove("a:1")
+	if got := ownerOf(m, "tomcatv"); got != "" {
 		t.Errorf("owner after removing the last worker = %q, want \"\"", got)
 	}
 }

@@ -19,7 +19,7 @@ func syntheticKeys(seed int64, nKeys int) []string {
 }
 
 // TestRingJoinMovesBoundedKeys is the bounded-cell-movement property for
-// joins: admitting one worker to an n-worker ring may remap at most
+// joins: admitting one worker to an n-worker fleet may remap at most
 // (1/(n+1) + ε) of 10k synthetic keys, every remapped key must land on
 // the newcomer, and every other key keeps its owner.
 func TestRingJoinMovesBoundedKeys(t *testing.T) {
@@ -28,19 +28,19 @@ func TestRingJoinMovesBoundedKeys(t *testing.T) {
 	keys := syntheticKeys(1, nKeys)
 	for _, n := range []int{4, 8, 16} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			r := newRing()
+			m := membersOf()
 			for i := 0; i < n; i++ {
-				r.add(fmt.Sprintf("w%d:80", i), 64)
+				m.add(&worker{addr: fmt.Sprintf("w%d:80", i)})
 			}
 			before := make(map[string]string, nKeys)
 			for _, k := range keys {
-				before[k] = r.owner(k)
+				before[k] = ownerOf(m, k)
 			}
 			newcomer := fmt.Sprintf("w%d:80", n)
-			r.add(newcomer, 64)
+			m.add(&worker{addr: newcomer})
 			moved := 0
 			for _, k := range keys {
-				now := r.owner(k)
+				now := ownerOf(m, k)
 				if now == before[k] {
 					continue
 				}
@@ -71,19 +71,19 @@ func TestRingLeaveMovesBoundedKeys(t *testing.T) {
 	keys := syntheticKeys(2, nKeys)
 	for _, n := range []int{4, 8, 16} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			r := newRing()
+			m := membersOf()
 			for i := 0; i < n; i++ {
-				r.add(fmt.Sprintf("w%d:80", i), 64)
+				m.add(&worker{addr: fmt.Sprintf("w%d:80", i)})
 			}
 			before := make(map[string]string, nKeys)
 			for _, k := range keys {
-				before[k] = r.owner(k)
+				before[k] = ownerOf(m, k)
 			}
 			departed := fmt.Sprintf("w%d:80", n/2)
-			r.remove(departed)
+			m.remove(departed)
 			moved := 0
 			for _, k := range keys {
-				now := r.owner(k)
+				now := ownerOf(m, k)
 				if before[k] == departed {
 					moved++
 					if now == departed {
@@ -111,18 +111,18 @@ func TestRingLeaveMovesBoundedKeys(t *testing.T) {
 func TestRingJoinThenLeaveRoundTrips(t *testing.T) {
 	const nKeys = 10_000
 	keys := syntheticKeys(3, nKeys)
-	r := newRing()
+	m := membersOf()
 	for i := 0; i < 5; i++ {
-		r.add(fmt.Sprintf("w%d:80", i), 64)
+		m.add(&worker{addr: fmt.Sprintf("w%d:80", i)})
 	}
 	before := make(map[string]string, nKeys)
 	for _, k := range keys {
-		before[k] = r.owner(k)
+		before[k] = ownerOf(m, k)
 	}
-	r.add("transient:80", 64)
-	r.remove("transient:80")
+	m.add(&worker{addr: "transient:80"})
+	m.remove("transient:80")
 	for _, k := range keys {
-		if got := r.owner(k); got != before[k] {
+		if got := ownerOf(m, k); got != before[k] {
 			t.Fatalf("key %q owner %s -> %s after a net-zero join+leave", k, before[k], got)
 		}
 	}

@@ -1,71 +1,110 @@
 package server
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
-// LRU is a fixed-capacity least-recently-used cache of marshaled result
-// documents, keyed by CellKey strings. Results are deterministic for a
-// key — the pipeline is seeded and the response document excludes
-// wall-clock — so an entry never goes stale; the only reason to evict is
-// memory. It backs both a worker's result cache and the fleet
-// coordinator's shared cache tier. Safe for concurrent use.
-type LRU struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recently used
-	m   map[string]*list.Element
+// Results is a daemon's store of marshaled result documents, keyed by
+// CellKey strings. Each key holds one flight: the first request for the
+// key leads it and computes, every request arriving before it lands
+// shares its outcome (singleflight), and a flight that lands with a
+// document stays as that key's stored result. A failed flight reaches
+// its followers but is dropped, so the next request computes again.
+//
+// Results are deterministic for a key — the pipeline is seeded and the
+// document excludes wall-clock — so a stored document never goes stale,
+// and nothing is evicted: every key has passed ParseCell, which bounds
+// the store at 17 benchmarks × 320 canonical configurations × 2 verify
+// settings = 10,880 documents of a few hundred bytes each, about 4 MB.
+// It backs both a worker's result cache and the fleet coordinator's
+// shared cache tier. The zero value is empty and ready; safe for
+// concurrent use.
+type Results struct {
+	mu     sync.Mutex
+	m      map[string]*flight
+	stored int
 }
 
-type lruEntry struct {
-	key  string
-	body []byte
+// flight is one key's computation; followers wait on done.
+type flight struct {
+	done chan struct{}
+	body []byte   // set before done closes
+	err  *Failure // set before done closes, nil on success
 }
 
-// NewLRU returns an empty cache holding at most capacity entries.
-func NewLRU(capacity int) *LRU {
-	return &LRU{cap: capacity, ll: list.New(), m: map[string]*list.Element{}}
-}
-
-// Get returns the cached body for key and marks it most recently used.
-func (c *LRU) Get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
+// Get returns key's stored document. It never waits: a key whose flight
+// has not landed is a miss.
+func (r *Results) Get(key string) ([]byte, bool) {
+	r.mu.Lock()
+	f := r.m[key]
+	r.mu.Unlock()
+	if f == nil {
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).body, true
+	select {
+	case <-f.done:
+		return f.body, true
+	default:
+		return nil, false
+	}
 }
 
-// Add inserts (or refreshes) key, evicting the least recently used entry
-// when over capacity.
-func (c *LRU) Add(key string, body []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*lruEntry).body = body
+// Add stores body as key's document unless key already has one (or a
+// flight in progress).
+func (r *Results) Add(key string, body []byte) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.m[key]; ok {
 		return
 	}
-	c.m[key] = c.ll.PushFront(&lruEntry{key: key, body: body})
-	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.m, last.Value.(*lruEntry).key)
+	f := &flight{done: make(chan struct{}), body: body}
+	close(f.done)
+	r.put(key, f)
+	r.stored++
+}
+
+// Len reports how many documents are stored.
+func (r *Results) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.stored
+}
+
+// lead returns (f, true) when the caller became key's leader and must
+// call land when done, or (f, false) when key already has a flight —
+// landed or not — for the caller to wait on.
+func (r *Results) lead(key string) (*flight, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f, ok := r.m[key]; ok {
+		return f, false
 	}
+	f := &flight{done: make(chan struct{})}
+	r.put(key, f)
+	return f, true
 }
 
-// Len reports the current entry count.
-func (c *LRU) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
+// land publishes the leader's outcome and releases the followers: a
+// document is stored, a failure leaves the map before done closes, so a
+// landed flight still in the map is always a stored document.
+func (r *Results) land(key string, f *flight, body []byte, err *Failure) {
+	f.body, f.err = body, err
+	r.mu.Lock()
+	if err == nil {
+		r.stored++
+	} else {
+		delete(r.m, key)
+	}
+	r.mu.Unlock()
+	close(f.done)
 }
 
-// CellKey is the cache and singleflight key of one work item:
+func (r *Results) put(key string, f *flight) {
+	if r.m == nil {
+		r.m = map[string]*flight{}
+	}
+	r.m[key] = f
+}
+
+// CellKey is the result-store and singleflight key of one work item:
 // bench|config, plus |verify for verified runs. It is also the key of
 // the worker's GET /v1/cache/{key} peer export and the fleet
 // coordinator's cache tier and journal resume, so every layer agrees on
@@ -76,48 +115,4 @@ func CellKey(bench, config string, verify bool) string {
 		k += "|verify"
 	}
 	return k
-}
-
-// flight is one in-flight computation followers wait on.
-type flight struct {
-	done chan struct{}
-	body []byte   // set before done closes
-	err  *Failure // set before done closes, nil on success
-}
-
-// flightGroup collapses duplicate concurrent requests for the same key
-// into one pipeline execution (singleflight). The first caller for a key
-// becomes the leader and computes; everyone else arriving before the
-// leader finishes blocks on its flight and shares the outcome. Safe for
-// concurrent use.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flight
-}
-
-func newFlightGroup() *flightGroup {
-	return &flightGroup{m: map[string]*flight{}}
-}
-
-// lead returns (f, true) when the caller became the leader for key and
-// must call land when done, or (f, false) when another caller already
-// leads and f is the flight to wait on.
-func (g *flightGroup) lead(key string) (*flight, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if f, ok := g.m[key]; ok {
-		return f, false
-	}
-	f := &flight{done: make(chan struct{})}
-	g.m[key] = f
-	return f, true
-}
-
-// land publishes the leader's outcome and releases the followers.
-func (g *flightGroup) land(key string, f *flight, body []byte, err *Failure) {
-	f.body, f.err = body, err
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(f.done)
 }

@@ -1,41 +1,88 @@
 package server
 
-import "testing"
+import (
+	"net/http"
+	"net/url"
+	"testing"
+)
 
-// TestLRU pins the cache's replacement contract: the least recently used
-// key goes first, a Get or a re-Add refreshes recency (and Add replaces
-// the body), and Len tracks occupancy up to the capacity.
-func TestLRU(t *testing.T) {
-	c := NewLRU(2)
-	if c.Len() != 0 {
-		t.Fatalf("empty Len = %d", c.Len())
-	}
-	c.Add("a", []byte("1"))
-	c.Add("b", []byte("2"))
-	c.Add("c", []byte("3")) // evicts a, the oldest
-	if _, ok := c.Get("a"); ok {
-		t.Error("a survived eviction")
-	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
-	}
-
-	c.Get("b")              // b is now more recent than c
-	c.Add("d", []byte("4")) // evicts c
-	if _, ok := c.Get("c"); ok {
-		t.Error("c survived eviction after b was read")
+// TestResults pins the result store's contract: a stored document is
+// served, locally and over the /v1/cache/{key} export, and Add keeps it;
+// a key in flight is a miss on both paths; a failure reaches the
+// flight's followers but is not stored, so the next request leads a new
+// flight; Len counts stored documents only.
+func TestResults(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	r := &s.results
+	export := func(key string) int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/cache/" + url.PathEscape(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
 
-	c.Add("b", []byte("2'")) // refresh: b is most recent, body replaced
-	c.Add("e", []byte("5"))  // evicts d
-	if _, ok := c.Get("d"); ok {
-		t.Error("d survived eviction after b was re-added")
+	r.Add("a|BS", []byte("1"))
+	r.Add("a|BS", []byte("2"))
+	if body, ok := r.Get("a|BS"); !ok || string(body) != "1" {
+		t.Errorf("Get(a|BS) = %q, %v; want the first document kept", body, ok)
 	}
-	if body, ok := c.Get("b"); !ok || string(body) != "2'" {
-		t.Errorf("b = %q, %v; want the refreshed body", body, ok)
+	if code := export("a|BS"); code != http.StatusOK {
+		t.Errorf("export of a stored document: status %d, want 200", code)
 	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
+
+	f, leader := r.lead("b|BS")
+	if !leader {
+		t.Fatal("first lead of b|BS did not lead")
+	}
+	if _, ok := r.Get("b|BS"); ok {
+		t.Error("Get served a key still in flight")
+	}
+	if code := export("b|BS"); code != http.StatusNotFound {
+		t.Errorf("export of a key in flight: status %d, want 404", code)
+	}
+	if n := r.Len(); n != 1 {
+		t.Errorf("Len = %d with one stored document and one flight, want 1", n)
+	}
+
+	const followers = 4
+	shared := make(chan *Failure, followers)
+	for i := 0; i < followers; i++ {
+		g, leader := r.lead("b|BS")
+		if leader || g != f {
+			t.Fatal("a second lead of b|BS did not join the flight")
+		}
+		go func() {
+			<-g.done
+			shared <- g.err
+		}()
+	}
+	fail := BadRequest("injected")
+	r.land("b|BS", f, nil, fail)
+	for i := 0; i < followers; i++ {
+		if got := <-shared; got != fail {
+			t.Errorf("follower %d saw %v, want the leader's failure", i, got)
+		}
+	}
+	if _, ok := r.Get("b|BS"); ok {
+		t.Error("a failed flight was stored")
+	}
+
+	f, leader = r.lead("b|BS")
+	if !leader {
+		t.Fatal("the request after a failure did not lead a new flight")
+	}
+	r.land("b|BS", f, []byte("3"), nil)
+	if body, ok := r.Get("b|BS"); !ok || string(body) != "3" {
+		t.Errorf("Get(b|BS) = %q, %v after a successful flight", body, ok)
+	}
+	if g, leader := r.lead("b|BS"); leader || g != f {
+		t.Error("a lead after a stored document did not share it")
+	}
+	if n := r.Len(); n != 2 {
+		t.Errorf("Len = %d, want 2", n)
 	}
 }
 

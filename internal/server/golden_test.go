@@ -14,7 +14,7 @@ import (
 
 // TestCachedBytesEqualColdBytes is the golden-stability check: the
 // response document is fully deterministic for a (benchmark, config,
-// verify) key, so the LRU-served bytes must equal the cold compile's
+// verify) key, so the stored bytes must equal the cold compile's
 // bytes exactly — not just semantically.
 func TestCachedBytesEqualColdBytes(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

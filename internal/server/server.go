@@ -14,11 +14,12 @@
 //     naming the phase it died in.
 //   - Circuit breakers: one per benchmark, opened after repeated pipeline
 //     faults, half-opened on probe requests after a cooldown.
-//   - Result cache: an LRU of response documents keyed by (benchmark,
-//     config, verify) with singleflight collapsing of duplicate in-flight
-//     requests, so a thundering herd compiles once. Responses are
-//     deterministic (no wall-clock in the body), so cached and cold
-//     responses are byte-identical.
+//   - Result store: one flight per (benchmark, config, verify) key
+//     collapses duplicate in-flight requests, so a thundering herd
+//     compiles once, and a flight that succeeds stays as the key's
+//     stored response document, never evicted (ParseCell bounds the key
+//     space). Responses are deterministic (no wall-clock in the body), so
+//     cached and cold responses are byte-identical.
 //   - Graceful drain: Drain stops admitting, finishes or cancels in-flight
 //     work under a deadline, and flushes the request journal.
 //
@@ -65,8 +66,6 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// MaxDeadline caps client-requested deadlines. Default 2m.
 	MaxDeadline time.Duration
-	// CacheEntries is the LRU result-cache capacity. Default 256.
-	CacheEntries int
 	// BreakerThreshold is the consecutive pipeline faults that open a
 	// benchmark's circuit breaker. Default 3.
 	BreakerThreshold int
@@ -98,8 +97,7 @@ type Server struct {
 	*Daemon
 	cfg     Config
 	runner  *exp.CellRunner
-	cache   *LRU
-	flights *flightGroup
+	results Results
 	brk     *breakers
 
 	admit chan struct{} // admission slots (capacity cfg.Queue)
@@ -120,9 +118,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.CacheEntries <= 0 {
-		cfg.CacheEntries = 256
-	}
 	if cfg.BreakerThreshold <= 0 {
 		cfg.BreakerThreshold = 3
 	}
@@ -134,15 +129,13 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	return &Server{
-		Daemon:  d,
-		cfg:     cfg,
-		runner:  exp.NewCellRunner(),
-		cache:   NewLRU(cfg.CacheEntries),
-		flights: newFlightGroup(),
-		brk:     newBreakers(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		admit:   make(chan struct{}, cfg.Queue),
-		work:    make(chan struct{}, cfg.Workers),
-		waits:   obs.NewWaitProfile(),
+		Daemon: d,
+		cfg:    cfg,
+		runner: exp.NewCellRunner(),
+		brk:    newBreakers(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		admit:  make(chan struct{}, cfg.Queue),
+		work:   make(chan struct{}, cfg.Workers),
+		waits:  obs.NewWaitProfile(),
 	}, nil
 }
 
@@ -177,7 +170,7 @@ func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 		s.Fail(w, id, BadRequest("bad cache key"))
 		return
 	}
-	if body, ok := s.cache.Get(key); ok {
+	if body, ok := s.results.Get(key); ok {
 		s.Stats.Inc("server/cache_export_hits")
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Cache", "export")
@@ -217,8 +210,8 @@ type ErrorBody struct {
 
 // ResultDoc is the response document of a served cell. It is fully
 // deterministic for a (benchmark, config) pair — simulated metrics only,
-// no wall-clock, no allocation counters — which is what lets the LRU
-// serve cached bytes that are identical to a cold compile's, and lets
+// no wall-clock, no allocation counters — which is what lets the result
+// store serve cached bytes that are identical to a cold compile's, and lets
 // clients diff server results against paperbench -json output.
 type ResultDoc struct {
 	Bench   string       `json:"bench"`
@@ -281,18 +274,18 @@ func ctxError(err error, bench, config, phase string) *Failure {
 	return f
 }
 
-// cell serves one (benchmark, config) result: LRU hit, singleflight
-// share, or a fresh pipeline execution behind admission control and the
-// benchmark's circuit breaker. cache reports how the bytes were obtained
-// ("hit", "shared" or "miss").
+// cell serves one (benchmark, config) result: stored document, share of
+// the key's flight, or a fresh pipeline execution behind admission
+// control and the benchmark's circuit breaker. cache reports how the
+// bytes were obtained ("hit", "shared" or "miss").
 func (s *Server) cell(ctx context.Context, id, bench string, cfg core.Config, verifyFlag bool) (body []byte, cache string, fail *Failure) {
 	key := CellKey(bench, cfg.Name(), verifyFlag)
-	if b, ok := s.cache.Get(key); ok {
+	if b, ok := s.results.Get(key); ok {
 		s.Stats.Inc("server/cache_hits")
 		return b, "hit", nil
 	}
 	for {
-		f, leader := s.flights.lead(key)
+		f, leader := s.results.lead(key)
 		if !leader {
 			s.Stats.Inc("server/singleflight_shared")
 			select {
@@ -312,10 +305,7 @@ func (s *Server) cell(ctx context.Context, id, bench string, cfg core.Config, ve
 			}
 		}
 		body, fail := s.compute(ctx, id, bench, cfg, verifyFlag)
-		if fail == nil {
-			s.cache.Add(key, body)
-		}
-		s.flights.land(key, f, body, fail)
+		s.results.land(key, f, body, fail)
 		return body, "miss", fail
 	}
 }
@@ -578,7 +568,7 @@ func (s *Server) gauges() map[string]int64 {
 		"queue_capacity":      int64(cap(s.admit)),
 		"workers_busy":        int64(len(s.work)),
 		"workers_capacity":    int64(cap(s.work)),
-		"cache_entries":       int64(s.cache.Len()),
+		"cache_entries":       int64(s.results.Len()),
 		"machine_pool_hits":   poolHits,
 		"machine_pool_misses": poolMisses,
 	}

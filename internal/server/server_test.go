@@ -149,7 +149,7 @@ func TestBadRequests(t *testing.T) {
 	if e := decodeError(t, body); e.Kind != "bad_request" || !strings.Contains(e.Error, fmt.Sprint(MaxGridCells+1)) {
 		t.Errorf("oversized grid: body %s, want a bad_request naming %d cells", body, MaxGridCells+1)
 	}
-	if n := s.cache.Len(); n != 0 {
+	if n := s.results.Len(); n != 0 {
 		t.Errorf("%d cells computed for rejected requests, want 0", n)
 	}
 }
