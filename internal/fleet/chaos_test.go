@@ -214,7 +214,7 @@ func TestGridSurvivesKillAndJoinMidGrid(t *testing.T) {
 	post := membersOf(addrA, addrB, addrC)
 	bench, owner := "", (*killSwitch)(nil)
 	for _, b := range workload.All() {
-		switch ownerOf(post, b.Name) {
+		switch post.owner(b.Name) {
 		case addrA:
 			bench, owner = b.Name, ksA
 		case addrB:
@@ -227,7 +227,7 @@ func TestGridSurvivesKillAndJoinMidGrid(t *testing.T) {
 	if bench == "" {
 		t.Fatal("the replacement owns every analog (vanishingly unlikely)")
 	}
-	if got, want := c.OwnerAddr(bench), ownerOf(post, bench); got != want {
+	if got, want := c.OwnerAddr(bench), post.owner(bench); got != want {
 		t.Fatalf("%s: owner %s before the join, %s after it", bench, got, want)
 	}
 

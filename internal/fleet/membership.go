@@ -119,6 +119,15 @@ func (m *membership) replicaWorkers(key string) []*worker {
 	return out
 }
 
+// owner returns key's owner, the first of its replica order, or "" in
+// an empty fleet.
+func (m *membership) owner(key string) string {
+	if order := m.replicaWorkers(key); len(order) > 0 {
+		return order[0].addr
+	}
+	return ""
+}
+
 // mix64 is splitmix64's finalizer. Scrambling the XOR of an address
 // hash and a key hash makes the members' scores for a key independent
 // draws: unmixed, two members' order would hinge on one bit of the key
@@ -145,10 +154,7 @@ func fnv64(s string) uint64 {
 // operational tooling (the churn drill targets an owner deliberately)
 // and tests.
 func (c *Coordinator) OwnerAddr(key string) string {
-	if order := c.members.replicaWorkers(key); len(order) > 0 {
-		return order[0].addr
-	}
-	return ""
+	return c.members.owner(key)
 }
 
 // WorkerAddrs returns the current member addresses, sorted.

@@ -212,7 +212,7 @@ func TestEvictionAfterSustainedProbeFailure(t *testing.T) {
 
 // TestLastMemberNeverEvicted: a fully dead fleet keeps its roster — the
 // last worker is never auto-evicted, so a revived worker is probed back
-// into rotation instead of leaving an empty ring forever.
+// into rotation instead of leaving an empty fleet forever.
 func TestLastMemberNeverEvicted(t *testing.T) {
 	dead := deadAddr(t)
 	c := newCoordinator(t, func(cfg *Config) {

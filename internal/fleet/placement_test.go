@@ -6,10 +6,6 @@ import (
 	"testing"
 )
 
-// The TestRing* names date from the consistent-hash ring these placement
-// properties were first written against; rendezvous placement keeps
-// every one of them with the same bounds.
-
 // membersOf builds the member set the coordinator keeps: one add per
 // worker address, in the order given.
 func membersOf(addrs ...string) *membership {
@@ -27,14 +23,6 @@ func replicaAddrs(m *membership, key string) []string {
 		out = append(out, w.addr)
 	}
 	return out
-}
-
-// ownerOf is key's owner, or "" in an empty fleet.
-func ownerOf(m *membership, key string) string {
-	if order := m.replicaWorkers(key); len(order) > 0 {
-		return order[0].addr
-	}
-	return ""
 }
 
 func TestRingReplicasDeterministic(t *testing.T) {
@@ -99,7 +87,7 @@ func TestRingAffinity(t *testing.T) {
 	}
 	owners := map[string]int{}
 	for _, b := range benches {
-		owners[ownerOf(m, b)]++
+		owners[m.owner(b)]++
 	}
 	if len(owners) < 2 {
 		t.Errorf("all %d benchmarks hashed to one worker: %v", len(benches), owners)
@@ -119,7 +107,7 @@ func TestRingBalanceTwoMembers(t *testing.T) {
 		m := membersOf(a, b)
 		owned := 0
 		for _, k := range keys {
-			if ownerOf(m, k) == a {
+			if m.owner(k) == a {
 				owned++
 			}
 		}
@@ -137,11 +125,11 @@ func TestRingStableUnderRemoval(t *testing.T) {
 	keys := []string{"tomcatv", "TRFD", "ora", "swm256", "DYFESM", "alvinn", "doduc", "ear"}
 	was := map[string]string{}
 	for _, key := range keys {
-		was[key] = ownerOf(m, key)
+		was[key] = m.owner(key)
 	}
 	m.remove("c:3")
 	for _, key := range keys {
-		now := ownerOf(m, key)
+		now := m.owner(key)
 		if was[key] != "c:3" && was[key] != now {
 			t.Errorf("key %q moved %s -> %s though its owner survived", key, was[key], now)
 		}
@@ -155,18 +143,18 @@ func TestRingStableUnderRemoval(t *testing.T) {
 // one-worker fleet owns everything.
 func TestRingEmptyAndSingle(t *testing.T) {
 	m := membersOf()
-	if got := ownerOf(m, "tomcatv"); got != "" {
+	if got := m.owner("tomcatv"); got != "" {
 		t.Errorf("empty fleet owner = %q, want \"\"", got)
 	}
 	if got := replicaAddrs(m, "tomcatv"); len(got) != 0 {
 		t.Errorf("empty fleet replicas = %v, want none", got)
 	}
 	m.add(&worker{addr: "a:1"})
-	if got := ownerOf(m, "tomcatv"); got != "a:1" {
+	if got := m.owner("tomcatv"); got != "a:1" {
 		t.Errorf("single-worker fleet owner = %q, want a:1", got)
 	}
 	m.remove("a:1")
-	if got := ownerOf(m, "tomcatv"); got != "" {
+	if got := m.owner("tomcatv"); got != "" {
 		t.Errorf("owner after removing the last worker = %q, want \"\"", got)
 	}
 }

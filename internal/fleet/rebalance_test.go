@@ -34,13 +34,13 @@ func TestRingJoinMovesBoundedKeys(t *testing.T) {
 			}
 			before := make(map[string]string, nKeys)
 			for _, k := range keys {
-				before[k] = ownerOf(m, k)
+				before[k] = m.owner(k)
 			}
 			newcomer := fmt.Sprintf("w%d:80", n)
 			m.add(&worker{addr: newcomer})
 			moved := 0
 			for _, k := range keys {
-				now := ownerOf(m, k)
+				now := m.owner(k)
 				if now == before[k] {
 					continue
 				}
@@ -77,13 +77,13 @@ func TestRingLeaveMovesBoundedKeys(t *testing.T) {
 			}
 			before := make(map[string]string, nKeys)
 			for _, k := range keys {
-				before[k] = ownerOf(m, k)
+				before[k] = m.owner(k)
 			}
 			departed := fmt.Sprintf("w%d:80", n/2)
 			m.remove(departed)
 			moved := 0
 			for _, k := range keys {
-				now := ownerOf(m, k)
+				now := m.owner(k)
 				if before[k] == departed {
 					moved++
 					if now == departed {
@@ -117,12 +117,12 @@ func TestRingJoinThenLeaveRoundTrips(t *testing.T) {
 	}
 	before := make(map[string]string, nKeys)
 	for _, k := range keys {
-		before[k] = ownerOf(m, k)
+		before[k] = m.owner(k)
 	}
 	m.add(&worker{addr: "transient:80"})
 	m.remove("transient:80")
 	for _, k := range keys {
-		if got := ownerOf(m, k); got != before[k] {
+		if got := m.owner(k); got != before[k] {
 			t.Fatalf("key %q owner %s -> %s after a net-zero join+leave", k, before[k], got)
 		}
 	}

@@ -3,11 +3,11 @@ package server
 import "sync"
 
 // Results is a daemon's store of marshaled result documents, keyed by
-// CellKey strings. Each key holds one flight: the first request for the
-// key leads it and computes, every request arriving before it lands
-// shares its outcome (singleflight), and a flight that lands with a
-// document stays as that key's stored result. A failed flight reaches
-// its followers but is dropped, so the next request computes again.
+// CellKey strings, with one flight per key being computed: the first
+// request for a key leads its flight and computes, every request
+// arriving before it lands shares its outcome (singleflight), and a
+// flight that lands with a document stores it. A failed flight reaches
+// its followers but stores nothing, so the next request computes again.
 //
 // Results are deterministic for a key — the pipeline is seeded and the
 // document excludes wall-clock — so a stored document never goes stale,
@@ -18,9 +18,9 @@ import "sync"
 // shared cache tier. The zero value is empty and ready; safe for
 // concurrent use.
 type Results struct {
-	mu     sync.Mutex
-	m      map[string]*flight
-	stored int
+	mu      sync.Mutex
+	docs    map[string][]byte
+	flights map[string]*flight
 }
 
 // flight is one key's computation; followers wait on done.
@@ -34,74 +34,69 @@ type flight struct {
 // has not landed is a miss.
 func (r *Results) Get(key string) ([]byte, bool) {
 	r.mu.Lock()
-	f := r.m[key]
-	r.mu.Unlock()
-	if f == nil {
-		return nil, false
-	}
-	select {
-	case <-f.done:
-		return f.body, true
-	default:
-		return nil, false
-	}
+	defer r.mu.Unlock()
+	body, ok := r.docs[key]
+	return body, ok
 }
 
-// Add stores body as key's document unless key already has one (or a
-// flight in progress).
+// Add stores body as key's document unless key already has one.
 func (r *Results) Add(key string, body []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.m[key]; ok {
-		return
-	}
-	f := &flight{done: make(chan struct{}), body: body}
-	close(f.done)
-	r.put(key, f)
-	r.stored++
+	r.store(key, body)
 }
 
 // Len reports how many documents are stored.
 func (r *Results) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.stored
+	return len(r.docs)
 }
 
 // lead returns (f, true) when the caller became key's leader and must
-// call land when done, or (f, false) when key already has a flight —
-// landed or not — for the caller to wait on.
+// call land when done, or (f, false) for the caller to wait on: key's
+// flight in progress, or a landed one holding its stored document.
 func (r *Results) lead(key string) (*flight, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f, ok := r.m[key]; ok {
+	if body, ok := r.docs[key]; ok {
+		f := &flight{done: make(chan struct{}), body: body}
+		close(f.done)
 		return f, false
 	}
+	if f, ok := r.flights[key]; ok {
+		return f, false
+	}
+	if r.flights == nil {
+		r.flights = map[string]*flight{}
+	}
 	f := &flight{done: make(chan struct{})}
-	r.put(key, f)
+	r.flights[key] = f
 	return f, true
 }
 
-// land publishes the leader's outcome and releases the followers: a
-// document is stored, a failure leaves the map before done closes, so a
-// landed flight still in the map is always a stored document.
+// land publishes the leader's outcome, storing a document, and releases
+// the followers.
 func (r *Results) land(key string, f *flight, body []byte, err *Failure) {
 	f.body, f.err = body, err
 	r.mu.Lock()
+	delete(r.flights, key)
 	if err == nil {
-		r.stored++
-	} else {
-		delete(r.m, key)
+		r.store(key, body)
 	}
 	r.mu.Unlock()
 	close(f.done)
 }
 
-func (r *Results) put(key string, f *flight) {
-	if r.m == nil {
-		r.m = map[string]*flight{}
+// store keeps the first document for key; the caller holds r.mu.
+func (r *Results) store(key string, body []byte) {
+	if _, ok := r.docs[key]; ok {
+		return
 	}
-	r.m[key] = f
+	if r.docs == nil {
+		r.docs = map[string][]byte{}
+	}
+	r.docs[key] = body
 }
 
 // CellKey is the result-store and singleflight key of one work item:

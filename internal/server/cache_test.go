@@ -3,6 +3,8 @@ package server
 import (
 	"net/http"
 	"net/url"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -78,11 +80,55 @@ func TestResults(t *testing.T) {
 	if body, ok := r.Get("b|BS"); !ok || string(body) != "3" {
 		t.Errorf("Get(b|BS) = %q, %v after a successful flight", body, ok)
 	}
-	if g, leader := r.lead("b|BS"); leader || g != f {
+	if g, leader := r.lead("b|BS"); leader || string(g.body) != "3" {
 		t.Error("a lead after a stored document did not share it")
 	}
 	if n := r.Len(); n != 2 {
 		t.Errorf("Len = %d, want 2", n)
+	}
+}
+
+// TestResultsGetRacesFailedLanding: a Get racing a leader that lands a
+// failure is a miss, never a hit. Four readers spin on Get while the
+// key's flights land failures back to back, so nothing is ever stored.
+func TestResultsGetRacesFailedLanding(t *testing.T) {
+	var r Results
+	const key = "a|BS"
+	fail := BadRequest("injected")
+	stop := make(chan struct{})
+	var hits atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, ok := r.Get(key); ok {
+					hits.Add(1)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20000; i++ {
+		f, leader := r.lead(key)
+		if !leader {
+			t.Error("a key with no document and no flight did not lead")
+			break
+		}
+		r.land(key, f, nil, fail)
+	}
+	close(stop)
+	wg.Wait()
+	if n := hits.Load(); n > 0 {
+		t.Errorf("Get served a key whose every flight failed %d times", n)
+	}
+	if n := r.Len(); n != 0 {
+		t.Errorf("Len = %d after only failed flights, want 0", n)
 	}
 }
 

@@ -16,8 +16,8 @@
 //     faults, half-opened on probe requests after a cooldown.
 //   - Result store: one flight per (benchmark, config, verify) key
 //     collapses duplicate in-flight requests, so a thundering herd
-//     compiles once, and a flight that succeeds stays as the key's
-//     stored response document, never evicted (ParseCell bounds the key
+//     compiles once, and a flight that succeeds stores the key's
+//     response document, never evicted (ParseCell bounds the key
 //     space). Responses are deterministic (no wall-clock in the body), so
 //     cached and cold responses are byte-identical.
 //   - Graceful drain: Drain stops admitting, finishes or cancels in-flight
