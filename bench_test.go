@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/exp"
+	"repro/internal/hlir"
 	"repro/internal/hlirgen"
 	"repro/internal/lower"
 	"repro/internal/profile"
@@ -390,6 +391,46 @@ func BenchmarkSimulatorReference(b *testing.B) {
 		instrs += met.Instrs
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim-instrs/s")
+}
+
+// BenchmarkHLIRReference measures core.Reference, the HLIR reference run
+// every grid front-end and benchmark set-up pays before a cell starts:
+// once per op over the seventeen paper analogs (analogs) and over the
+// 200-program generated corpus hlirgen.Corpus(1, 200) (corpus). Building
+// and minting the programs happens before the timer starts.
+func BenchmarkHLIRReference(b *testing.B) {
+	type input struct {
+		p *hlir.Program
+		d *core.Data
+	}
+	var analogs []input
+	for _, bm := range workload.All() {
+		p, d := bm.Build()
+		analogs = append(analogs, input{p, d})
+	}
+	items, err := hlirgen.Corpus(1, 200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var corpus []input
+	for _, it := range items {
+		corpus = append(corpus, input{it.Prog, it.Data})
+	}
+	for _, set := range []struct {
+		name string
+		in   []input
+	}{{"analogs", analogs}, {"corpus", corpus}} {
+		b.Run(set.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, in := range set.in {
+					if _, err := core.Reference(in.p, in.d); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(len(set.in)), "programs")
+		})
+	}
 }
 
 // BenchmarkCompileFullPipeline measures end-to-end compilation (locality,

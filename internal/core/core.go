@@ -379,44 +379,46 @@ func SameExecution(a, b *Compiled) bool {
 }
 
 // Checksum hashes the program outputs in simulator memory, bit-compatible
-// with hlir.Interp.Checksum.
+// with the HLIR evaluators' checksums (hlir.ChecksumWord).
 func Checksum(m *sim.Machine, c *Compiled) uint64 {
-	var h uint64 = 14695981039346656037
-	mix := func(bits uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (bits >> (8 * i)) & 0xff
-			h *= 1099511628211
-		}
-	}
+	h := hlir.ChecksumSeed
 	for _, a := range c.Outputs {
-		id := c.ArrayID[a]
-		for i := 0; i < a.Len(); i++ {
-			if a.Elem == hlir.KFloat {
-				mix(math.Float64bits(m.ReadF64(id, int64(i)*8)))
-			} else {
-				mix(uint64(m.ReadI64(id, int64(i)*8)))
+		id, n := c.ArrayID[a], int64(a.Len())
+		if a.Elem == hlir.KFloat {
+			for i := int64(0); i < n; i++ {
+				h = hlir.ChecksumWord(h, math.Float64bits(m.ReadF64(id, i*8)))
+			}
+		} else {
+			for i := int64(0); i < n; i++ {
+				h = hlir.ChecksumWord(h, uint64(m.ReadI64(id, i*8)))
 			}
 		}
 	}
 	return h
 }
 
-// Reference runs the HLIR interpreter on p with the inputs and returns
-// the ground-truth checksum.
+// Reference compiles p to closures (hlir.Compile), runs it on the inputs
+// and returns the ground-truth checksum. An output array that p does not
+// declare is an error, not an empty hash.
 func Reference(p *hlir.Program, data *Data) (uint64, error) {
-	it := hlir.NewInterp(p)
+	for _, a := range p.Outputs {
+		if !slices.Contains(p.Arrays, a) {
+			return 0, fmt.Errorf("core: %s: output array %s is not declared", p.Name, a.Name)
+		}
+	}
+	x := hlir.Compile(p)
 	if data != nil {
 		for a, vals := range data.F {
-			copy(it.F[a], vals)
+			copy(x.F[a], vals)
 		}
 		for a, vals := range data.I {
-			copy(it.I[a], vals)
+			copy(x.I[a], vals)
 		}
 	}
-	if err := it.Run(p); err != nil {
+	if err := x.Run(); err != nil {
 		return 0, err
 	}
-	return it.Checksum(p), nil
+	return x.Checksum(), nil
 }
 
 // ParseConfig parses a configuration name in the tables' notation: "BS",

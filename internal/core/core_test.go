@@ -120,6 +120,26 @@ func TestCompileExecuteMatchesReference(t *testing.T) {
 	}
 }
 
+// TestReferenceRejectsUndeclaredArrays: a Go-built program that reads an
+// array missing from p.Arrays gets the evaluator's error, not a Go panic,
+// and an undeclared output is an error, not an empty hash.
+func TestReferenceRejectsUndeclaredArrays(t *testing.T) {
+	p, d := smallProgram()
+	ghost := &hlir.Array{Name: "ghost", Elem: hlir.KFloat, Dims: []int{64}}
+	b := p.Outputs[0]
+	p.Body = []hlir.Stmt{hlir.For("i", hlir.I(0), hlir.I(60),
+		hlir.Set(hlir.At(b, hlir.IV("i")), hlir.At(ghost, hlir.IV("i"))))}
+	if _, err := Reference(p, d); err == nil || err.Error() != "interp: array ghost is not declared" {
+		t.Errorf("reading an undeclared array: error %v", err)
+	}
+
+	p, d = smallProgram()
+	p.Outputs = append(p.Outputs, ghost)
+	if _, err := Reference(p, d); err == nil || !strings.Contains(err.Error(), "output array ghost is not declared") {
+		t.Errorf("an undeclared output: error %v", err)
+	}
+}
+
 func TestBalancedBeatsTraditionalOnMissHeavyLoop(t *testing.T) {
 	// A loop with several independent loads whose lines miss and enough
 	// independent work to hide them: balanced scheduling must win.

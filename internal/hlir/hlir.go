@@ -126,7 +126,12 @@ const (
 
 var binNames = []string{"+", "-", "*", "/", "%", "==", "!=", "<", "<="}
 
-func (op BinOp) String() string { return binNames[op] }
+func (op BinOp) String() string {
+	if int(op) < len(binNames) {
+		return binNames[op]
+	}
+	return fmt.Sprintf("BinOp(%d)", uint8(op))
+}
 
 // IsCmp reports whether the operator is a comparison.
 func (op BinOp) IsCmp() bool { return op >= OpEq }
@@ -239,7 +244,7 @@ type If struct {
 }
 
 // Prefetch hints the memory system to fetch Ref's cache line. It has no
-// observable semantics (the reference interpreter ignores it, and the
+// observable semantics (both HLIR evaluators ignore it, and the
 // address may run past the array — the hardware hint never faults); it
 // only changes timing.
 type Prefetch struct {

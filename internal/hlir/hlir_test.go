@@ -1,6 +1,8 @@
 package hlir
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 )
 
@@ -228,6 +230,19 @@ func TestChecksumSensitivity(t *testing.T) {
 	it2.F[a][3] = 1e-300
 	if it1.Checksum(p) == it2.Checksum(p) {
 		t.Error("differing state hashed identically")
+	}
+}
+
+// TestChecksumWordIsFNV1a pins the output checksum to 64-bit FNV-1a over
+// each word's little-endian bytes, the hash every checksum has used.
+func TestChecksumWordIsFNV1a(t *testing.T) {
+	h, ref := ChecksumSeed, fnv.New64a()
+	for _, w := range []uint64{0, 1, 0xff, 1 << 63, 0x0123456789abcdef, ^uint64(0)} {
+		h = ChecksumWord(h, w)
+		ref.Write(binary.LittleEndian.AppendUint64(nil, w))
+		if h != ref.Sum64() {
+			t.Fatalf("after %#x: %#x, FNV-1a gives %#x", w, h, ref.Sum64())
+		}
 	}
 }
 

@@ -5,10 +5,13 @@ import (
 	"math"
 )
 
-// Interp is a direct tree-walking evaluator for HLIR programs. It is the
-// reference semantics: the compilation pipeline (lower → optimize →
-// schedule → allocate → simulate) must compute exactly the same array
-// contents, which the integration tests enforce for every benchmark and
+// Interp is a direct tree-walking evaluator for HLIR programs, kept as
+// the oracle for Exec, the closure-compiled evaluator that
+// core.Reference runs: the differential tests demand the same errors,
+// bitwise-identical arrays and equal checksums from both, as sim's
+// reference stepper checks its fast core. Their shared semantics are the
+// reference the compilation pipeline (lower → optimize → schedule →
+// allocate → simulate) must reproduce for every benchmark and
 // optimization configuration.
 type Interp struct {
 	// F holds float-array storage, I int-array storage.
@@ -21,20 +24,22 @@ type Interp struct {
 
 // NewInterp allocates zeroed storage for every array of p.
 func NewInterp(p *Program) *Interp {
-	it := &Interp{
-		F:     map[*Array][]float64{},
-		I:     map[*Array][]int64{},
-		ivars: map[string]int64{},
-		fvars: map[string]float64{},
-	}
+	f, i := newStorage(p)
+	return &Interp{F: f, I: i, ivars: map[string]int64{}, fvars: map[string]float64{}}
+}
+
+// newStorage allocates zeroed storage for every array of p, float and
+// int arrays apart.
+func newStorage(p *Program) (map[*Array][]float64, map[*Array][]int64) {
+	f, i := map[*Array][]float64{}, map[*Array][]int64{}
 	for _, a := range p.Arrays {
 		if a.Elem == KFloat {
-			it.F[a] = make([]float64, a.Len())
+			f[a] = make([]float64, a.Len())
 		} else {
-			it.I[a] = make([]int64, a.Len())
+			i[a] = make([]int64, a.Len())
 		}
 	}
-	return it
+	return f, i
 }
 
 // Run executes the program body.
@@ -71,22 +76,36 @@ func (it *Interp) stmt(st Stmt) error {
 			}
 			return nil
 		case *Ref:
-			idx, err := it.linearIndex(lhs)
-			if err != nil {
-				return err
-			}
+			// The array must exist, then its subscripts be in range,
+			// before the value is computed.
 			if lhs.A.Elem == KFloat {
+				s, ok := it.F[lhs.A]
+				if !ok {
+					return errUndeclared(lhs.A)
+				}
+				idx, err := it.linearIndex(lhs)
+				if err != nil {
+					return err
+				}
 				v, err := it.evalF(st.RHS)
 				if err != nil {
 					return err
 				}
-				it.F[lhs.A][idx] = v
+				s[idx] = v
 			} else {
+				s, ok := it.I[lhs.A]
+				if !ok {
+					return errUndeclared(lhs.A)
+				}
+				idx, err := it.linearIndex(lhs)
+				if err != nil {
+					return err
+				}
 				v, err := it.evalI(st.RHS)
 				if err != nil {
 					return err
 				}
-				it.I[lhs.A][idx] = v
+				s[idx] = v
 			}
 			return nil
 		default:
@@ -102,7 +121,7 @@ func (it *Interp) stmt(st Stmt) error {
 			return err
 		}
 		if st.Step <= 0 {
-			return fmt.Errorf("interp: loop %s step %d", st.Var, st.Step)
+			return errStep(st)
 		}
 		for i := lo; i < hi; i += int64(st.Step) {
 			it.ivars[st.Var] = i
@@ -140,7 +159,7 @@ func (it *Interp) stmt(st Stmt) error {
 
 func (it *Interp) linearIndex(r *Ref) (int64, error) {
 	if len(r.Idx) != len(r.A.Dims) {
-		return 0, fmt.Errorf("interp: %s referenced with %d indices, has %d dims", r.A.Name, len(r.Idx), len(r.A.Dims))
+		return 0, errArity(r)
 	}
 	var lin int64
 	for d, e := range r.Idx {
@@ -149,7 +168,7 @@ func (it *Interp) linearIndex(r *Ref) (int64, error) {
 			return 0, err
 		}
 		if v < 0 || v >= int64(r.A.Dims[d]) {
-			return 0, fmt.Errorf("interp: %s index %d out of range [0,%d) in dim %d", r.A.Name, v, r.A.Dims[d], d)
+			return 0, errIndex(r.A, v, d)
 		}
 		lin = lin*int64(r.A.Dims[d]) + v
 	}
@@ -169,11 +188,15 @@ func (it *Interp) evalI(e Expr) (int64, error) {
 		if e.A.Elem != KInt {
 			return 0, fmt.Errorf("interp: float array %s in int context", e.A.Name)
 		}
+		s, ok := it.I[e.A]
+		if !ok {
+			return 0, errUndeclared(e.A)
+		}
 		idx, err := it.linearIndex(e)
 		if err != nil {
 			return 0, err
 		}
-		return it.I[e.A][idx], nil
+		return s[idx], nil
 	case *Bin:
 		if e.Op.IsCmp() {
 			return it.evalCmp(e)
@@ -195,7 +218,7 @@ func (it *Interp) evalI(e Expr) (int64, error) {
 			return x * y, nil
 		case OpMod:
 			if y <= 0 || y&(y-1) != 0 {
-				return 0, fmt.Errorf("interp: %% by %d", y)
+				return 0, errMod(y)
 			}
 			return x & (y - 1), nil
 		default:
@@ -285,11 +308,15 @@ func (it *Interp) evalF(e Expr) (float64, error) {
 		if e.A.Elem != KFloat {
 			return 0, fmt.Errorf("interp: int array %s in float context", e.A.Name)
 		}
+		s, ok := it.F[e.A]
+		if !ok {
+			return 0, errUndeclared(e.A)
+		}
 		idx, err := it.linearIndex(e)
 		if err != nil {
 			return 0, err
 		}
-		return it.F[e.A][idx], nil
+		return s[idx], nil
 	case *Bin:
 		x, err := it.evalF(e.X)
 		if err != nil {
@@ -347,24 +374,55 @@ func (it *Interp) evalF(e Expr) (float64, error) {
 
 // Checksum hashes the program's output arrays (FNV-1a over the raw bits),
 // providing the cross-configuration equivalence token the tests compare.
-func (it *Interp) Checksum(p *Program) uint64 {
-	var h uint64 = 14695981039346656037
-	mix := func(bits uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (bits >> (8 * i)) & 0xff
-			h *= 1099511628211
-		}
+func (it *Interp) Checksum(p *Program) uint64 { return checksum(p.Outputs, it.F, it.I) }
+
+// ChecksumSeed is the FNV-1a offset basis an output checksum starts from.
+const ChecksumSeed uint64 = 14695981039346656037
+
+// ChecksumWord folds the eight bytes of w, low byte first, into the
+// FNV-1a hash h. Every output checksum, whether over an evaluator's
+// arrays or over simulator memory, is ChecksumWord applied to each
+// element's bits in turn, output array by output array, from
+// ChecksumSeed.
+func ChecksumWord(h, w uint64) uint64 {
+	for i := uint(0); i < 64; i += 8 {
+		h ^= (w >> i) & 0xff
+		h *= 1099511628211
 	}
-	for _, a := range p.Outputs {
+	return h
+}
+
+func checksum(outputs []*Array, f map[*Array][]float64, i map[*Array][]int64) uint64 {
+	h := ChecksumSeed
+	for _, a := range outputs {
 		if a.Elem == KFloat {
-			for _, v := range it.F[a] {
-				mix(math.Float64bits(v))
+			for _, v := range f[a] {
+				h = ChecksumWord(h, math.Float64bits(v))
 			}
 		} else {
-			for _, v := range it.I[a] {
-				mix(uint64(v))
+			for _, v := range i[a] {
+				h = ChecksumWord(h, uint64(v))
 			}
 		}
 	}
 	return h
 }
+
+// The errors both evaluators raise where the text carries run-time
+// values or is raised in more than one place.
+
+func errUndeclared(a *Array) error {
+	return fmt.Errorf("interp: array %s is not declared", a.Name)
+}
+
+func errArity(r *Ref) error {
+	return fmt.Errorf("interp: %s referenced with %d indices, has %d dims", r.A.Name, len(r.Idx), len(r.A.Dims))
+}
+
+func errIndex(a *Array, v int64, d int) error {
+	return fmt.Errorf("interp: %s index %d out of range [0,%d) in dim %d", a.Name, v, a.Dims[d], d)
+}
+
+func errMod(y int64) error { return fmt.Errorf("interp: %% by %d", y) }
+
+func errStep(l *Loop) error { return fmt.Errorf("interp: loop %s step %d", l.Var, l.Step) }

@@ -2,6 +2,7 @@ package hlirgen
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/core"
@@ -57,6 +58,43 @@ func Diff(p *hlir.Program, d *core.Data, cfgs ...core.Config) error {
 		if err := diffCompiled(p, d, c, cfg, want); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// DiffEvaluators runs p on d under both HLIR evaluators, the
+// tree-walking oracle hlir.Interp and the closure-compiled hlir.Exec
+// that core.Reference runs, and demands the same error, the same bits in
+// every element of every array and the same checksum. d may be nil.
+func DiffEvaluators(p *hlir.Program, d *core.Data) error {
+	it, x := hlir.NewInterp(p), hlir.Compile(p)
+	if d != nil {
+		for a, vals := range d.F {
+			copy(it.F[a], vals)
+			copy(x.F[a], vals)
+		}
+		for a, vals := range d.I {
+			copy(it.I[a], vals)
+			copy(x.I[a], vals)
+		}
+	}
+	walked, compiled := it.Run(p), x.Run()
+	if fmt.Sprint(walked) != fmt.Sprint(compiled) {
+		return fmt.Errorf("%s: tree walker returned %v, compiled code %v", p.Name, walked, compiled)
+	}
+	for _, a := range p.Arrays {
+		if a.Elem == hlir.KFloat {
+			for i, v := range it.F[a] {
+				if w := x.F[a][i]; math.Float64bits(v) != math.Float64bits(w) {
+					return fmt.Errorf("%s: %s[%d] is %v walked, %v compiled", p.Name, a.Name, i, v, w)
+				}
+			}
+		} else if !slices.Equal(it.I[a], x.I[a]) {
+			return fmt.Errorf("%s: int array %s differs between the evaluators", p.Name, a.Name)
+		}
+	}
+	if h, g := it.Checksum(p), x.Checksum(); h != g {
+		return fmt.Errorf("%s: checksum %#x walked, %#x compiled", p.Name, h, g)
 	}
 	return nil
 }

@@ -10,7 +10,8 @@ import (
 
 // FuzzGenerateValid drives the generator with arbitrary seeds: whatever
 // the seed, the resulting program must pass the HLIR invariant checker,
-// execute under the reference interpreter, and regenerate
+// execute under the reference run, leave bitwise-identical arrays and
+// checksums under both HLIR evaluators, and regenerate
 // deterministically.
 func FuzzGenerateValid(f *testing.F) {
 	for _, s := range []uint64{0, 1, 2, 7, 42, 1 << 32, ^uint64(0)} {
@@ -26,6 +27,9 @@ func FuzzGenerateValid(f *testing.F) {
 		}
 		if _, err := core.Reference(it.Prog, it.Data); err != nil {
 			t.Fatalf("seed %#x: interpreter rejected program: %v\n%s", seed, err, it.Prog)
+		}
+		if err := DiffEvaluators(it.Prog, it.Data); err != nil {
+			t.Fatalf("seed %#x: %v\n%s", seed, err, it.Prog)
 		}
 		again, err := FromSeed(seed)
 		if err != nil {

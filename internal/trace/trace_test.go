@@ -333,20 +333,14 @@ func TestRandomProgramsTraceScheduleEquivalence(t *testing.T) {
 
 // checksum mirrors hlir.Interp.Checksum over simulator memory.
 func checksum(m *sim.Machine, res *lower.Result, p *hlir.Program) uint64 {
-	var h uint64 = 14695981039346656037
-	mix := func(bits uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (bits >> (8 * i)) & 0xff
-			h *= 1099511628211
-		}
-	}
+	h := hlir.ChecksumSeed
 	for _, a := range p.Outputs {
 		id := res.ArrayID[a]
 		for i := 0; i < a.Len(); i++ {
 			if a.Elem == hlir.KFloat {
-				mix(math.Float64bits(m.ReadF64(id, int64(i)*8)))
+				h = hlir.ChecksumWord(h, math.Float64bits(m.ReadF64(id, int64(i)*8)))
 			} else {
-				mix(uint64(m.ReadI64(id, int64(i)*8)))
+				h = hlir.ChecksumWord(h, uint64(m.ReadI64(id, int64(i)*8)))
 			}
 		}
 	}

@@ -96,18 +96,3 @@ func add(x, y hlir.Expr) hlir.Expr { return hlir.Add(x, y) }
 func sub(x, y hlir.Expr) hlir.Expr { return hlir.Sub(x, y) }
 func mul(x, y hlir.Expr) hlir.Expr { return hlir.Mul(x, y) }
 func div(x, y hlir.Expr) hlir.Expr { return hlir.Div(x, y) }
-
-// addN folds a list of expressions into a balanced addition tree, which
-// exposes more instruction-level parallelism than a left-leaning chain —
-// what a vectorising compiler front end like Multiflow's produces.
-func addN(xs ...hlir.Expr) hlir.Expr {
-	switch len(xs) {
-	case 0:
-		return ff(0)
-	case 1:
-		return xs[0]
-	default:
-		mid := len(xs) / 2
-		return add(addN(xs[:mid]...), addN(xs[mid:]...))
-	}
-}

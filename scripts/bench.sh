@@ -1,11 +1,11 @@
 #!/usr/bin/env sh
 # bench.sh runs the performance-tracking benchmark set (simulator cores,
 # grid engine, scheduler kernels, the edge-profile walk, lowering,
-# register allocation) and writes the parsed results as JSON: a
-# host-provenance header (go version, GOOS/GOARCH, CPU count, effective
-# GOMAXPROCS) plus one object per benchmark line, so runs can be diffed
-# across commits *and* across hosts — a scaling number without the core
-# count that produced it is noise.
+# register allocation, the HLIR reference run) and writes the parsed
+# results as JSON: a host-provenance header (go version, GOOS/GOARCH,
+# CPU count, effective GOMAXPROCS) plus one object per benchmark line,
+# so runs can be diffed across commits *and* across hosts — a scaling
+# number without the core count that produced it is noise.
 #
 # Environment:
 #   COUNT     repetitions per benchmark (default 3)
@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 
 COUNT="${COUNT:-3}"
 BENCHTIME="${BENCHTIME:-}"
-FILTER="${FILTER:-Simulator|GridEngine|ListSchedule|BalancedWeights|ProfileCollection|Lower|Regalloc}"
+FILTER="${FILTER:-Simulator|GridEngine|ListSchedule|BalancedWeights|ProfileCollection|Lower|Regalloc|HLIRReference}"
 OUT="${OUT:-BENCH_10.json}"
 
 GOVERSION="$(go env GOVERSION)"
