@@ -47,8 +47,7 @@
 // set, so a membership change remaps only ~1/n of benchmark keys and
 // the surviving workers' caches stay hot. Every served cell's bytes
 // are promoted into a shared result-cache tier that, like a worker's
-// result cache, never evicts; failovers consult that tier — then the
-// surviving workers' own caches over GET /v1/cache/{key} — before
+// result cache, never evicts; failovers consult that tier before
 // recomputing, so a worker death does not cost recomputation of what
 // it had already served. The coordinator's /readyz is quorum-aware:
 // it answers 503 naming the down workers while fewer than

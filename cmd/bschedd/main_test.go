@@ -186,8 +186,7 @@ func TestCoordinatorFleetSurvivesWorkerKill(t *testing.T) {
 		}
 		// After the SIGKILL, failed-over cells may be attributed to the
 		// shared cache tier instead of a live worker address.
-		attributed := rec.Worker == addr1 || rec.Worker == addr2 ||
-			rec.Worker == "fleet-cache" || strings.HasPrefix(rec.Worker, "peer-cache:")
+		attributed := rec.Worker == addr1 || rec.Worker == addr2 || rec.Worker == "fleet-cache"
 		if !attributed {
 			t.Errorf("journal line %d: worker %q is not in the fleet", i, rec.Worker)
 		}

@@ -92,7 +92,6 @@ func churnPlan(seed int64, ops, initialWorkers int) []churnOp {
 type drillWorker struct {
 	slot string
 	addr string
-	srv  *server.Server
 	hsrv *http.Server
 }
 
@@ -107,7 +106,7 @@ func startDrillWorker(slot string) (*drillWorker, error) {
 	}
 	hsrv := server.NewHTTPServer(srv.Handler(), time.Second)
 	go func() { _ = hsrv.Serve(ln) }()
-	return &drillWorker{slot: slot, addr: ln.Addr().String(), srv: srv, hsrv: hsrv}, nil
+	return &drillWorker{slot: slot, addr: ln.Addr().String(), hsrv: hsrv}, nil
 }
 
 func (w *drillWorker) kill() { _ = w.hsrv.Close() }
@@ -166,9 +165,6 @@ type report struct {
 	DegradedRowRate  float64          `json:"degraded_row_rate"`
 	LatencyMS        latencySummary   `json:"latency_ms"`
 	RecomputeAvoided int64            `json:"recompute_avoided"`
-	CacheHits        int64            `json:"cache_hits"`
-	CacheLocalHits   int64            `json:"cache_local_hits"`
-	CachePeerHits    int64            `json:"cache_peer_hits"`
 	Joins            int64            `json:"joins"`
 	Evictions        int64            `json:"evictions"`
 	Failovers        int64            `json:"failovers"`
@@ -394,10 +390,7 @@ func realMain(args []string) int {
 		CellsOK:          cellsOK,
 		CellsDegraded:    cellsBad,
 		LatencyMS:        summarize(latencies),
-		RecomputeAvoided: snap.Counters["fleet/recompute_avoided"],
-		CacheHits:        snap.Counters["fleet/cache_hits"],
-		CacheLocalHits:   snap.Counters["fleet/cache_local_hits"],
-		CachePeerHits:    snap.Counters["fleet/cache_peer_hits"],
+		RecomputeAvoided: snap.Counters["fleet/cache_hits"],
 		Joins:            snap.Counters["fleet/joins"],
 		Evictions:        snap.Counters["fleet/evictions"],
 		Failovers:        snap.Counters["fleet/failovers"],

@@ -283,9 +283,6 @@ func TestGridSurvivesKillAndJoinMidGrid(t *testing.T) {
 	if got := counter(c, "fleet/cache_hits"); got == 0 {
 		t.Error("fleet/cache_hits = 0; failovers recomputed cells the tier already held")
 	}
-	if got := counter(c, "fleet/recompute_avoided"); got == 0 {
-		t.Error("fleet/recompute_avoided = 0 after failing over warmed cells")
-	}
 
 	// Byte-identity with a single-node run, across the kill and the join.
 	_, soloTS := startWorker(t)
@@ -308,11 +305,12 @@ func TestGridSurvivesKillAndJoinMidGrid(t *testing.T) {
 	}
 }
 
-// TestFailoverServedFromPeerCache: the coordinator's own tier is cold
-// but the surviving worker has the cell in its local result cache — the
-// failover fetches the bytes over GET /v1/cache/{key} instead of
-// recomputing, and they are byte-identical to the worker's own answer.
-func TestFailoverServedFromPeerCache(t *testing.T) {
+// TestFailoverServedFromReplicaStore: the coordinator's own tier is
+// cold, but the surviving worker computed the cell behind the
+// coordinator's back. The failover goes to that replica, which answers
+// from its own result store: the bytes are its own answer, and it
+// computed the cell once.
+func TestFailoverServedFromReplicaStore(t *testing.T) {
 	addrA, ksA := startKillableWorker(t, 0)
 	addrB, tsB := startWorker(t)
 	c := newCoordinator(t, func(cfg *Config) {
@@ -333,7 +331,7 @@ func TestFailoverServedFromPeerCache(t *testing.T) {
 		t.Fatal("killable worker owns no benchmark (vanishingly unlikely)")
 	}
 
-	// Warm the SURVIVOR's local cache directly, bypassing the
+	// Warm the SURVIVOR's result store directly, bypassing the
 	// coordinator so its own tier stays cold for this cell.
 	creq := server.CompileRequest{Bench: bench, Config: "BS"}
 	bresp, directBody := postJSON(t, tsB.URL+"/v1/compile", creq)
@@ -341,23 +339,31 @@ func TestFailoverServedFromPeerCache(t *testing.T) {
 		t.Fatalf("direct warm compile: status %d", bresp.StatusCode)
 	}
 
-	// Kill the owner; the failover must find the bytes in B's cache.
+	// Kill the owner; the failover must land on B.
 	ksA.armed.Store(true)
 	resp, body := postJSON(t, ts.URL+"/v1/compile", creq)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("failover compile: status %d body %s", resp.StatusCode, body)
 	}
-	if got, want := resp.Header.Get("X-Served-By"), "peer-cache:"+addrB; got != want {
-		t.Errorf("X-Served-By = %q, want %q", got, want)
+	if got := resp.Header.Get("X-Served-By"); got != addrB {
+		t.Errorf("X-Served-By = %q, want the replica %q", got, addrB)
 	}
 	if !bytes.Equal(body, directBody) {
-		t.Errorf("peer-cache bytes differ from the worker's own response:\npeer:   %s\ndirect: %s", body, directBody)
+		t.Errorf("failover bytes differ from the replica's own response:\nfailover: %s\ndirect:   %s", body, directBody)
 	}
-	if got := counter(c, "fleet/cache_peer_hits"); got != 1 {
-		t.Errorf("fleet/cache_peer_hits = %d, want 1", got)
+	if got := counter(c, "fleet/cache_hits"); got != 0 {
+		t.Errorf("fleet/cache_hits = %d, want 0 (the tier never saw the cell)", got)
 	}
-	if got := counter(c, "fleet/recompute_avoided"); got != 1 {
-		t.Errorf("fleet/recompute_avoided = %d, want 1", got)
+	mresp, err := http.Get(tsB.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	for _, line := range []string{"bschedd_server_cache_misses 1\n", "bschedd_server_cache_hits 1\n"} {
+		if !strings.Contains(string(metrics), line) {
+			t.Errorf("replica /metrics lacks %q: it did not compute the cell exactly once and serve it again\n%s", line, metrics)
+		}
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 type outcome struct {
 	ok        bool
 	body      []byte // ResultDoc bytes when ok
-	cache     string // worker's X-Cache header
 	fail      *server.Failure
 	retryable bool
 	ctxDead   bool // the attempt died of context cancel/expiry, not the worker
@@ -92,12 +91,8 @@ func (c *Coordinator) dispatchCell(ctx context.Context, id, bench, config string
 		// Failover path: before recomputing the cell on a non-primary
 		// worker (or on any retry), consult the shared cache tier — the
 		// primary may already have served these exact bytes before dying.
-		if res.attempts >= 1 || w != order[0] {
-			if body, label, ok := c.tierLookup(ctx, key); ok {
-				res.body, res.worker = body, label
-				c.Stats.Inc("fleet/cells_ok")
-				return res
-			}
+		if (res.attempts >= 1 || w != order[0]) && c.serveFromTier(key, &res) {
+			return res
 		}
 		res.attempts++
 		rot++
@@ -132,14 +127,36 @@ func (c *Coordinator) dispatchCell(ctx context.Context, id, bench, config string
 		backoff = growBackoff(backoff)
 	}
 	// Attempts exhausted: the tier is the last stop before degrading.
-	if body, label, ok := c.tierLookup(ctx, key); ok {
-		res.body, res.worker = body, label
-		c.Stats.Inc("fleet/cells_ok")
+	if c.serveFromTier(key, &res) {
 		return res
 	}
 	c.Stats.Inc("fleet/degraded_cells")
 	res.fail = degradedFailure(bench, config, last, "all replicas exhausted")
 	return res
+}
+
+// promote records a served cell's bytes in the shared tier. An empty
+// body is never cached.
+func (c *Coordinator) promote(key string, body []byte) {
+	if len(body) > 0 {
+		c.tier.Add(key, body)
+	}
+}
+
+// serveFromTier is the failover path's recompute-avoidance check: a
+// cell this coordinator has served before is answered from its tier,
+// attributed to "fleet-cache". It counts a hit or a miss and reports
+// whether res was served.
+func (c *Coordinator) serveFromTier(key string, res *dispatchResult) bool {
+	body, ok := c.tier.Get(key)
+	if !ok {
+		c.Stats.Inc("fleet/cache_misses")
+		return false
+	}
+	c.Stats.Inc("fleet/cache_hits")
+	c.Stats.Inc("fleet/cells_ok")
+	res.body, res.worker = body, "fleet-cache"
+	return true
 }
 
 func growBackoff(d time.Duration) time.Duration {
@@ -265,7 +282,7 @@ func (c *Coordinator) roundTrip(ctx context.Context, id string, w *worker, bench
 	w.brk.Success()
 
 	if resp.StatusCode == http.StatusOK {
-		return outcome{ok: true, body: body, cache: resp.Header.Get("X-Cache")}
+		return outcome{ok: true, body: body}
 	}
 
 	var eb server.ErrorBody

@@ -40,12 +40,13 @@
 //     structured error entry — a grid response never fails whole.
 //   - Shared cache tier: every served cell's bytes are promoted into a
 //     coordinator-side server.Results store, never evicted (every key
-//     has passed server.ParseCell), and a failover consults that tier —
-//     then the surviving workers' own result caches over GET
-//     /v1/cache/{key} — before recomputing, so a worker death stops
-//     costing recomputation of everything it had already served. Cached
-//     bytes are byte-identical to cold bytes (the documents are
-//     deterministic), so the tier never changes a response.
+//     has passed server.ParseCell), and a failover consults that tier
+//     before recomputing, so a worker death stops costing recomputation
+//     of everything it had already served. A cell the tier misses goes
+//     to the next replica, which answers from its own result store when
+//     it has the cell. Cached bytes are byte-identical to cold bytes
+//     (the documents are deterministic), so the tier never changes a
+//     response.
 //   - Streaming: /v1/grid?stream=jsonl (or sse) emits each cell as it
 //     completes instead of buffering the whole grid; the buffered
 //     default stays byte-identical to a single-node bschedd response.
@@ -132,9 +133,6 @@ const (
 	// probeMaxInterval caps the exponential probe backoff for an
 	// unhealthy worker.
 	probeMaxInterval = 8 * time.Second
-	// peerFetchTimeout bounds one GET /v1/cache/{key} peer-cache fetch
-	// during failover.
-	peerFetchTimeout = 750 * time.Millisecond
 )
 
 // worker is the coordinator's view of one worker daemon.

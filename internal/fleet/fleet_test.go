@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -300,6 +301,139 @@ func TestJournalRecordsWorkerAttributionAndResumeReplays(t *testing.T) {
 	if resp2.Header.Get("X-Served-By") != "resume" {
 		t.Errorf("X-Served-By = %q, want resume", resp2.Header.Get("X-Served-By"))
 	}
+}
+
+// reply is one HTTP exchange's outcome, delivered by postAsync.
+type reply struct {
+	status int
+	body   []byte
+	err    error
+}
+
+// postAsync POSTs v as JSON off the test goroutine and delivers the
+// reply on the returned channel.
+func postAsync(url string, v any) <-chan reply {
+	out := make(chan reply, 1)
+	go func() {
+		b, err := json.Marshal(v)
+		if err != nil {
+			out <- reply{err: err}
+			return
+		}
+		resp, err := http.Post(url, "application/json", bytes.NewReader(b))
+		if err != nil {
+			out <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		out <- reply{resp.StatusCode, body, err}
+	}()
+	return out
+}
+
+// heldCellsFail sends a two-cell grid and a compile, both with
+// deadlineMS, to a coordinator whose one worker holds every compile
+// until the request that carried it ends. Once all three cells are
+// held it calls end, then checks that every cell came back as kind in
+// the dispatch phase, the compile with status, and that the journal
+// records kind for each cell.
+func heldCellsFail(t *testing.T, deadlineMS int64, end func(*Coordinator), kind string, status int) {
+	t.Helper()
+	var held atomic.Int64
+	allHeld := make(chan struct{})
+	release := make(chan struct{})
+	addr := stubWorker(t, func(w http.ResponseWriter, r *http.Request) {
+		if held.Add(1) == 3 {
+			close(allHeld)
+		}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	})
+	t.Cleanup(func() { close(release) })
+	journal := filepath.Join(t.TempDir(), "cells.jsonl")
+	c := newCoordinator(t, func(cfg *Config) { cfg.Journal = journal }, addr)
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+
+	grid := postAsync(ts.URL+"/v1/grid", server.GridRequest{
+		Benches: []string{"tomcatv"}, Configs: []string{"BS", "TS"}, DeadlineMS: deadlineMS,
+	})
+	compile := postAsync(ts.URL+"/v1/compile", server.CompileRequest{
+		Bench: "tomcatv", Config: "BS+LU4", DeadlineMS: deadlineMS,
+	})
+	select {
+	case <-allHeld:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("the worker holds %d cells, want 3", held.Load())
+	}
+	end(c)
+	g, cp := <-grid, <-compile
+
+	if g.err != nil || g.status != http.StatusOK {
+		t.Fatalf("grid: status %d err %v body %s, want 200", g.status, g.err, g.body)
+	}
+	var gr server.GridResponse
+	if err := json.Unmarshal(g.body, &gr); err != nil || len(gr.Cells) != 2 {
+		t.Fatalf("grid body %s (err %v), want 2 cells", g.body, err)
+	}
+	for _, cell := range gr.Cells {
+		if cell.Kind != kind || cell.Phase != "dispatch" || cell.Error == "" || cell.Metrics != nil {
+			t.Errorf("cell %s/%s: kind %q phase %q error %q, want a %s in dispatch",
+				cell.Bench, cell.Config, cell.Kind, cell.Phase, cell.Error, kind)
+		}
+	}
+	var eb server.ErrorBody
+	if cp.err != nil || cp.status != status || json.Unmarshal(cp.body, &eb) != nil ||
+		eb.Kind != kind || eb.Phase != "dispatch" {
+		t.Errorf("compile: status %d err %v body %s, want %d %s in dispatch", cp.status, cp.err, cp.body, status, kind)
+	}
+	if got := held.Load(); got != 3 {
+		t.Errorf("the worker saw %d compiles, want 3 (no retry after the request ended)", got)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := c.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	b, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatalf("journal: %v", err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(b, []byte("\n")), []byte("\n"))
+	if len(lines) != 3 {
+		t.Fatalf("journal holds %d lines, want 3:\n%s", len(lines), b)
+	}
+	for i, line := range lines {
+		var rec CellRecord
+		if err := json.Unmarshal(line, &rec); err != nil || rec.Status != kind || rec.Body != nil {
+			t.Errorf("journal line %d %s (err %v), want status %q and no body", i, line, err, kind)
+		}
+	}
+}
+
+// TestGridDeadlinePassesMidDispatch: a grid whose deadline passes while
+// its worker holds every cell still answers 200, each cell a timeout in
+// the dispatch phase, and a compile under the same hold answers 504.
+func TestGridDeadlinePassesMidDispatch(t *testing.T) {
+	heldCellsFail(t, 500, func(*Coordinator) {}, "timeout", http.StatusGatewayTimeout)
+}
+
+// TestDrainCancelsCellsMidDispatch: a drain whose context has already
+// expired cancels the cells its worker holds. The grid still answers
+// 200, each cell canceled in the dispatch phase, and the compile answers
+// 503.
+func TestDrainCancelsCellsMidDispatch(t *testing.T) {
+	heldCellsFail(t, 0, func(c *Coordinator) {
+		expired, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := c.Drain(expired); err != nil {
+			t.Errorf("Drain: %v", err)
+		}
+	}, "canceled", http.StatusServiceUnavailable)
 }
 
 func TestNewRequiresWorkers(t *testing.T) {

@@ -101,9 +101,8 @@ func (r *Results) store(key string, body []byte) {
 
 // CellKey is the result-store and singleflight key of one work item:
 // bench|config, plus |verify for verified runs. It is also the key of
-// the worker's GET /v1/cache/{key} peer export and the fleet
-// coordinator's cache tier and journal resume, so every layer agrees on
-// it by construction.
+// the fleet coordinator's cache tier and journal resume, so every layer
+// agrees on it by construction.
 func CellKey(bench, config string, verify bool) string {
 	k := bench + "|" + config
 	if verify {

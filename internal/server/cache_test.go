@@ -1,38 +1,21 @@
 package server
 
 import (
-	"net/http"
-	"net/url"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // TestResults pins the result store's contract: a stored document is
-// served, locally and over the /v1/cache/{key} export, and Add keeps it;
-// a key in flight is a miss on both paths; a failure reaches the
-// flight's followers but is not stored, so the next request leads a new
-// flight; Len counts stored documents only.
+// served and Add keeps it; a key in flight is a miss; a failure reaches
+// the flight's followers but is not stored, so the next request leads a
+// new flight; Len counts stored documents only.
 func TestResults(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	r := &s.results
-	export := func(key string) int {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/cache/" + url.PathEscape(key))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-
+	var r Results
 	r.Add("a|BS", []byte("1"))
 	r.Add("a|BS", []byte("2"))
 	if body, ok := r.Get("a|BS"); !ok || string(body) != "1" {
 		t.Errorf("Get(a|BS) = %q, %v; want the first document kept", body, ok)
-	}
-	if code := export("a|BS"); code != http.StatusOK {
-		t.Errorf("export of a stored document: status %d, want 200", code)
 	}
 
 	f, leader := r.lead("b|BS")
@@ -41,9 +24,6 @@ func TestResults(t *testing.T) {
 	}
 	if _, ok := r.Get("b|BS"); ok {
 		t.Error("Get served a key still in flight")
-	}
-	if code := export("b|BS"); code != http.StatusNotFound {
-		t.Errorf("export of a key in flight: status %d, want 404", code)
 	}
 	if n := r.Len(); n != 1 {
 		t.Errorf("Len = %d with one stored document and one flight, want 1", n)
@@ -132,7 +112,8 @@ func TestResultsGetRacesFailedLanding(t *testing.T) {
 	}
 }
 
-// TestCellKey pins the key format peers rely on for GET /v1/cache/{key}.
+// TestCellKey pins the key format that the result store, the fleet's
+// cache tier and its journal resume share.
 func TestCellKey(t *testing.T) {
 	if got := CellKey("tomcatv", "BS+LU4", false); got != "tomcatv|BS+LU4" {
 		t.Errorf("CellKey = %q", got)

@@ -39,9 +39,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"net/url"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -144,42 +142,11 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/compile", s.handleCompile)
 	mux.HandleFunc("/v1/grid", s.handleGrid)
-	mux.HandleFunc("/v1/cache/", s.handleCacheExport)
 	mux.HandleFunc("/healthz", s.HandleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/debug/obs", s.handleDebugObs)
 	return mux
-}
-
-// handleCacheExport serves this worker's result cache to fleet peers:
-// GET /v1/cache/{key}, where key is the URL-escaped cell key
-// (bench|config[|verify]). A hit answers 200 with the exact cached
-// bytes; a miss answers 404 and never triggers a compute — peers probe
-// this path during failover, and a probe must always be cheaper than
-// just recomputing. Deliberately allowed while draining: exporting
-// already-computed bytes is how a dying worker's work survives it.
-func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
-	id := r.Header.Get("X-Request-Id")
-	if r.Method != http.MethodGet {
-		s.Fail(w, id, &Failure{Status: http.StatusMethodNotAllowed, Kind: "bad_request", Msg: "GET only"})
-		return
-	}
-	key, err := url.PathUnescape(strings.TrimPrefix(r.URL.Path, "/v1/cache/"))
-	if err != nil || key == "" {
-		s.Fail(w, id, BadRequest("bad cache key"))
-		return
-	}
-	if body, ok := s.results.Get(key); ok {
-		s.Stats.Inc("server/cache_export_hits")
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Cache", "export")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(body)
-		return
-	}
-	s.Stats.Inc("server/cache_export_misses")
-	s.Fail(w, id, &Failure{Status: http.StatusNotFound, Kind: "not_found", Msg: fmt.Sprintf("cell %q is not cached", key)})
 }
 
 // ErrorBody is the JSON error document every non-2xx response carries.
